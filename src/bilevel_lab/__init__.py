@@ -61,7 +61,6 @@ from .oracles import (
     counted,
     exact_hypergradient,
     finite_difference_check,
-    make_quadratic_bilevel,
 )
 from .solvers import (
     AccBiOBGConfig,

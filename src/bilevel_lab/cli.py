@@ -94,6 +94,20 @@ def _decoupled_oracle(d: int) -> QuadraticBilevelOracle:
     return QuadraticBilevelOracle(identity(d), None, np.zeros(d), outer, constants)
 
 
+def _btilde_override(corruption, build_clean):
+    """The certified b_tilde with the `btilde3` negative control applied.
+
+    Returns None for a clean build.  `build_clean()` builds the clean instance.
+    """
+    if corruption is None:
+        return None
+    if corruption != "btilde3":
+        raise ConfigError(f"unknown corruption {corruption!r}")
+    override = build_clean().b_tilde.copy()
+    override[2] += 0.1
+    return override
+
+
 def build_instance(inst_cfg: dict):
     """Return (oracle, hard_instance_or_None, info dict) for a config block."""
     kind = _require(inst_cfg, "kind", "instance")
@@ -104,26 +118,18 @@ def build_instance(inst_cfg: dict):
         return oracle, None, {"kind": kind, "d": d}
     constants = resolve_constants(inst_cfg)
     if kind == "scsc":
-        override = None
-        if corruption == "btilde3":
-            clean = hard_instances.build_scsc(d, constants, inst_cfg.get("Lbar_xy"))
-            override = clean.b_tilde.copy()
-            override[2] = 0.1
-        elif corruption is not None:
-            raise ConfigError(f"unknown corruption {corruption!r}")
+        override = _btilde_override(
+            corruption, lambda: hard_instances.build_scsc(d, constants, inst_cfg.get("Lbar_xy"))
+        )
         inst = hard_instances.build_scsc(
             d, constants, inst_cfg.get("Lbar_xy"), btilde_override=override
         )
         return inst.oracle, inst, {"kind": kind, "d": d, "corruption": corruption}
     if kind == "csc":
         B = float(inst_cfg.get("B", 1.0))
-        override = None
-        if corruption == "btilde3":
-            clean = hard_instances.build_csc(d, constants, B)
-            override = clean.b_tilde.copy()
-            override[2] += 0.1
-        elif corruption is not None:
-            raise ConfigError(f"unknown corruption {corruption!r}")
+        override = _btilde_override(
+            corruption, lambda: hard_instances.build_csc(d, constants, B)
+        )
         inst = hard_instances.build_csc(d, constants, B, btilde_override=override)
         return inst.oracle, inst, {"kind": kind, "d": d, "B": B, "corruption": corruption}
     if kind == "scsc-benchmark":
@@ -374,13 +380,7 @@ def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = No
     algorithms = lb_cfg.get("algorithms", ["baseline_aid_gd"])
 
     def build_scsc_at(d: int):
-        override = None
-        if corruption == "btilde3":
-            clean = hard_instances.build_scsc(d, constants)
-            override = clean.b_tilde.copy()
-            override[2] = 0.1
-        elif corruption is not None:
-            raise ConfigError(f"unknown corruption {corruption!r}")
+        override = _btilde_override(corruption, lambda: hard_instances.build_scsc(d, constants))
         return hard_instances.build_scsc(d, constants, btilde_override=override)
 
     first = build_scsc_at(int(scsc_dims[0]))
@@ -471,22 +471,10 @@ def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = No
 
     eps_budget = float(lb_cfg.get("rstar_eps", 1e-2))
     rstar = hard_instances.csc_rstar(csc_constants, csc_B, eps_budget)
-    beta = (csc_constants.Ltil_y - csc_constants.mu_y) / 4.0
-    c1 = (
-        2.0 * beta**4 / csc_constants.mu_y**4
-        + 4.0 * beta**3 / csc_constants.mu_y**3
-        + 4.0 * beta**2 / csc_constants.mu_y**2
-    )
-    rhs = (
-        csc_B**2
-        * (csc_constants.Ltil_xy**2 * csc_constants.L_y + csc_constants.L_x * csc_constants.mu_y**2) ** 2
-        / (128.0 * csc_constants.mu_y**4 * eps_budget**2)
-    )
-    r_resid = abs(rstar.r_star**4 + c1 * rstar.r_star - rhs)
     record(
         "csc_rstar_root",
-        r_resid <= 1e-8 * max(rhs, 1.0),
-        residual=r_resid,
+        rstar.residual <= 1e-8 * max(rstar.rhs, 1.0),
+        residual=rstar.residual,
         r_star=rstar.r_star,
         small_beta_regime=rstar.small_beta_regime,
     )

@@ -11,6 +11,7 @@ over vectors whose last three coordinates vanish.
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -341,6 +342,17 @@ def csc_grad_floor_value(constants: SmoothnessConstants, B: float, d: int) -> fl
     return numer / math.sqrt(denom)
 
 
+def _csc_oracle(d, constants, beta, b) -> QuadraticBilevelOracle:
+    """Assemble the csc oracle: outer (L_x/4) Z^2 plus L_y I, inner (H, J) in Z."""
+    c = constants
+    a_xx = linalg.z_power_sum("csc", d, {2: c.L_x / 4.0})
+    a_yy = linalg.diagonal(np.full(d, c.L_y))
+    outer = QuadraticOuter(a_xx=a_xx, a_yy=a_yy)
+    h_op = linalg.z_power_sum("csc", d, {2: beta}, shift=c.mu_y)
+    j_op = linalg.z_power_sum("csc", d, {1: -c.Ltil_xy / 2.0})
+    return QuadraticBilevelOracle(h_op, j_op, b, outer, c)
+
+
 def build_csc(
     d: int,
     constants: SmoothnessConstants,
@@ -370,14 +382,6 @@ def build_csc(
 
     z = linalg.anti_banded_z("csc", d)
     b = linalg.solve_dense(z, (2.0 / (c.L_y * c.Ltil_xy)) * b_tilde)
-    x_star = np.full(d, scale)
-
-    a_xx = linalg.z_power_sum("csc", d, {2: c.L_x / 4.0})
-    a_yy = linalg.diagonal(np.full(d, c.L_y))
-    outer = QuadraticOuter(a_xx=a_xx, a_yy=a_yy)
-    h_op = linalg.z_power_sum("csc", d, {2: beta}, shift=c.mu_y)
-    j_op = linalg.z_power_sum("csc", d, {1: -c.Ltil_xy / 2.0})
-    oracle = QuadraticBilevelOracle(h_op, j_op, b, outer, c)
 
     return CscInstance(
         d=d,
@@ -386,9 +390,9 @@ def build_csc(
         beta=beta,
         b_tilde=b_tilde,
         b=b,
-        x_star=x_star,
+        x_star=np.full(d, scale),
         grad_floor=csc_grad_floor_value(c, B, d),
-        oracle=oracle,
+        oracle=_csc_oracle(d, c, beta, b),
     )
 
 
@@ -419,9 +423,11 @@ def csc_grad_floor_verify(instance: CscInstance) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class RstarResult:
-    """Budget root r* plus closed-form values for the two parameter regimes."""
+    """Budget root r* with its residual and right-hand side, and the regime values."""
 
     r_star: float
+    residual: float
+    rhs: float
     small_beta_regime: float
     constant_beta_regime: float
 
@@ -441,7 +447,7 @@ def csc_rstar(constants: SmoothnessConstants, B: float, eps: float) -> RstarResu
         128.0 * c.mu_y**4 * eps**2
     )
     hi = max(rhs**0.25, rhs / c1 if c1 > 0 else 0.0) * (1.0 + 1e-9) + 1.0
-    root = linalg.bisect_root(lambda r: r**4 + c1 * r - rhs, 0.0, hi, 1e-13 * hi)
+    root = float(linalg.bisect_root(lambda r: r**4 + c1 * r - rhs, 0.0, hi, 1e-13 * hi))
     small_beta = (
         math.sqrt(B)
         * math.sqrt(c.Ltil_xy**2 * c.L_y + c.L_x * c.mu_y**2)
@@ -449,7 +455,9 @@ def csc_rstar(constants: SmoothnessConstants, B: float, eps: float) -> RstarResu
     )
     constant_beta = (1.0 / math.sqrt(eps)) * min(1.0 / c.mu_y, eps**-1.5)
     return RstarResult(
-        r_star=float(root),
+        r_star=root,
+        residual=abs(root**4 + c1 * root - rhs),
+        rhs=rhs,
         small_beta_regime=small_beta,
         constant_beta_regime=constant_beta,
     )
@@ -471,27 +479,13 @@ def _decode_vec(s: str, d: int) -> np.ndarray:
     return v
 
 
-def _constants_to_dict(c: SmoothnessConstants) -> dict:
-    return {
-        "mu_x": c.mu_x,
-        "mu_y": c.mu_y,
-        "L_x": c.L_x,
-        "L_y": c.L_y,
-        "L_xy": c.L_xy,
-        "Ltil_xy": c.Ltil_xy,
-        "Ltil_y": c.Ltil_y,
-        "rho_xy": c.rho_xy,
-        "rho_yy": c.rho_yy,
-    }
-
-
 def instance_to_json(instance: ScscInstance | CscInstance) -> str:
     """Serialize an instance; vectors are base64 little-endian float64."""
     if isinstance(instance, ScscInstance):
         doc = {
             "kind": "scsc",
             "d": instance.d,
-            "constants": _constants_to_dict(instance.constants),
+            "constants": dataclasses.asdict(instance.constants),
             "Lbar_xy": instance.Lbar_xy,
             "derived": {
                 "alpha": instance.alpha,
@@ -512,7 +506,7 @@ def instance_to_json(instance: ScscInstance | CscInstance) -> str:
         doc = {
             "kind": "csc",
             "d": instance.d,
-            "constants": _constants_to_dict(instance.constants),
+            "constants": dataclasses.asdict(instance.constants),
             "B": instance.B,
             "derived": {"beta": instance.beta, "grad_floor": instance.grad_floor},
             "vectors": {
@@ -561,24 +555,16 @@ def instance_from_json(text: str) -> ScscInstance | CscInstance:
         )
     if doc["kind"] == "csc":
         derived = doc["derived"]
-        b_tilde = _decode_vec(doc["vectors"]["b_tilde"], d)
         b = _decode_vec(doc["vectors"]["b"], d)
-        beta = derived["beta"]
-        a_xx = linalg.z_power_sum("csc", d, {2: constants.L_x / 4.0})
-        a_yy = linalg.diagonal(np.full(d, constants.L_y))
-        outer = QuadraticOuter(a_xx=a_xx, a_yy=a_yy)
-        h_op = linalg.z_power_sum("csc", d, {2: beta}, shift=constants.mu_y)
-        j_op = linalg.z_power_sum("csc", d, {1: -constants.Ltil_xy / 2.0})
-        oracle = QuadraticBilevelOracle(h_op, j_op, b, outer, constants)
         return CscInstance(
             d=d,
             constants=constants,
             B=doc["B"],
-            beta=beta,
-            b_tilde=b_tilde,
+            beta=derived["beta"],
+            b_tilde=_decode_vec(doc["vectors"]["b_tilde"], d),
             b=b,
             x_star=_decode_vec(doc["vectors"]["x_star"], d),
             grad_floor=derived["grad_floor"],
-            oracle=oracle,
+            oracle=_csc_oracle(d, constants, derived["beta"], b),
         )
     raise InvariantViolationError(f"unknown instance kind {doc['kind']!r}")

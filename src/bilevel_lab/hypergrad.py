@@ -1,6 +1,10 @@
 """Hypergradient machinery: accelerated inner solver, heavy-ball linear solver,
 and the two hypergradient estimators (implicit-differentiation and unrolled).
 
+Everything here runs on the five-query surface alone (gradients,
+Hessian-vector and Jacobian-vector products) and never reads an exact
+surface, so it works on the counted surface that `oracles.counted` returns.
+
 Budget accounting is exact and is part of the contract: an implicit-style
 estimate with budgets (N, M) consumes N+2 gradients, M Hessian-vector products
 and 1 Jacobian-vector product; an unrolled estimate with N inner steps consumes
@@ -15,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError, InvariantViolationError
-from .oracles import BilevelOracle, SmoothnessConstants
+from .oracles import SmoothnessConstants
 
 
 @dataclass(frozen=True)
@@ -80,29 +84,23 @@ class HeavyBallConfig:
 
 @dataclass
 class HypergradientEstimate:
-    """A hypergradient estimate plus optional verification metadata."""
+    """A hypergradient estimate and the final inner iterate it was taken at."""
 
     G: np.ndarray
-    inner_residual: float | None = None
-    hb_iterations: int = 0
-    error_bound: float | None = None
-
-    def __post_init__(self):
-        if self.error_bound is not None and self.error_bound < 0:
-            raise InvariantViolationError("error bound must be nonnegative")
+    y: np.ndarray
 
 
 def agd_inner(
-    oracle: BilevelOracle,
+    oracle,
     x: np.ndarray,
     y0: np.ndarray,
     cfg: AgdConfig,
-    stop_when: Callable[[np.ndarray], bool] | None = None,
+    on_iterate: Callable[[np.ndarray], None] | None = None,
 ) -> np.ndarray:
     """Run N accelerated descent steps on g(x, .) from y0.
 
-    `stop_when` (if given) is checked on each new iterate and ends the loop
-    early; it must not query counted oracle surfaces.
+    `on_iterate` (if given) sees each new iterate; it only observes and must
+    not query the counted surface.
     """
     c_extra = cfg.extrapolation
     c_mom = cfg.momentum
@@ -115,8 +113,8 @@ def agd_inner(
             raise DivergenceError("inner accelerated descent diverged", step=t, last_good=y_prev)
         s = c_extra * y - c_mom * y_prev
         y_prev = y
-        if stop_when is not None and stop_when(y):
-            break
+        if on_iterate is not None:
+            on_iterate(y)
     return y
 
 
@@ -171,42 +169,28 @@ def hypergradient_error_bound(
 
 
 def aid_estimate(
-    oracle: BilevelOracle,
+    oracle,
     x: np.ndarray,
     y0: np.ndarray,
     agd: AgdConfig,
     hb: HeavyBallConfig,
+    on_iterate: Callable[[np.ndarray], None] | None = None,
 ) -> HypergradientEstimate:
     """Implicit-differentiation hypergradient estimate.
 
-    Runs the accelerated inner solver, then heavy-ball on the inner-Hessian
-    linear system, then a single Jacobian-vector product.
+    Runs the accelerated inner solver from y0 (handing each iterate to
+    `on_iterate`), then heavy-ball on the inner-Hessian linear system, then a
+    single Jacobian-vector product.
     """
-    y_n = agd_inner(oracle, x, y0, agd)
+    y_n = agd_inner(oracle, x, y0, agd, on_iterate)
     rhs = oracle.grad_y_f(x, y_n)
     v = heavy_ball_solve(lambda u: oracle.hess_y_g_vec(x, y_n, u), rhs, hb)
     g = oracle.grad_x_f(x, y_n) - oracle.jac_xy_g_vec(x, y_n, v)
-
-    inner_residual = None
-    error_bound = None
-    if oracle.has_exact_surface:
-        inner_residual = float(np.linalg.norm(y_n - oracle.y_star(x)))
-        if oracle.has_phi_star and np.max(np.abs(y0)) == 0.0:
-            error_bound = hypergradient_error_bound(
-                oracle.constants,
-                agd.N,
-                hb.M,
-                dist_to_xstar=float(np.linalg.norm(x - oracle.x_star)),
-                norm_y_star_at_xstar=oracle.norm_y_star_at_xstar,
-                norm_grad_y_f_at_xstar=oracle.norm_grad_y_f_at_xstar,
-            )
-    return HypergradientEstimate(
-        G=g, inner_residual=inner_residual, hb_iterations=hb.M, error_bound=error_bound
-    )
+    return HypergradientEstimate(G=g, y=y_n)
 
 
 def itd_estimate(
-    oracle: BilevelOracle,
+    oracle,
     x: np.ndarray,
     y0: np.ndarray,
     N: int,
@@ -236,11 +220,7 @@ def itd_estimate(
         total += oracle.jac_xy_g_vec(x, ys[t], u)
         u = u - eta * oracle.hess_y_g_vec(x, ys[t], u)
     g = oracle.grad_x_f(x, ys[N]) - eta * total
-
-    inner_residual = None
-    if oracle.has_exact_surface:
-        inner_residual = float(np.linalg.norm(ys[N] - oracle.y_star(x)))
-    return HypergradientEstimate(G=g, inner_residual=inner_residual, hb_iterations=0)
+    return HypergradientEstimate(G=g, y=ys[N])
 
 
 def tail_log_slope(

@@ -203,20 +203,6 @@ def z_power_sum(
     return StructuredOperator(f"z-power-sum({flavor}:{label};shift={shift:g})", dim, matvec)
 
 
-def z_inverse_dense(flavor: str, dim: int) -> np.ndarray:
-    """Closed-form inverse of the anti-banded operator (test oracle only).
-
-    scsc: all-ones on and above the main anti-diagonal.  csc: all minus-ones
-    on and below it.
-    """
-    i = np.arange(dim)[:, None] + np.arange(dim)[None, :]
-    if flavor == "scsc":
-        return np.where(i <= dim - 1, 1.0, 0.0)
-    if flavor == "csc":
-        return np.where(i >= dim - 1, -1.0, 0.0)
-    raise ValueError(f"unknown flavor {flavor!r}")
-
-
 def solve_dense(
     op: StructuredOperator, rhs: np.ndarray, residual_tol: float = SOLVE_RESIDUAL_TOL
 ) -> np.ndarray:

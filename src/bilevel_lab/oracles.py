@@ -4,8 +4,10 @@ An oracle bundles first-order queries (gradients) and second-order
 matrix-vector queries (Hessian-vector, Jacobian-vector) for a pair (f, g),
 where the outer objective is phi(x) = f(x, y*(x)) and y*(x) minimizes
 g(x, .).  Quadratic-in-y instances additionally expose an exact surface
-(y_star, phi, grad_phi, phi_star) used for verification; exact-surface calls
-never touch the oracle counters.
+(y_star, phi, grad_phi, phi_star) used for verification.  Algorithms see only
+the counted surface from `counted`, which carries the five queries and no
+exact surface; verification observers read the exact surface of the base
+oracle, uncounted.
 """
 
 from __future__ import annotations
@@ -145,16 +147,12 @@ class BilevelOracle:
 
     # -- capability flags ------------------------------------------------------
     @property
-    def has_y_star(self) -> bool:
-        return self._y_star is not None
-
-    @property
     def has_phi(self) -> bool:
         return self._phi is not None
 
     @property
     def has_exact_surface(self) -> bool:
-        return self.has_y_star and self.hess_y_g_op is not None
+        return self._y_star is not None and self.hess_y_g_op is not None
 
     @property
     def has_phi_star(self) -> bool:
@@ -308,18 +306,6 @@ class QuadraticBilevelOracle(BilevelOracle):
         return self._cache["ngyf"]
 
 
-def make_quadratic_bilevel(
-    h_op: StructuredOperator,
-    j_op: StructuredOperator | None,
-    b: np.ndarray,
-    outer: QuadraticOuter,
-    constants: SmoothnessConstants,
-    gradient_bound: float | None = None,
-) -> QuadraticBilevelOracle:
-    """Build an oracle for a quadratic-in-y inner problem with full exact surface."""
-    return QuadraticBilevelOracle(h_op, j_op, b, outer, constants, gradient_bound)
-
-
 def exact_hypergradient(oracle: BilevelOracle, x: np.ndarray) -> np.ndarray:
     """Exact grad phi(x) through y*(x) and a dense inner-Hessian solve."""
     if not oracle.has_exact_surface:
@@ -347,27 +333,19 @@ class OracleCounters:
         return OracleCounters(self.n_G, self.n_J, self.n_H, self.tau_cost)
 
 
-class _CountedOracle(BilevelOracle):
-    """Wrapper that meters the five counted queries of a base oracle."""
+class _CountedOracle:
+    """The five counted queries of a base oracle, and nothing else.
+
+    Algorithms and span scripts receive this surface; the base oracle's
+    verification-only exact surface is not on it.
+    """
 
     def __init__(self, base: BilevelOracle, counters: OracleCounters):
+        self.p = base.p
+        self.q = base.q
+        self.constants = base.constants
         self._base = base
         self._counters = counters
-        # Share the base's surface directly; only the counted five are overridden.
-        super().__init__(
-            base.p,
-            base.q,
-            base.constants,
-            grad_x_f=base._grad_x_f,
-            grad_y_f=base._grad_y_f,
-            grad_y_g=base._grad_y_g,
-            hess_y_g_vec=base._hess_y_g_vec,
-            jac_xy_g_vec=base._jac_xy_g_vec,
-            hess_y_g_op=base.hess_y_g_op,
-            y_star=base._y_star,
-            phi=base._phi,
-            gradient_bound=base.gradient_bound,
-        )
 
     def grad_x_f(self, x, y):
         self._counters.n_G += 1
@@ -389,21 +367,11 @@ class _CountedOracle(BilevelOracle):
         self._counters.n_J += 1
         return self._base._jac_xy_g_vec(x, y, v)
 
-    # Verification surface passes through to the base, uncounted.
-    @property
-    def has_phi_star(self) -> bool:
-        return self._base.has_phi_star
-
-    def __getattr__(self, name):
-        if name == "_base":
-            raise AttributeError(name)
-        return getattr(self._base, name)
-
 
 def counted(
     oracle: BilevelOracle, tau_cost: float = 2.0
-) -> tuple[BilevelOracle, OracleCounters]:
-    """Wrap an oracle so every counted query increments a fresh counter handle."""
+) -> tuple[_CountedOracle, OracleCounters]:
+    """Wrap an oracle's five queries so each call increments a fresh counter handle."""
     counters = OracleCounters(tau_cost=tau_cost)
     return _CountedOracle(oracle, counters), counters
 

@@ -1,10 +1,14 @@
 """Outer-loop algorithms, smoothness-constant calculators, and trace plumbing.
 
-Three solvers share the hypergradient machinery: a momentum-accelerated method
-with cold inner starts, its warm-started variant for bounded outer gradients,
-and a plain gradient-descent baseline.  Every run owns a private counter
-handle; traces snapshot the counters per outer iteration so complexity-vs-
-accuracy curves fall out of the records directly.
+Three solvers share one outer loop (`outer_loop`) over the counted five-query
+surface: a momentum-accelerated method with cold inner starts, its
+warm-started variant for bounded outer gradients, and a plain gradient-descent
+baseline.  Each supplies only its query point and update rule; the span
+simulator drives the same loop.  Verification is an observer: the trace
+builder reads the exact surface of the base oracle after each iteration and
+never steers the loop.  Every run owns a private counter handle; traces
+snapshot the counters per outer iteration so complexity-vs-accuracy curves
+fall out of the records directly.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CapabilityError, DivergenceError, InvariantViolationError
-from .hypergrad import AgdConfig, HeavyBallConfig, agd_inner, aid_estimate, heavy_ball_solve
+from .hypergrad import AgdConfig, HeavyBallConfig, aid_estimate
 from .oracles import (
     BilevelOracle,
     OracleCounters,
@@ -70,7 +74,6 @@ class AccBiOBGConfig:
     hb: HeavyBallConfig
     U: float | None = None
     warm_start: bool = True
-    inner_stop_resid: float | None = None
 
     def __post_init__(self):
         if self.K < 1:
@@ -142,29 +145,20 @@ def _fmt(value) -> str:
 
 def trace_to_csv(trace: RunTrace) -> str:
     """Serialize a trace; absent quantities emit empty fields."""
+    columns = [f.name for f in dataclasses.fields(TraceRecord)]
     out = io.StringIO()
-    out.write("k,phi_gap,grad_norm,hypergrad_error,n_G,n_J,n_H,complexity\n")
+    out.write(",".join(columns) + "\n")
     for rec in trace.records:
-        out.write(
-            ",".join(
-                [
-                    str(rec.k),
-                    _fmt(rec.phi_gap),
-                    _fmt(rec.grad_norm),
-                    _fmt(rec.hypergrad_error),
-                    str(rec.n_G),
-                    str(rec.n_J),
-                    str(rec.n_H),
-                    _fmt(rec.complexity),
-                ]
-            )
-            + "\n"
-        )
+        out.write(",".join(_fmt(getattr(rec, c)) for c in columns) + "\n")
     return out.getvalue()
 
 
 class _TraceBuilder:
-    """Shared measurement/recording logic for all solver loops."""
+    """Verification observer of a solver run: one record per outer iteration.
+
+    Reads the exact surface of the base oracle (never counted) and snapshots
+    the run's counters.
+    """
 
     def __init__(self, oracle: BilevelOracle, counters: OracleCounters, algorithm: str):
         self.oracle = oracle
@@ -218,6 +212,78 @@ class _TraceBuilder:
             )
 
 
+def outer_loop(queries, K, agd, hb, query, update, warm_start, on_outer, on_inner=None):
+    """Run K outer iterations from x = z = 0 over the five-query surface `queries`.
+
+    Each iteration estimates the hypergradient G at x_query = query(x, z),
+    with the inner solve started from the previous inner iterate if
+    `warm_start` and from zero otherwise, then applies
+    (x, z) = update(x, z, x_query, G).  Observers see the run but never
+    change it: on_outer(k, x, z, G, x_query) after every iteration and
+    on_inner(y) on every inner iterate.  They may read the exact surface of
+    the base oracle, and may abort the run by raising.  Returns the final
+    (x, z).
+    """
+    x = z = np.zeros(queries.p)
+    y = np.zeros(queries.q)
+    for k in range(1, K + 1):
+        x_query = query(x, z)
+        y0 = y if warm_start else np.zeros(queries.q)
+        est = aid_estimate(queries, x_query, y0, agd, hb, on_inner)
+        x, z = update(x, z, x_query, est.G)
+        y = est.y
+        on_outer(k, x, z, est.G, x_query)
+    return x, z
+
+
+def _query_at_x(x, z):
+    return x
+
+
+def accbio_rule(L_phi: float, momentum: float):
+    """(query, update) of AccBiO: smoothness step from x to z, constant momentum to x."""
+
+    def update(x, z, x_query, G):
+        z_next = x_query - G / L_phi
+        return (1.0 + momentum) * z_next - momentum * z, z_next
+
+    return _query_at_x, update
+
+
+def accbio_bg_rule(alpha: float, eta: float, tau: float, beta: float):
+    """(query, update) of AccBiO-BG: query at the coupling point x_tilde."""
+
+    def query(x, z):
+        return eta * x + (1.0 - eta) * z
+
+    def update(x, z, x_tilde, G):
+        return tau * x_tilde + (1.0 - tau) * x - beta * G, x_tilde - alpha * G
+
+    return query, update
+
+
+def gd_rule(stepsize: float):
+    """(query, update) of gradient descent: a plain step from x, z tracking x."""
+
+    def update(x, z, x_query, G):
+        x_next = x - stepsize * G
+        return x_next, x_next
+
+    return _query_at_x, update
+
+
+def _traced_run(oracle, algorithm, tau_cost, K, agd, hb, rule, warm_start) -> RunTrace:
+    """Drive `outer_loop` on a fresh counter handle, recording z every iteration."""
+    metered, counters = counted(oracle, tau_cost)
+    builder = _TraceBuilder(oracle, counters, algorithm)
+    builder.record(0, np.zeros(oracle.p), None, None)
+    _, z = outer_loop(
+        metered, K, agd, hb, *rule, warm_start, lambda k, x, z, G, xq: builder.record(k, z, G, xq)
+    )
+    builder.trace.final_point = z.copy()
+    return builder.trace
+
+
 def accbio(oracle: BilevelOracle, cfg: AccBiOConfig, tau_cost: float = 2.0) -> RunTrace:
     """Accelerated outer loop with cold inner starts.
 
@@ -225,25 +291,12 @@ def accbio(oracle: BilevelOracle, cfg: AccBiOConfig, tau_cost: float = 2.0) -> R
     hypergradient estimate, the smoothness-step z-update, and the constant-
     momentum x-update.
     """
-    metered, counters = counted(oracle, tau_cost)
-    builder = _TraceBuilder(metered, counters, "accbio")
-    p, q = oracle.p, oracle.q
-    z = np.zeros(p)
-    x = np.zeros(p)
-    builder.record(0, z, None, None)
-    m = cfg.momentum
-    for k in range(1, cfg.K + 1):
-        est = aid_estimate(metered, x, np.zeros(q), cfg.agd, cfg.hb)
-        z_next = x - est.G / cfg.L_phi
-        x_eval = x
-        x = (1.0 + m) * z_next - m * z
-        z = z_next
-        builder.record(k, z, est.G, x_eval)
-    builder.trace.final_point = z.copy()
-    builder.trace.meta.update(
+    rule = accbio_rule(cfg.L_phi, cfg.momentum)
+    trace = _traced_run(oracle, "accbio", tau_cost, cfg.K, cfg.agd, cfg.hb, rule, False)
+    trace.meta.update(
         K=cfg.K, L_phi=cfg.L_phi, kappa_x=cfg.kappa_x, N=cfg.agd.N, M=cfg.hb.M, eps=cfg.eps
     )
-    return builder.trace
+    return trace
 
 
 def accbio_bg(oracle: BilevelOracle, cfg: AccBiOBGConfig, tau_cost: float = 2.0) -> RunTrace:
@@ -252,32 +305,12 @@ def accbio_bg(oracle: BilevelOracle, cfg: AccBiOBGConfig, tau_cost: float = 2.0)
         raise CapabilityError(
             "the warm-started solver requires a declared outer-gradient bound U"
         )
-    metered, counters = counted(oracle, tau_cost)
-    builder = _TraceBuilder(metered, counters, "accbio_bg")
-    p, q = oracle.p, oracle.q
-    z = np.zeros(p)
-    x = np.zeros(p)
-    y_carry = np.zeros(q)
-    builder.record(0, z, None, None)
     eta, tau, beta = cfg.eta_k, cfg.tau_k, cfg.beta_k
-    for k in range(1, cfg.K + 1):
-        x_tilde = eta * x + (1.0 - eta) * z
-        y0 = y_carry if cfg.warm_start else np.zeros(q)
-        stop_when = None
-        if cfg.inner_stop_resid is not None and metered.has_exact_surface:
-            target = metered.y_star(x_tilde)
-            resid = cfg.inner_stop_resid
-            stop_when = lambda y, t=target, r=resid: float(np.linalg.norm(y - t)) <= r
-        y_n = agd_inner(metered, x_tilde, y0, cfg.agd, stop_when=stop_when)
-        rhs = metered.grad_y_f(x_tilde, y_n)
-        v = heavy_ball_solve(lambda u: metered.hess_y_g_vec(x_tilde, y_n, u), rhs, cfg.hb)
-        g_k = metered.grad_x_f(x_tilde, y_n) - metered.jac_xy_g_vec(x_tilde, y_n, v)
-        x = tau * x_tilde + (1.0 - tau) * x - beta * g_k
-        z = x_tilde - cfg.alpha * g_k
-        y_carry = y_n
-        builder.record(k, z, g_k, x_tilde)
-    builder.trace.final_point = z.copy()
-    builder.trace.meta.update(
+    rule = accbio_bg_rule(cfg.alpha, eta, tau, beta)
+    trace = _traced_run(
+        oracle, "accbio_bg", tau_cost, cfg.K, cfg.agd, cfg.hb, rule, cfg.warm_start
+    )
+    trace.meta.update(
         K=cfg.K,
         alpha=cfg.alpha,
         eta_k=eta,
@@ -288,7 +321,7 @@ def accbio_bg(oracle: BilevelOracle, cfg: AccBiOBGConfig, tau_cost: float = 2.0)
         U=cfg.U if cfg.U is not None else oracle.gradient_bound,
         warm_start=cfg.warm_start,
     )
-    return builder.trace
+    return trace
 
 
 def baseline_aid_gd(
@@ -302,18 +335,9 @@ def baseline_aid_gd(
     """Plain outer gradient descent on the implicit hypergradient estimate."""
     if stepsize <= 0:
         raise InvariantViolationError("stepsize must be positive")
-    metered, counters = counted(oracle, tau_cost)
-    builder = _TraceBuilder(metered, counters, "baseline_aid_gd")
-    x = np.zeros(oracle.p)
-    builder.record(0, x, None, None)
-    for k in range(1, K + 1):
-        est = aid_estimate(metered, x, np.zeros(oracle.q), agd, hb)
-        x_eval = x
-        x = x - stepsize * est.G
-        builder.record(k, x, est.G, x_eval)
-    builder.trace.final_point = x.copy()
-    builder.trace.meta.update(K=K, stepsize=stepsize, N=agd.N, M=hb.M)
-    return builder.trace
+    trace = _traced_run(oracle, "baseline_aid_gd", tau_cost, K, agd, hb, gd_rule(stepsize), False)
+    trace.meta.update(K=K, stepsize=stepsize, N=agd.N, M=hb.M)
+    return trace
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,15 @@ Hessian-vector products inside every hypergradient; the mapping is logged into
 the profile so a report is self-describing.  Support is tolerance-based: exact
 zero chains hold in exact arithmetic, while the span-projection residual is
 the authoritative criterion in floating point.
+
+The built-in algorithms drive the solvers' `outer_loop` with their own rules;
+`SupportProfile` is its observer, recording every x-update and inner
+y-step.  Custom scripts receive only the counted five-query surface.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -25,9 +30,9 @@ from .hard_instances import (
     scsc_feasible_dimension,
     scsc_gap_floor,
 )
-from .hypergrad import AgdConfig, HeavyBallConfig, heavy_ball_solve
+from .hypergrad import AgdConfig, HeavyBallConfig
 from .oracles import counted
-from .solvers import l_phi_estimate
+from .solvers import accbio_bg_rule, accbio_rule, gd_rule, l_phi_estimate, outer_loop
 
 TOL_ACTIVE = 1e-10
 TOL_SUPPORT = 1e-10
@@ -68,18 +73,17 @@ class SupportProfile:
     final_x: np.ndarray | None = None
     mapping: dict = field(default_factory=dict)
 
+    def _observe(self, v: np.ndarray, raw_list: list[int], cumulative: list[int]):
+        raw = active_index(v, self.tol_active)
+        raw_list.append(raw)
+        cumulative.append(max(cumulative[-1] if cumulative else 0, raw))
+
     def observe_x(self, x: np.ndarray):
-        raw = active_index(x, self.tol_active)
-        self.x_support_raw.append(raw)
-        prev = self.x_support[-1] if self.x_support else 0
-        self.x_support.append(max(prev, raw))
+        self._observe(x, self.x_support_raw, self.x_support)
         self.x_iterates.append(x.copy())
 
     def observe_y(self, y: np.ndarray):
-        raw = active_index(y, self.tol_active)
-        self.y_support_raw.append(raw)
-        prev = self.y_support[-1] if self.y_support else 0
-        self.y_support.append(max(prev, raw))
+        self._observe(y, self.y_support_raw, self.y_support)
 
     @property
     def max_x_index(self) -> int:
@@ -111,19 +115,18 @@ def _check_budgets(instance, K: int, Q: int, T: int) -> int:
     return n_inner
 
 
-class SpanQuerySurface:
-    """The five counted queries and nothing else.
-
-    Custom scripts receive this facade so adversarial members of the
-    algorithm class cannot reach the verification-only exact surface.
-    """
-
-    def __init__(self, oracle):
-        self.grad_x_f = oracle.grad_x_f
-        self.grad_y_f = oracle.grad_y_f
-        self.grad_y_g = oracle.grad_y_g
-        self.hess_y_g_vec = oracle.hess_y_g_vec
-        self.jac_xy_g_vec = oracle.jac_xy_g_vec
+def _simulator_rule(algorithm: str, constants):
+    """(query, update) of a built-in algorithm, at the quadratic-g smoothness constant."""
+    l_phi = l_phi_estimate(constants, "quadratic-g")
+    mu_x = max(constants.mu_x, 1e-12)
+    if algorithm == "baseline_aid_gd":
+        return gd_rule(1.0 / l_phi)
+    if algorithm == "accbio":
+        rk = math.sqrt(l_phi / mu_x)
+        return accbio_rule(l_phi, (rk - 1.0) / (rk + 1.0))
+    alpha = 1.0 / (2.0 * l_phi)
+    s = math.sqrt(alpha * mu_x)
+    return accbio_bg_rule(alpha, s / (s + 2.0), s / 2.0, math.sqrt(alpha / mu_x))
 
 
 def simulate_on_instance(
@@ -136,11 +139,13 @@ def simulate_on_instance(
 
     `algorithm` is one of SIMULATOR_ALGORITHMS or a callable receiving the
     counted query surface and returning the final x (for adversarial scripts).
+    The cold-started accbio restarts each inner solve from zero; the other
+    two carry the inner iterate forward, so inner steps accumulate across
+    updates as the support-cap budget counts them.
     """
     K, Q, T = budgets["K"], budgets["Q"], budgets["T"]
     n_inner = _check_budgets(instance, K, Q, T)
-    oracle = instance.oracle
-    metered, counters = counted(oracle, tau_cost)
+    metered, counters = counted(instance.oracle, tau_cost)
     profile = SupportProfile(budgets={"K": K, "Q": Q, "T": T})
     profile.mapping = {
         "n_inner_per_update": n_inner,
@@ -149,65 +154,20 @@ def simulate_on_instance(
         "algorithm": algorithm if isinstance(algorithm, str) else "custom",
     }
 
-    d = instance.d
-    if callable(algorithm) and not isinstance(algorithm, str):
-        x_final = algorithm(SpanQuerySurface(metered), d, budgets)
-        profile.observe_x(x_final)
-        profile.final_x = x_final.copy()
-        profile.mapping["counters"] = vars(counters.snapshot())
-        return x_final, profile
-
-    if algorithm not in SIMULATOR_ALGORITHMS:
-        raise ValueError(f"unknown simulator algorithm {algorithm!r}")
-
-    constants = instance.constants
-    l_phi = l_phi_estimate(constants, "quadratic-g")
-    agd = AgdConfig.from_constants(constants, n_inner)
-    hb = HeavyBallConfig.from_constants(constants, T)
-
-    x = np.zeros(d)
-    z = np.zeros(d)
-    y = np.zeros(d)
-    profile.observe_x(x)
-    if algorithm == "accbio":
-        mu_x = max(constants.mu_x, 1e-12)
-        rk = math.sqrt(l_phi / mu_x)
-        momentum = (rk - 1.0) / (rk + 1.0)
-    if algorithm == "accbio_bg":
-        alpha = 1.0 / (2.0 * l_phi)
-        mu_x = max(constants.mu_x, 1e-12)
-        s = math.sqrt(alpha * mu_x)
-        eta, tau_m, beta_m = s / (s + 2.0), s / 2.0, math.sqrt(alpha / mu_x)
-
-    for m in range(Q):
-        x_query = x
-        if algorithm == "accbio_bg":
-            x_query = eta * x + (1.0 - eta) * z
-        y_seq_start = np.zeros(d) if algorithm == "accbio" else y
-        # inner loop is unrolled here so every y-step is observed
-        s_vec = y_seq_start
-        y_prev = y_seq_start
-        y_cur = y_seq_start
-        for _ in range(n_inner):
-            y_cur = s_vec - agd.step * metered.grad_y_g(x_query, s_vec)
-            s_vec = agd.extrapolation * y_cur - agd.momentum * y_prev
-            y_prev = y_cur
-            profile.observe_y(y_cur)
-        y = y_cur
-        rhs = metered.grad_y_f(x_query, y)
-        v = heavy_ball_solve(lambda u: metered.hess_y_g_vec(x_query, y, u), rhs, hb)
-        g = metered.grad_x_f(x_query, y) - metered.jac_xy_g_vec(x_query, y, v)
-        if algorithm == "baseline_aid_gd":
-            x = x - (1.0 / l_phi) * g
-        elif algorithm == "accbio":
-            z_next = x_query - g / l_phi
-            x = (1.0 + momentum) * z_next - momentum * z
-            z = z_next
-        else:
-            x = tau_m * x_query + (1.0 - tau_m) * x - beta_m * g
-            z = x_query - alpha * g
+    if callable(algorithm):
+        x = algorithm(metered, instance.d, budgets)
         profile.observe_x(x)
-
+    elif algorithm in SIMULATOR_ALGORITHMS:
+        c = instance.constants
+        agd, hb = AgdConfig.from_constants(c, n_inner), HeavyBallConfig.from_constants(c, T)
+        rule = _simulator_rule(algorithm, c)
+        profile.observe_x(np.zeros(instance.d))
+        x, _ = outer_loop(
+            metered, Q, agd, hb, *rule, algorithm != "accbio",
+            lambda k, x, z, G, x_query: profile.observe_x(x), profile.observe_y,
+        )
+    else:
+        raise ValueError(f"unknown simulator algorithm {algorithm!r}")
     profile.final_x = x.copy()
     profile.mapping["counters"] = vars(counters.snapshot())
     return x, profile
@@ -235,21 +195,7 @@ class LowerBoundReport:
         return all(self.checks.values())
 
     def to_json(self) -> str:
-        doc = {
-            "instance_kind": self.instance_kind,
-            "budgets": self.budgets,
-            "predicted_support_cap": self.predicted_support_cap,
-            "observed_max_index": self.observed_max_index,
-            "span_residual": self.span_residual,
-            "tol_support": self.tol_support,
-            "tol_span": self.tol_span,
-            "gap": self.gap,
-            "gap_floor": self.gap_floor,
-            "grad_norm": self.grad_norm,
-            "grad_floor": self.grad_floor,
-            "checks": self.checks,
-            "passed": self.passed,
-        }
+        doc = {**dataclasses.asdict(self), "passed": self.passed}
         return json.dumps(doc, indent=2, sort_keys=True)
 
 

@@ -25,6 +25,7 @@ from bilevel_lab import (
     csc_grad_floor_verify,
     exact_hypergradient,
     heavy_ball_solve,
+    hypergradient_error_bound,
     itd_estimate,
     l_phi_estimate,
     linalg,
@@ -198,8 +199,15 @@ def test_c08_hypergradient_error_bound():
                     AgdConfig.from_constants(c, n),
                     HeavyBallConfig.from_constants(c, m),
                 )
-                ok = ok and est.error_bound is not None
-                ok = ok and np.linalg.norm(est.G - g_exact) <= est.error_bound
+                bound = hypergradient_error_bound(
+                    c,
+                    n,
+                    m,
+                    dist_to_xstar=float(np.linalg.norm(x - oracle.x_star)),
+                    norm_y_star_at_xstar=oracle.norm_y_star_at_xstar,
+                    norm_grad_y_f_at_xstar=oracle.norm_grad_y_f_at_xstar,
+                )
+                ok = ok and np.linalg.norm(est.G - g_exact) <= bound
     # implicit and unrolled estimators agree at large matched budgets
     for _ in range(5):
         x = rng.standard_normal(32)

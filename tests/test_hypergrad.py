@@ -4,6 +4,7 @@ import pytest
 from bilevel_lab import (
     AgdConfig,
     HeavyBallConfig,
+    QuadraticBilevelOracle,
     QuadraticOuter,
     SmoothnessConstants,
     agd_inner,
@@ -11,9 +12,9 @@ from bilevel_lab import (
     counted,
     exact_hypergradient,
     heavy_ball_solve,
+    hypergradient_error_bound,
     itd_estimate,
     linalg,
-    make_quadratic_bilevel,
     tail_log_slope,
 )
 from bilevel_lab.errors import InvariantViolationError
@@ -35,7 +36,7 @@ def quadratic_oracle(d, kappa_y, rng, coupled=True):
     b = rng.standard_normal(d)
     outer = QuadraticOuter(a_xx=linalg.identity(d), a_yy=linalg.identity(d))
     constants = _constants(mu_y=mu_y, Ltil_y=lt_y, Ltil_xy=1.0)
-    return make_quadratic_bilevel(h, j, b, outer, constants)
+    return QuadraticBilevelOracle(h, j, b, outer, constants)
 
 
 class TestAgdInner:
@@ -166,23 +167,31 @@ class TestAidEstimate:
                         AgdConfig.from_constants(c, n),
                         HeavyBallConfig.from_constants(c, m),
                     )
-                    assert est.error_bound is not None
+                    bound = hypergradient_error_bound(
+                        c,
+                        n,
+                        m,
+                        dist_to_xstar=float(np.linalg.norm(x - oracle.x_star)),
+                        norm_y_star_at_xstar=oracle.norm_y_star_at_xstar,
+                        norm_grad_y_f_at_xstar=oracle.norm_grad_y_f_at_xstar,
+                    )
                     measured = np.linalg.norm(est.G - exact_hypergradient(oracle, x))
-                    assert measured <= est.error_bound
+                    assert measured <= bound
 
-    def test_no_error_bound_for_warm_start(self, scsc_bench32, rng):
+    def test_counted_surface_matches_full_oracle(self, scsc_bench32, rng):
+        # cold and warm starts: the five counted queries alone give the same
+        # estimate as the full oracle, and est.y is the inner solver's output
         oracle = scsc_bench32.oracle
         c = oracle.constants
         x = rng.standard_normal(32)
-        est = aid_estimate(
-            oracle,
-            x,
-            np.ones(32),
-            AgdConfig.from_constants(c, 5),
-            HeavyBallConfig.from_constants(c, 5),
-        )
-        assert est.error_bound is None
-        assert est.inner_residual is not None
+        agd = AgdConfig.from_constants(c, 5)
+        hb = HeavyBallConfig.from_constants(c, 5)
+        for y0 in (np.zeros(32), np.ones(32)):
+            metered, _ = counted(oracle)
+            est = aid_estimate(metered, x, y0, agd, hb)
+            full = aid_estimate(oracle, x, y0, agd, hb)
+            assert np.array_equal(est.G, full.G)
+            assert np.array_equal(est.y, agd_inner(oracle, x, y0, agd))
 
     def test_counter_footprint(self, scsc_mild16, rng):
         x = rng.standard_normal(16)

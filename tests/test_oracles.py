@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from bilevel_lab import (
     OracleCounters,
+    QuadraticBilevelOracle,
     QuadraticOuter,
     SmoothnessConstants,
     counted,
     exact_hypergradient,
     finite_difference_check,
     linalg,
-    make_quadratic_bilevel,
 )
 from bilevel_lab.errors import (
     CapabilityError,
@@ -28,14 +28,14 @@ def _plain_constants(**overrides):
 
 def decoupled_oracle(d=4):
     outer = QuadraticOuter(a_xx=linalg.identity(d), a_yy=linalg.identity(d))
-    return make_quadratic_bilevel(
+    return QuadraticBilevelOracle(
         linalg.identity(d), None, np.zeros(d), outer, _plain_constants()
     )
 
 
 def coupled_oracle(d=4):
     outer = QuadraticOuter(a_xx=linalg.identity(d), a_yy=linalg.identity(d))
-    return make_quadratic_bilevel(
+    return QuadraticBilevelOracle(
         linalg.identity(d), linalg.identity(d), np.zeros(d), outer, _plain_constants()
     )
 
@@ -60,12 +60,12 @@ class TestQuadraticConstructor:
         outer = QuadraticOuter(a_xx=linalg.identity(3), a_yy=linalg.identity(3))
         bad_h = linalg.diagonal(np.array([0.5, 1.0, 3.0]))  # above Ltil_y = 1
         with pytest.raises(InvariantViolationError):
-            make_quadratic_bilevel(bad_h, None, np.zeros(3), outer, _plain_constants())
+            QuadraticBilevelOracle(bad_h, None, np.zeros(3), outer, _plain_constants())
 
     def test_dimension_mismatch(self):
         outer = QuadraticOuter(a_xx=linalg.identity(4), a_yy=linalg.identity(4))
         with pytest.raises(DimensionMismatchError):
-            make_quadratic_bilevel(
+            QuadraticBilevelOracle(
                 linalg.identity(4), linalg.identity(5), np.zeros(4), outer, _plain_constants()
             )
 
@@ -149,12 +149,15 @@ class TestCounters:
         assert (counters.n_G, counters.n_H, counters.n_J) == (3, 5, 1)
 
     def test_exact_surface_not_counted(self):
-        oracle, counters = counted(coupled_oracle())
+        base = coupled_oracle()
+        oracle, counters = counted(base)
+        for name in ("y_star", "phi", "grad_phi", "phi_star", "x_star"):
+            assert not hasattr(oracle, name)
         x = np.ones(4)
-        oracle.y_star(x)
-        oracle.phi(x)
-        oracle.grad_phi(x)
-        _ = oracle.phi_star
+        base.y_star(x)
+        base.phi(x)
+        base.grad_phi(x)
+        _ = base.phi_star
         assert (counters.n_G, counters.n_H, counters.n_J) == (0, 0, 0)
 
     def test_zero_calls_zero_complexity(self):

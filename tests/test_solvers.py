@@ -8,20 +8,22 @@ from bilevel_lab import (
     BilevelOracle,
     DeltaStarInputs,
     HeavyBallConfig,
+    QuadraticBilevelOracle,
     QuadraticOuter,
     SmoothnessConstants,
     accbio,
     accbio_bg,
     baseline_aid_gd,
     build_scsc_benchmark,
+    counted,
     exact_hypergradient,
     l_phi_estimate,
     linalg,
-    make_quadratic_bilevel,
     regularize_convex,
     trace_to_csv,
 )
 from bilevel_lab.errors import CapabilityError, DivergenceError
+from bilevel_lab.solvers import accbio_bg_rule, accbio_rule, gd_rule, outer_loop
 
 
 def shifted_quadratic_oracle(d=4, curvatures=None, target=1.0):
@@ -41,7 +43,7 @@ def shifted_quadratic_oracle(d=4, curvatures=None, target=1.0):
         a_yy=linalg.identity(d),
         lin_x=-target * curvatures,
     )
-    return make_quadratic_bilevel(linalg.identity(d), None, np.zeros(d), outer, constants)
+    return QuadraticBilevelOracle(linalg.identity(d), None, np.zeros(d), outer, constants)
 
 
 def small_budgets(constants, n=5, m=5):
@@ -147,11 +149,56 @@ class TestAccBiOBG:
                 hb=hb,
                 U=10.0,
                 warm_start=warm,
-                inner_stop_resid=1e-8,
             )
-            trace = accbio_bg(oracle, cfg)
-            totals[warm] = trace.final.n_G
+            query, update = accbio_bg_rule(cfg.alpha, cfg.eta_k, cfg.tau_k, cfg.beta_k)
+            # observer: inner gradients spent until the first AGD step within
+            # 1e-8 of y*(x_tilde), summed over outer steps
+            state = {"total": 0}
+
+            def observed_query(x, z):
+                x_tilde = query(x, z)
+                state.update(target=oracle.y_star(x_tilde), hit=False)
+                return x_tilde
+
+            def on_inner(y):
+                if not state["hit"]:
+                    state["total"] += 1
+                    state["hit"] = float(np.linalg.norm(y - state["target"])) <= 1e-8
+
+            metered, _ = counted(oracle)
+            outer_loop(
+                metered, cfg.K, agd, hb, observed_query, update, warm, lambda *a: None, on_inner
+            )
+            totals[warm] = state["total"]
         assert totals[True] < totals[False]
+
+
+def _refuse(*args):
+    raise AssertionError("the outer loop read the exact surface")
+
+
+class _NoExactSurface(QuadraticBilevelOracle):
+    """A quadratic oracle whose exact surface refuses every call."""
+
+    y_star = phi = grad_phi = _refuse
+    x_star = phi_star = property(_refuse)
+
+
+class TestOuterLoop:
+    def test_rules_run_on_the_counted_surface_alone(self):
+        d, K, N, M = 4, 3, 4, 5
+        c = SmoothnessConstants(
+            mu_x=1.0, mu_y=1.0, L_x=1.0, L_y=1.0, L_xy=1.0, Ltil_xy=1.0, Ltil_y=1.0
+        )
+        outer = QuadraticOuter(a_xx=linalg.identity(d), a_yy=linalg.identity(d))
+        oracle = _NoExactSurface(linalg.identity(d), linalg.identity(d), np.ones(d), outer, c)
+        agd, hb = small_budgets(c, N, M)
+        rules = (accbio_rule(2.0, 0.5), accbio_bg_rule(0.1, 0.2, 0.3, 0.4), gd_rule(0.1))
+        for rule in rules:
+            for warm in (True, False):
+                metered, counters = counted(oracle)
+                outer_loop(metered, K, agd, hb, *rule, warm, lambda *a: None)
+                assert (counters.n_G, counters.n_H, counters.n_J) == (K * (N + 2), K * M, K)
 
 
 class TestBaseline:
