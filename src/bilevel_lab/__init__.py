@@ -53,7 +53,6 @@ from .linalg import (
     z_power_sum,
 )
 from .oracles import (
-    BilevelOracle,
     OracleCounters,
     QuadraticBilevelOracle,
     QuadraticOuter,

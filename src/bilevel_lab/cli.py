@@ -12,6 +12,7 @@ failure.  Given the same (config, seed) every artifact is byte-identical.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -192,11 +193,11 @@ def run_solver(oracle, solver_cfg: dict, tau_cost: float):
     if algorithm == "accbio-bg":
         alpha = float(solver_cfg.get("alpha") or 1.0 / (2.0 * l_phi))
         u_bound = solver_cfg.get("U")
-        u_bound = float(u_bound) if u_bound is not None else None
-        if u_bound is None and oracle.gradient_bound is None:
+        if u_bound is None:
             raise ConfigError(
                 "accbio-bg requires a declared outer-gradient bound: set solver.U"
             )
+        u_bound = float(u_bound)
         cfg = solvers.AccBiOBGConfig(
             K=K, alpha=alpha, mu_x=mu_x, agd=agd, hb=hb, U=u_bound
         )
@@ -236,8 +237,8 @@ def _summary_csv(trace, eps: float) -> str:
     lines = ["metric,value"]
     lines.append(f"status,{trace.status}")
     lines.append(f"rows,{len(trace.records)}")
-    lines.append(f"final_phi_gap,{'' if final.phi_gap is None else repr(final.phi_gap)}")
-    lines.append(f"final_grad_norm,{'' if final.grad_norm is None else repr(final.grad_norm)}")
+    lines.append(f"final_phi_gap,{final.phi_gap!r}")
+    lines.append(f"final_grad_norm,{final.grad_norm!r}")
     lines.append(f"final_complexity,{final.complexity!r}")
     lines.append(f"reached_eps,{crossing is not None}")
     lines.append(
@@ -369,6 +370,7 @@ def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = No
     inst_cfg = cfg.get("instance", {"kind": "scsc", "preset": "mild"})
     constants = resolve_constants({**inst_cfg, "preset": inst_cfg.get("preset", "mild")})
     corruption = inst_cfg.get("corruption")
+    tau_cost = 2.0 if tau_cost_override is None else tau_cost_override
     items: dict[str, dict] = {}
 
     def record(name: str, passed: bool, **measured):
@@ -396,7 +398,7 @@ def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = No
     )
 
     for d in scsc_dims:
-        inst = build_scsc_at(int(d))
+        inst = first if int(d) == first.d else build_scsc_at(int(d))
         err = float(np.linalg.norm(inst.x_hat - inst.x_star_dense))
         bound = (7.0 + inst.lam_coef) / inst.tau_coef * inst.r ** inst.d
         record(
@@ -412,7 +414,7 @@ def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = No
     )
     run_inst = build_scsc_at(d_run)
     for algorithm in algorithms:
-        x_final, profile = span_lab.simulate_on_instance(run_inst, algorithm, budgets)
+        x_final, profile = span_lab.simulate_on_instance(run_inst, algorithm, budgets, tau_cost)
         support = span_lab.verify_support_cap(profile, run_inst)
         record(
             f"scsc_support_cap_{algorithm}",
@@ -451,7 +453,9 @@ def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = No
     record("csc_grad_floor_static", measured >= floor, measured_min=measured, floor=floor)
 
     csc_budgets = lb_cfg.get("csc_budgets", {"K": 4, "Q": 2, "T": 3})
-    x_final, profile = span_lab.simulate_on_instance(csc_inst, "baseline_aid_gd", csc_budgets)
+    x_final, profile = span_lab.simulate_on_instance(
+        csc_inst, "baseline_aid_gd", csc_budgets, tau_cost
+    )
     support = span_lab.verify_support_cap(profile, csc_inst)
     m_csc = span_lab.support_cap("csc", **csc_budgets)
     grad_report = span_lab.verify_grad_floor(csc_inst, x_final, m_csc)
@@ -507,14 +511,15 @@ def run_report(directory: str) -> int:
         return EXIT_CONFIG
     rows = []
     for trace_path in sorted(root.rglob("trace.csv")):
-        lines = trace_path.read_text(encoding="utf-8").strip().splitlines()
-        last = lines[-1].split(",") if len(lines) > 1 else []
+        with open(trace_path, encoding="utf-8", newline="") as fh:
+            records = list(csv.DictReader(fh, restval=""))
+        last = records[-1] if records else {}
         rows.append(
             {
                 "artifact": str(trace_path.relative_to(root)),
-                "rows": len(lines) - 1,
-                "final_phi_gap": last[1] if len(last) > 1 else "",
-                "complexity": last[7] if len(last) > 7 else "",
+                "rows": len(records),
+                "final_phi_gap": last.get("phi_gap", ""),
+                "complexity": last.get("complexity", ""),
             }
         )
     for report_path in sorted(root.rglob("lower_bound_report.json")):

@@ -30,7 +30,7 @@ class DomainError(BilevelLabError):
 
 
 class CapabilityError(BilevelLabError):
-    """Oracle does not expose the surface required by the operation."""
+    """The operation needs an input it was not given, such as a declared bound U."""
 
 
 class ConstraintError(BilevelLabError):

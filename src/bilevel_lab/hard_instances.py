@@ -113,12 +113,10 @@ def scsc_bracket_low(lam_coef: float, tau_coef: float) -> float:
     return 1.0 - 1.0 / (0.5 + math.sqrt(xi + 0.25))
 
 
-def solve_decay_factor(
-    lam_coef: float, tau_coef: float, tol: float = QUARTIC_BRACKET_TOL
-) -> float:
+def solve_decay_factor(lam_coef: float, tau_coef: float) -> float:
     quartic = scsc_quartic(lam_coef, tau_coef)
     lo = scsc_bracket_low(lam_coef, tau_coef)
-    r = linalg.bisect_root(quartic, lo, 1.0, tol)
+    r = linalg.bisect_root(quartic, lo, 1.0, QUARTIC_BRACKET_TOL)
     residual = abs(quartic(r))
     if residual > QUARTIC_RESIDUAL_CAP:
         raise InvariantViolationError(
@@ -155,7 +153,6 @@ def build_scsc(
     d: int,
     constants: SmoothnessConstants,
     Lbar_xy: float | None = None,
-    quartic_tol: float = QUARTIC_BRACKET_TOL,
     btilde_override: np.ndarray | None = None,
 ) -> ScscInstance:
     """Build the strongly-convex worst-case instance at dimension d.
@@ -181,7 +178,7 @@ def build_scsc(
         raise ConstraintError("Lbar_xy must be nonnegative")
 
     alpha, beta, lam, tau, gamma = scsc_coefficients(c, Lbar_xy)
-    r = solve_decay_factor(lam, tau, quartic_tol)
+    r = solve_decay_factor(lam, tau)
 
     b_tilde = np.zeros(d)
     b_tilde[0] = (2.0 + lam + tau) * r - (3.0 + lam) * r**2 + r**3

@@ -23,6 +23,7 @@ from .errors import (
 
 DENSE_EIG_CAP = 2048
 SOLVE_RESIDUAL_TOL = 1e-10
+DENSE_SYMMETRY_TOL = 1e-12
 
 
 def vector(entries, dim: int | None = None) -> np.ndarray:
@@ -129,12 +130,12 @@ def banded(dim: int, bands: Mapping[int, np.ndarray]) -> StructuredOperator:
     return StructuredOperator(f"banded({bandwidth})", dim, matvec)
 
 
-def dense(matrix, sym_tol: float = 1e-12) -> StructuredOperator:
+def dense(matrix) -> StructuredOperator:
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"dense operator needs a square matrix, got {a.shape}")
     scale = np.linalg.norm(a)
-    if np.linalg.norm(a - a.T) > sym_tol * max(scale, 1.0):
+    if np.linalg.norm(a - a.T) > DENSE_SYMMETRY_TOL * max(scale, 1.0):
         raise ValueError("dense operator must be symmetric")
     op = StructuredOperator("dense", a.shape[0], lambda v: a @ v)
     op._dense = a
@@ -203,12 +204,10 @@ def z_power_sum(
     return StructuredOperator(f"z-power-sum({flavor}:{label};shift={shift:g})", dim, matvec)
 
 
-def solve_dense(
-    op: StructuredOperator, rhs: np.ndarray, residual_tol: float = SOLVE_RESIDUAL_TOL
-) -> np.ndarray:
+def solve_dense(op: StructuredOperator, rhs: np.ndarray) -> np.ndarray:
     """Solve op @ x = rhs by densification.
 
-    Postcondition: relative residual <= residual_tol, else
+    Postcondition: relative residual <= SOLVE_RESIDUAL_TOL, else
     SingularOperatorError carrying the estimated condition number.
     """
     if rhs.shape != (op.dim,):
@@ -222,9 +221,9 @@ def solve_dense(
         raise SingularOperatorError("dense solve failed: singular matrix") from None
     residual = np.linalg.norm(a @ x - rhs)
     scale = max(np.linalg.norm(rhs), np.finfo(np.float64).tiny)
-    if not np.all(np.isfinite(x)) or residual > residual_tol * scale:
+    if not np.all(np.isfinite(x)) or residual > SOLVE_RESIDUAL_TOL * scale:
         raise SingularOperatorError(
-            f"dense solve residual {residual:.3e} exceeds {residual_tol:.1e} * ||rhs||",
+            f"dense solve residual {residual:.3e} exceeds {SOLVE_RESIDUAL_TOL:.1e} * ||rhs||",
             cond=float(np.linalg.cond(a)),
         )
     return x

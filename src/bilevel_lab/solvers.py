@@ -4,9 +4,10 @@ Three solvers share one outer loop (`outer_loop`) over the counted five-query
 surface: a momentum-accelerated method with cold inner starts, its
 warm-started variant for bounded outer gradients, and a plain gradient-descent
 baseline.  Each supplies only its query point and update rule; the span
-simulator drives the same loop.  Verification is an observer: the trace
-builder reads the exact surface of the base oracle after each iteration and
-never steers the loop.  Every run owns a private counter handle; traces
+simulator drives the same loop.  Verification is an observer: every oracle
+carries the exact surface, which the trace builder reads after each iteration
+to record the exact gap, gradient norm and hypergradient error; it never
+steers the loop.  Every run owns a private counter handle; traces
 snapshot the counters per outer iteration so complexity-vs-accuracy curves
 fall out of the records directly.
 """
@@ -23,7 +24,6 @@ from . import linalg
 from .errors import CapabilityError, DivergenceError, InvariantViolationError
 from .hypergrad import AgdConfig, HeavyBallConfig, aid_estimate
 from .oracles import (
-    BilevelOracle,
     OracleCounters,
     QuadraticBilevelOracle,
     QuadraticOuter,
@@ -102,8 +102,8 @@ class TraceRecord:
     """One per-outer-iteration measurement row."""
 
     k: int
-    phi_gap: float | None
-    grad_norm: float | None
+    phi_gap: float
+    grad_norm: float
     hypergrad_error: float | None
     n_G: int
     n_J: int
@@ -118,7 +118,6 @@ class RunTrace:
     algorithm: str
     records: list[TraceRecord] = field(default_factory=list)
     status: str = "completed"
-    grad_norm_kind: str = "exact"
     counters: OracleCounters | None = None
     meta: dict = field(default_factory=dict)
     final_point: np.ndarray | None = None
@@ -130,7 +129,7 @@ class RunTrace:
     def first_crossing(self, eps: float) -> TraceRecord | None:
         """First record whose suboptimality gap is <= eps, if any."""
         for rec in self.records:
-            if rec.phi_gap is not None and rec.phi_gap <= eps:
+            if rec.phi_gap <= eps:
                 return rec
         return None
 
@@ -144,7 +143,7 @@ def _fmt(value) -> str:
 
 
 def trace_to_csv(trace: RunTrace) -> str:
-    """Serialize a trace; absent quantities emit empty fields."""
+    """Serialize a trace; the absent hypergradient error of row 0 is an empty field."""
     columns = [f.name for f in dataclasses.fields(TraceRecord)]
     out = io.StringIO()
     out.write(",".join(columns) + "\n")
@@ -160,28 +159,18 @@ class _TraceBuilder:
     the run's counters.
     """
 
-    def __init__(self, oracle: BilevelOracle, counters: OracleCounters, algorithm: str):
+    def __init__(self, oracle: QuadraticBilevelOracle, counters: OracleCounters, algorithm: str):
         self.oracle = oracle
         self.counters = counters
-        self.exact_gap = oracle.has_phi and oracle.has_phi_star
-        self.exact_grad = oracle.has_exact_surface
-        self.trace = RunTrace(
-            algorithm=algorithm,
-            grad_norm_kind="exact" if self.exact_grad else "estimate",
-            counters=counters,
-        )
+        self.trace = RunTrace(algorithm=algorithm, counters=counters)
         self.initial_gap: float | None = None
 
     def record(self, k: int, point: np.ndarray, G: np.ndarray | None, x_eval: np.ndarray | None):
-        phi_gap = None
-        if self.exact_gap:
-            phi_gap = float(self.oracle.phi(point) - self.oracle.phi_star)
-        if self.exact_grad:
-            grad_norm = float(np.linalg.norm(self.oracle.grad_phi(point)))
-        else:
-            grad_norm = None if G is None else float(np.linalg.norm(G))
+        """Row k at `point`; G is the estimate made at x_eval (both None on row 0)."""
+        phi_gap = float(self.oracle.phi(point) - self.oracle.phi_star)
+        grad_norm = float(np.linalg.norm(self.oracle.grad_phi(point)))
         hypergrad_error = None
-        if self.exact_grad and G is not None and x_eval is not None:
+        if G is not None:
             hypergrad_error = float(np.linalg.norm(G - self.oracle.grad_phi(x_eval)))
         self.trace.records.append(
             TraceRecord(
@@ -199,12 +188,8 @@ class _TraceBuilder:
             self.initial_gap = phi_gap
         self._check_divergence(k, point, phi_gap)
 
-    def _check_divergence(self, k: int, point: np.ndarray, phi_gap: float | None):
-        blown_gap = (
-            phi_gap is not None
-            and self.initial_gap is not None
-            and phi_gap > GAP_BLOWUP_FACTOR * max(self.initial_gap, 1e-300)
-        )
+    def _check_divergence(self, k: int, point: np.ndarray, phi_gap: float):
+        blown_gap = phi_gap > GAP_BLOWUP_FACTOR * max(self.initial_gap, 1e-300)
         if not np.all(np.isfinite(point)) or blown_gap:
             self.trace.status = "diverged"
             raise DivergenceError(
@@ -284,7 +269,7 @@ def _traced_run(oracle, algorithm, tau_cost, K, agd, hb, rule, warm_start) -> Ru
     return builder.trace
 
 
-def accbio(oracle: BilevelOracle, cfg: AccBiOConfig, tau_cost: float = 2.0) -> RunTrace:
+def accbio(oracle: QuadraticBilevelOracle, cfg: AccBiOConfig, tau_cost: float = 2.0) -> RunTrace:
     """Accelerated outer loop with cold inner starts.
 
     Per iteration: fresh inner accelerated descent from y = 0, an implicit
@@ -299,9 +284,11 @@ def accbio(oracle: BilevelOracle, cfg: AccBiOConfig, tau_cost: float = 2.0) -> R
     return trace
 
 
-def accbio_bg(oracle: BilevelOracle, cfg: AccBiOBGConfig, tau_cost: float = 2.0) -> RunTrace:
+def accbio_bg(
+    oracle: QuadraticBilevelOracle, cfg: AccBiOBGConfig, tau_cost: float = 2.0
+) -> RunTrace:
     """Warm-started accelerated outer loop for oracles with bounded outer gradient."""
-    if cfg.U is None and oracle.gradient_bound is None:
+    if cfg.U is None:
         raise CapabilityError(
             "the warm-started solver requires a declared outer-gradient bound U"
         )
@@ -318,14 +305,14 @@ def accbio_bg(oracle: BilevelOracle, cfg: AccBiOBGConfig, tau_cost: float = 2.0)
         beta_k=beta,
         N=cfg.agd.N,
         M=cfg.hb.M,
-        U=cfg.U if cfg.U is not None else oracle.gradient_bound,
+        U=cfg.U,
         warm_start=cfg.warm_start,
     )
     return trace
 
 
 def baseline_aid_gd(
-    oracle: BilevelOracle,
+    oracle: QuadraticBilevelOracle,
     stepsize: float,
     K: int,
     agd: AgdConfig,
@@ -347,15 +334,6 @@ class DeltaStarInputs:
     norm_grad_y_f_star: float
     norm_x_star: float
     phi0_minus_phistar: float
-
-    @classmethod
-    def from_oracle(cls, oracle: QuadraticBilevelOracle) -> "DeltaStarInputs":
-        zero = np.zeros(oracle.p)
-        return cls(
-            norm_grad_y_f_star=oracle.norm_grad_y_f_at_xstar,
-            norm_x_star=float(np.linalg.norm(oracle.x_star)),
-            phi0_minus_phistar=float(oracle.phi(zero) - oracle.phi_star),
-        )
 
 
 def l_phi_estimate(
@@ -415,7 +393,9 @@ def default_inner_budgets(
     return n, n
 
 
-def regularize_convex(oracle: BilevelOracle, eps: float, R: float) -> BilevelOracle:
+def regularize_convex(
+    oracle: QuadraticBilevelOracle, eps: float, R: float
+) -> QuadraticBilevelOracle:
     """Add an (eps / 2R) ||x||^2 ridge to the outer objective.
 
     The wrapped oracle is mu_x = eps/R strongly convex in x with L_x shifted
@@ -427,39 +407,19 @@ def regularize_convex(oracle: BilevelOracle, eps: float, R: float) -> BilevelOra
     new_constants = dataclasses.replace(
         oracle.constants, mu_x=ridge, L_x=oracle.constants.L_x + ridge
     )
-    if isinstance(oracle, QuadraticBilevelOracle):
-        outer = oracle.outer
-        new_outer = QuadraticOuter(
-            a_xx=linalg.shifted_scaled(outer.a_xx, 1.0, ridge),
-            a_yy=outer.a_yy,
-            a_xy=outer.a_xy,
-            lin_x=outer.lin_x,
-            lin_y=outer.lin_y,
-        )
-        return QuadraticBilevelOracle(
-            oracle.h_op,
-            oracle.j_op,
-            oracle.b,
-            new_outer,
-            new_constants,
-            gradient_bound=oracle.gradient_bound,
-            validate_spectrum=False,
-        )
-
-    base_grad_x, base_phi = oracle._grad_x_f, oracle._phi
-    return BilevelOracle(
-        oracle.p,
-        oracle.q,
+    outer = oracle.outer
+    new_outer = QuadraticOuter(
+        a_xx=linalg.shifted_scaled(outer.a_xx, 1.0, ridge),
+        a_yy=outer.a_yy,
+        a_xy=outer.a_xy,
+        lin_x=outer.lin_x,
+        lin_y=outer.lin_y,
+    )
+    return QuadraticBilevelOracle(
+        oracle.h_op,
+        oracle.j_op,
+        oracle.b,
+        new_outer,
         new_constants,
-        grad_x_f=lambda x, y: base_grad_x(x, y) + ridge * x,
-        grad_y_f=oracle._grad_y_f,
-        grad_y_g=oracle._grad_y_g,
-        hess_y_g_vec=oracle._hess_y_g_vec,
-        jac_xy_g_vec=oracle._jac_xy_g_vec,
-        hess_y_g_op=oracle.hess_y_g_op,
-        y_star=oracle._y_star,
-        phi=None if base_phi is None else (
-            lambda x: base_phi(x) + 0.5 * ridge * float(x @ x)
-        ),
-        gradient_bound=oracle.gradient_bound,
+        validate_spectrum=False,
     )

@@ -1,7 +1,9 @@
+import csv
 import json
 
 import numpy as np
 
+from bilevel_lab import hard_instances, span_lab
 from bilevel_lab.cli import main
 
 
@@ -220,53 +222,93 @@ class TestSweepVerb:
         assert main(["sweep", cfg]) == 2
 
 
+def battery_config(out_dir, scsc_dims=(16,), algorithms=("baseline_aid_gd",), corruption=None):
+    instance = {"kind": "scsc", "preset": "mild"}
+    if corruption is not None:
+        instance["corruption"] = corruption
+    return {
+        "seed": 1,
+        "output_dir": str(out_dir),
+        "instance": instance,
+        "lower_bound": {
+            "budgets": {"K": 10, "Q": 5, "T": 3},
+            "scsc_dims": list(scsc_dims),
+            "csc_d": 12,
+            "csc_budgets": {"K": 4, "Q": 2, "T": 2},
+            "algorithms": list(algorithms),
+        },
+    }
+
+
 class TestVerifyLbVerb:
     def test_mild_battery_passes(self, tmp_path):
-        doc = {
-            "seed": 1,
-            "output_dir": str(tmp_path / "out"),
-            "instance": {"kind": "scsc", "preset": "mild"},
-            "lower_bound": {
-                "budgets": {"K": 10, "Q": 5, "T": 3},
-                "scsc_dims": [16],
-                "csc_d": 12,
-                "csc_budgets": {"K": 4, "Q": 2, "T": 2},
-                "algorithms": ["baseline_aid_gd"],
-            },
-        }
-        cfg = write_config(tmp_path / "c.json", doc)
+        cfg = write_config(tmp_path / "c.json", battery_config(tmp_path / "out"))
         assert main(["verify-lb", cfg]) == 0
         report = json.loads((tmp_path / "out" / "lower_bound_report.json").read_text())
         assert report["passed"] is True
         assert report["failed_items"] == []
 
     def test_corrupted_instance_fails_certificate(self, tmp_path):
-        doc = {
-            "seed": 1,
-            "output_dir": str(tmp_path / "out"),
-            "instance": {"kind": "scsc", "preset": "mild", "corruption": "btilde3"},
-            "lower_bound": {
-                "budgets": {"K": 10, "Q": 5, "T": 3},
-                "scsc_dims": [16],
-                "csc_d": 12,
-                "csc_budgets": {"K": 4, "Q": 2, "T": 2},
-                "algorithms": ["baseline_aid_gd"],
-            },
-        }
+        doc = battery_config(tmp_path / "out", corruption="btilde3")
         cfg = write_config(tmp_path / "c.json", doc)
         assert main(["verify-lb", cfg]) == 3
         report = json.loads((tmp_path / "out" / "lower_bound_report.json").read_text())
         assert any("geometric_minimizer" in item for item in report["failed_items"])
+
+    def test_each_listed_dimension_is_built_once(self, tmp_path, monkeypatch):
+        built = []
+        build_scsc = hard_instances.build_scsc
+
+        def spy(d, *args, **kwargs):
+            built.append(d)
+            return build_scsc(d, *args, **kwargs)
+
+        monkeypatch.setattr(hard_instances, "build_scsc", spy)
+        doc = battery_config(tmp_path / "out", scsc_dims=(16, 32))
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["verify-lb", cfg]) == 0
+        assert {16, 32} <= set(built)
+        assert len(built) == len(set(built))
+
+    def test_tau_cost_override_reaches_every_counter(self, tmp_path, monkeypatch):
+        tau_costs = []
+        counted = span_lab.counted
+
+        def spy(oracle, tau_cost=2.0):
+            metered, counters = counted(oracle, tau_cost)
+            tau_costs.append(counters.tau_cost)
+            return metered, counters
+
+        monkeypatch.setattr(span_lab, "counted", spy)
+        doc = battery_config(tmp_path / "out", algorithms=("baseline_aid_gd", "accbio"))
+        cfg = write_config(tmp_path / "c.json", doc)
+        main(["verify-lb", cfg, "--tau-cost", "3"])
+        assert len(tau_costs) == 3  # two scsc algorithms and the csc run
+        assert all(t == 3.0 for t in tau_costs)
 
 
 class TestReportVerb:
     def test_report_over_directory(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", minimal_run_config(tmp_path / "out"))
         main(["run", cfg])
+        # a trace with a column the report does not read, placed before complexity
+        extra = tmp_path / "extra" / "trace.csv"
+        extra.parent.mkdir()
+        extra.write_text(
+            "k,phi_gap,grad_norm,hypergrad_error,n_G,n_J,n_H,stage_s,complexity\n"
+            "0,0.5,1.0,,0,0,0,9.5,0.0\n"
+            "1,0.25,0.5,0.125,4,1,1,9.5,8.0\n"
+        )
         assert main(["report", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "artifact,rows,final_phi_gap,complexity" in out
-        assert (tmp_path / "report.csv").exists()
+        with open(tmp_path / "out" / "trace.csv", newline="") as fh:
+            last = list(csv.DictReader(fh))[-1]
+        report = (tmp_path / "report.csv").read_text().splitlines()
+        assert report[1:] == [
+            "extra/trace.csv,2,0.25,8.0",
+            f"out/trace.csv,11,{last['phi_gap']},{last['complexity']}",
+        ]
 
     def test_missing_directory_is_config_error(self, tmp_path):
         assert main(["report", str(tmp_path / "nope")]) == 1

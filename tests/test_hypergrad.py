@@ -111,7 +111,7 @@ class TestHeavyBall:
         y = oracle.y_star(x)
         rhs = oracle.grad_y_f(x, y)
         h_apply = lambda u: oracle.hess_y_g_vec(x, y, u)
-        v_star = linalg.solve_dense(oracle.hess_y_g_op, rhs)
+        v_star = linalg.solve_dense(oracle.h_op, rhs)
         for m in (5, 10, 20, 40):
             e_m = np.linalg.norm(
                 heavy_ball_solve(h_apply, rhs, HeavyBallConfig.from_constants(c, m)) - v_star

@@ -14,7 +14,6 @@ from bilevel_lab import (
     linalg,
 )
 from bilevel_lab.errors import (
-    CapabilityError,
     DimensionMismatchError,
     InvariantViolationError,
 )
@@ -92,22 +91,6 @@ class TestExactHypergradient:
     def test_csc_minimizer_is_stationary(self, csc20):
         g = exact_hypergradient(csc20.oracle, csc20.x_star)
         assert np.linalg.norm(g) <= 1e-9 * np.linalg.norm(csc20.b_tilde)
-
-    def test_requires_exact_surface(self):
-        from bilevel_lab import BilevelOracle
-
-        oracle = BilevelOracle(
-            2,
-            2,
-            _plain_constants(),
-            grad_x_f=lambda x, y: x,
-            grad_y_f=lambda x, y: y,
-            grad_y_g=lambda x, y: y,
-            hess_y_g_vec=lambda x, y, v: v,
-            jac_xy_g_vec=lambda x, y, v: np.zeros(2),
-        )
-        with pytest.raises(CapabilityError):
-            exact_hypergradient(oracle, np.zeros(2))
 
     def test_matches_central_differences_at_random_points(self, scsc_mild16, csc20, rng):
         for oracle in (scsc_mild16.oracle, csc20.oracle):
