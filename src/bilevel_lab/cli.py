@@ -422,6 +422,7 @@ def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = No
             observed_max_index=support.observed_max_index,
             predicted_cap=support.predicted_support_cap,
             span_residual=support.span_residual,
+            **profile.mapping["counters"],
         )
         gap_report = span_lab.verify_gap_floor(run_inst, x_final, M)
         record(
@@ -465,6 +466,7 @@ def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = No
         observed_max_index=support.observed_max_index,
         predicted_cap=support.predicted_support_cap,
         span_residual=support.span_residual,
+        **profile.mapping["counters"],
     )
     record(
         "csc_grad_floor_run",

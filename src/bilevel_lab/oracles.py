@@ -5,7 +5,10 @@ matrix-vector queries (Hessian-vector, Jacobian-vector) for a pair (f, g),
 where the outer objective is phi(x) = f(x, y*(x)) and y*(x) minimizes
 g(x, .).  Every oracle is a `QuadraticBilevelOracle`: the inner problem is
 quadratic in y and the outer objective is quadratic, so each oracle also
-carries the exact surface (y_star, phi, grad_phi, phi_star).  Algorithms see
+carries the exact surface (y_star, phi, grad_phi, phi_star).  The inner
+solution is affine in x, y*(x) = S x + t with S = -H^-1 J and t = -H^-1 b, so
+each oracle makes one dense inner solve for (S, t) on first use and serves its
+whole exact surface from that map with matrix-vector products.  Algorithms see
 only the counted surface from `counted`, which carries the five queries and
 no exact surface; verification observers read the exact surface of the base
 oracle, uncounted.
@@ -21,6 +24,11 @@ from .errors import DimensionMismatchError, InvariantViolationError
 from .linalg import StructuredOperator
 
 SPECTRUM_SLACK = 1e-8
+# Entries of the affine map (S, t) and of the reduction's H_phi below this are
+# set to zero.  They lie far below what a dense solve resolves, and the product
+# of two of them underflows: left in, the geometric tail of the scsc family puts
+# S' A S and the x_star solve into subnormal arithmetic (5-8x slower at d=1024).
+FLUSH_TOL = float(np.sqrt(np.finfo(np.float64).tiny))
 
 
 @dataclass(frozen=True)
@@ -96,10 +104,10 @@ class QuadraticBilevelOracle:
 
     The five query methods (grad_x_f, grad_y_f, grad_y_g, hess_y_g_vec,
     jac_xy_g_vec) are what algorithms may call.  Everything else is the
-    exact surface, for verification only: y*(x) solves the inner problem
-    analytically, phi is evaluated through y*, grad_phi is the exact
-    hypergradient, and phi_star is computed lazily by solving the dense
-    quadratic reduction of phi.
+    exact surface, for verification only, and is served from the affine map
+    y*(x) = S x + t, solved once and cached: phi is evaluated through y*,
+    grad_phi is the exact hypergradient, and phi_star is computed lazily from
+    the quadratic reduction of phi, which reuses the same map.
     """
 
     def __init__(
@@ -153,9 +161,20 @@ class QuadraticBilevelOracle:
         return self.j_op.apply(v)
 
     # -- verification surface (never counted) ----------------------------------
+    def _affine_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """(S, t) with y*(x) = S @ x + t, from one dense solve for [b, J] (cached)."""
+        if "affine" not in self._cache:
+            rhs = [self.b] if self.j_op is None else [self.b, self.j_op.to_dense()]
+            sol = linalg.solve_dense(self.h_op, np.column_stack(rhs))
+            np.negative(sol, out=sol)
+            sol[np.abs(sol) < FLUSH_TOL] = 0.0
+            s = np.zeros((self.q, self.p)) if self.j_op is None else sol[:, 1:]
+            self._cache["affine"] = (s, sol[:, 0])
+        return self._cache["affine"]
+
     def y_star(self, x: np.ndarray) -> np.ndarray:
-        rhs = -self.b if self.j_op is None else -(self.j_op.apply(x) + self.b)
-        return linalg.solve_dense(self.h_op, rhs)
+        s, t = self._affine_map()
+        return s @ x + t
 
     def phi(self, x: np.ndarray) -> float:
         return self.outer.value(x, self.y_star(x))
@@ -167,24 +186,27 @@ class QuadraticBilevelOracle:
     def phi_quadratic_reduction(self) -> tuple[np.ndarray, np.ndarray]:
         """Return (H_phi, c_phi) with grad_phi(x) = H_phi @ x + c_phi."""
         if "reduction" not in self._cache:
-            h = self.h_op.to_dense()
-            s = np.zeros((self.q, self.p)) if self.j_op is None else -np.linalg.solve(
-                h, self.j_op.to_dense()
-            )
-            t = -np.linalg.solve(h, self.b)
+            s, t = self._affine_map()
             a_xx = self.outer.a_xx.to_dense()
             a_yy = self.outer.a_yy.to_dense()
             a_xy = None if self.outer.a_xy is None else self.outer.a_xy.to_dense()
-            h_phi = a_xx + s.T @ a_yy @ s
+            h_phi = s.T @ (a_yy @ s)
+            h_phi += a_xx
             c_phi = s.T @ (a_yy @ t)
             if a_xy is not None:
-                h_phi = h_phi + a_xy @ s + s.T @ a_xy.T
+                cross = a_xy @ s
+                h_phi += cross
+                h_phi += cross.T
+                del cross  # frees a d x d block before the symmetrizing copy
                 c_phi = c_phi + a_xy @ t
             if self.outer.lin_x is not None:
                 c_phi = c_phi + self.outer.lin_x
             if self.outer.lin_y is not None:
                 c_phi = c_phi + s.T @ self.outer.lin_y
-            self._cache["reduction"] = (0.5 * (h_phi + h_phi.T), c_phi)
+            h_phi = h_phi + h_phi.T
+            h_phi *= 0.5
+            h_phi[np.abs(h_phi) < FLUSH_TOL] = 0.0
+            self._cache["reduction"] = (h_phi, c_phi)
         return self._cache["reduction"]
 
     @property
@@ -223,11 +245,15 @@ BilevelOracle = QuadraticBilevelOracle
 
 
 def exact_hypergradient(oracle: QuadraticBilevelOracle, x: np.ndarray) -> np.ndarray:
-    """Exact grad phi(x) through y*(x) and a dense inner-Hessian solve."""
+    """Exact grad phi(x) by the implicit-function formula on the cached affine map.
+
+    grad phi = grad_x f - J H^-1 grad_y f, and J H^-1 = -S' because H and J
+    are symmetric, so this is grad_x f + S' grad_y f at y*(x): two matvecs
+    with S, no solve.
+    """
+    s, _ = oracle._affine_map()
     ys = oracle.y_star(x)
-    gy = oracle.grad_y_f(x, ys)
-    v = linalg.solve_dense(oracle.h_op, gy)
-    return oracle.grad_x_f(x, ys) - oracle.jac_xy_g_vec(x, ys, v)
+    return oracle.grad_x_f(x, ys) + s.T @ oracle.grad_y_f(x, ys)
 
 
 @dataclass

@@ -169,7 +169,10 @@ def simulate_on_instance(
     else:
         raise ValueError(f"unknown simulator algorithm {algorithm!r}")
     profile.final_x = x.copy()
-    profile.mapping["counters"] = vars(counters.snapshot())
+    profile.mapping["counters"] = {
+        **vars(counters.snapshot()),
+        "complexity": counters.complexity(),
+    }
     return x, profile
 
 

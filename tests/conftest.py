@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bilevel_lab import build_csc, build_scsc
+from bilevel_lab import build_csc, build_scsc, linalg
 from bilevel_lab.presets import (
     benchmark_scsc_constants,
     mild_csc_constants,
@@ -42,3 +42,17 @@ def csc20(csc_constants):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def solve_calls(monkeypatch):
+    """The rhs shape of every linalg.solve_dense call made during the test."""
+    shapes = []
+    solve = linalg.solve_dense
+
+    def spy(op, rhs):
+        shapes.append(rhs.shape)
+        return solve(op, rhs)
+
+    monkeypatch.setattr(linalg, "solve_dense", spy)
+    return shapes

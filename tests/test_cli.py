@@ -286,6 +286,26 @@ class TestVerifyLbVerb:
         assert len(tau_costs) == 3  # two scsc algorithms and the csc run
         assert all(t == 3.0 for t in tau_costs)
 
+    def test_support_cap_items_carry_oracle_counts(self, tmp_path):
+        items = {}
+        for tau in (None, "3"):
+            out = tmp_path / f"out-{tau}"
+            doc = battery_config(out, algorithms=("baseline_aid_gd", "accbio"))
+            cfg = write_config(tmp_path / "c.json", doc)
+            main(["verify-lb", cfg] + ([] if tau is None else ["--tau-cost", tau]))
+            report = json.loads((out / "lower_bound_report.json").read_text())
+            items[tau] = {k: v for k, v in report["items"].items() if "support_cap" in k}
+        assert set(items["3"]) == {
+            "scsc_support_cap_baseline_aid_gd", "scsc_support_cap_accbio", "csc_support_cap"
+        }
+        for name, item in items["3"].items():
+            default = items[None][name]
+            counts = (item["n_G"], item["n_J"], item["n_H"])
+            assert counts == (default["n_G"], default["n_J"], default["n_H"])
+            assert item["n_G"] > 0 and item["n_J"] > 0 and item["n_H"] > 0
+            assert item["tau_cost"] == 3.0 and default["tau_cost"] == 2.0
+            assert item["complexity"] == 3 * (item["n_J"] + item["n_H"]) + item["n_G"]
+
 
 class TestReportVerb:
     def test_report_over_directory(self, tmp_path, capsys):

@@ -126,6 +126,38 @@ class TestSolveDense:
         with pytest.raises(SingularOperatorError):
             linalg.solve_dense(op, np.array([1.0, 1.0, 1.0]))
 
+    def test_matrix_rhs_matches_column_solves(self, rng):
+        op = linalg.z_power_sum("scsc", 12, {2: 0.3}, shift=0.9)
+        rhs = rng.standard_normal((12, 5))
+        x = linalg.solve_dense(op, rhs)
+        assert x.shape == (12, 5)
+        for j in range(5):
+            col = linalg.solve_dense(op, rhs[:, j])
+            assert np.linalg.norm(x[:, j] - col) <= 1e-12 * np.linalg.norm(col)
+
+    def test_matrix_rhs_singular_raises(self):
+        op = linalg.diagonal(np.array([1.0, 0.0, 2.0]))
+        with pytest.raises(SingularOperatorError):
+            linalg.solve_dense(op, np.ones((3, 2)))
+
+    def test_matrix_rhs_residual_checked_per_column(self):
+        # cond ~ 1e16: the large column's residual is tiny relative to its
+        # norm, the small column's is not, and the whole block's Frobenius
+        # residual still sits far below the tolerance times its norm
+        op = linalg.dense(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]))
+        rhs = np.column_stack([[1e6, 1e6], [1e-12, 0.0]])
+        a = op.to_dense()
+        x = np.linalg.solve(a, rhs)
+        resid = np.linalg.norm(a @ x - rhs, axis=0)
+        assert resid[1] > linalg.SOLVE_RESIDUAL_TOL * np.linalg.norm(rhs[:, 1])
+        assert np.linalg.norm(resid) <= linalg.SOLVE_RESIDUAL_TOL * np.linalg.norm(rhs)
+        with pytest.raises(SingularOperatorError):
+            linalg.solve_dense(op, rhs)
+
+    def test_rhs_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            linalg.solve_dense(linalg.identity(3), np.ones((4, 2)))
+
 
 class TestBisect:
     def test_known_sqrt2(self):

@@ -8,10 +8,12 @@ from bilevel_lab import (
     QuadraticBilevelOracle,
     QuadraticOuter,
     SmoothnessConstants,
+    build_scsc,
     counted,
     exact_hypergradient,
     finite_difference_check,
     linalg,
+    regularize_convex,
 )
 from bilevel_lab.errors import (
     DimensionMismatchError,
@@ -117,6 +119,60 @@ class TestFiniteDifferenceCheck:
         inst = build_csc(16, csc_constants, B=1.0)
         x = rng.standard_normal(16)
         assert finite_difference_check(inst.oracle, x, 1e-5) <= 1e-6
+
+
+class TestAffineMap:
+    @staticmethod
+    def _oracle(which, request):
+        if which == "decoupled":
+            d = 5
+            outer = QuadraticOuter(
+                a_xx=linalg.diagonal(np.linspace(1.0, 2.0, d)),
+                a_yy=linalg.identity(d),
+                lin_y=np.linspace(-1.0, 1.0, d),
+            )
+            h = linalg.diagonal(np.linspace(1.0, 3.0, d))
+            b = np.array([1.0, -2.0, 0.5, 0.0, 3.0])
+            return QuadraticBilevelOracle(h, None, b, outer, _plain_constants(Ltil_y=3.0))
+        if which == "regularized_csc20":
+            return regularize_convex(request.getfixturevalue("csc20").oracle, 1e-3, 1.0)
+        return request.getfixturevalue(which).oracle
+
+    @pytest.mark.parametrize("which", ["scsc_mild16", "csc20", "decoupled", "regularized_csc20"])
+    def test_matches_per_call_solves(self, which, request):
+        oracle = self._oracle(which, request)
+        assert (oracle.j_op is None) == (which == "decoupled")
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            x = rng.standard_normal(oracle.p)
+            g_yy = oracle.b if oracle.j_op is None else oracle.j_op.apply(x) + oracle.b
+            ys_ref = linalg.solve_dense(oracle.h_op, -g_yy)
+            v = linalg.solve_dense(oracle.h_op, oracle.grad_y_f(x, ys_ref))
+            g_ref = oracle.grad_x_f(x, ys_ref) - oracle.jac_xy_g_vec(x, ys_ref, v)
+            ys = oracle.y_star(x)
+            g = exact_hypergradient(oracle, x)
+            assert np.linalg.norm(ys - ys_ref) <= 1e-10 * np.linalg.norm(ys_ref)
+            assert np.linalg.norm(g - g_ref) <= 1e-10 * np.linalg.norm(g_ref)
+
+    def test_one_solve_serves_the_exact_surface(self, mild_constants, solve_calls):
+        oracle = build_scsc(16, mild_constants).oracle
+        solve_calls.clear()  # the builder's own solves
+        x = np.linspace(-1.0, 1.0, 16)
+        oracle.y_star(x)
+        assert solve_calls == [(16, 17)]  # b and the 16 columns of J, solved together
+        oracle.phi(x)
+        oracle.grad_phi(x)
+        _ = oracle.phi_star
+        _ = oracle.norm_grad_y_f_at_xstar
+        assert len(solve_calls) == 1
+
+    def test_fd_check_makes_no_solve_once_cached(self, scsc_mild16, solve_calls):
+        oracle = scsc_mild16.oracle
+        oracle.y_star(np.zeros(16))
+        solve_calls.clear()
+        x = np.random.default_rng(3).standard_normal(16)
+        assert finite_difference_check(oracle, x, 1e-5) <= 1e-6
+        assert solve_calls == []
 
 
 class TestCounters:

@@ -13,6 +13,7 @@ from bilevel_lab import (
     accbio,
     accbio_bg,
     baseline_aid_gd,
+    build_scsc,
     build_scsc_benchmark,
     counted,
     exact_hypergradient,
@@ -93,6 +94,21 @@ class TestAccBiO:
             assert after.n_H >= before.n_H
             assert after.n_J >= before.n_J
             assert after.complexity >= before.complexity
+
+    def test_exact_surface_solves_do_not_grow_with_K(self, benchmark_constants, solve_calls):
+        per_run = []
+        for K in (5, 20):
+            oracle = build_scsc(32, benchmark_constants).oracle  # a cold cache
+            c = oracle.constants
+            agd, hb = small_budgets(c, 4, 4)
+            cfg = AccBiOConfig(
+                K=K, L_phi=l_phi_estimate(c, "quadratic-g"), mu_x=c.mu_x, agd=agd, hb=hb, eps=1e-6
+            )
+            solve_calls.clear()
+            trace = accbio(oracle, cfg)
+            assert len(trace.records) == K + 1
+            per_run.append(len(solve_calls))
+        assert per_run[0] == per_run[1] <= 1
 
     def test_divergence_carries_partial_trace(self, scsc_bench32):
         c = scsc_bench32.constants
