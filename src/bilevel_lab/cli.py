@@ -62,6 +62,20 @@ def _require(cfg: dict, key: str, where: str):
     return cfg[key]
 
 
+def _as_int(value, name: str, minimum: int | None = None) -> int:
+    """An integer config value (an int, or a float with an integral value).
+
+    Raises ConfigError for anything else, and for a value below `minimum`.
+    """
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def resolve_constants(inst_cfg: dict) -> SmoothnessConstants:
     preset = inst_cfg.get("preset")
     if preset == "mild":
@@ -112,7 +126,7 @@ def _btilde_override(corruption, build_clean):
 def build_instance(inst_cfg: dict):
     """Return (oracle, hard_instance_or_None, info dict) for a config block."""
     kind = _require(inst_cfg, "kind", "instance")
-    d = int(inst_cfg.get("d", 16))
+    d = _as_int(inst_cfg.get("d", 16), "instance.d")
     corruption = inst_cfg.get("corruption")
     if kind == "decoupled":
         oracle = _decoupled_oracle(d)
@@ -148,8 +162,8 @@ def build_instance(inst_cfg: dict):
 def _resolve_budgets(solver_cfg: dict, constants: SmoothnessConstants, kappa_x: float, eps: float):
     n_cfg, m_cfg = solver_cfg.get("N", "auto"), solver_cfg.get("M", "auto")
     n_auto, m_auto = solvers.default_inner_budgets(constants, kappa_x, eps)
-    n = n_auto if n_cfg == "auto" else int(n_cfg)
-    m = m_auto if m_cfg == "auto" else int(m_cfg)
+    n = n_auto if n_cfg == "auto" else _as_int(n_cfg, "solver.N", minimum=1)
+    m = m_auto if m_cfg == "auto" else _as_int(m_cfg, "solver.M", minimum=1)
     return n, m
 
 
@@ -174,7 +188,7 @@ def run_solver(oracle, solver_cfg: dict, tau_cost: float):
     n, m = _resolve_budgets(solver_cfg, constants, kappa_x, eps)
     agd = AgdConfig.from_constants(constants, n)
     hb = HeavyBallConfig.from_constants(constants, m)
-    K = int(_require(solver_cfg, "K", "solver"))
+    K = _as_int(_require(solver_cfg, "K", "solver"), "solver.K", minimum=1)
     resolved = {
         "algorithm": algorithm,
         "K": K,
@@ -251,7 +265,7 @@ def run_experiment(cfg: dict, out_dir: Path, tau_cost_override: float | None = N
     """Execute one run; write trace, instance, resolved config, and summary."""
     inst_cfg = _require(cfg, "instance", "config")
     solver_cfg = _require(cfg, "solver", "config")
-    seed = int(cfg.get("seed", 0))
+    seed = _as_int(cfg.get("seed", 0), "seed")
     tau_cost = float(
         tau_cost_override
         if tau_cost_override is not None
@@ -304,7 +318,7 @@ def _sweep_point_config(cfg: dict, axis: str, value) -> dict:
         point["solver"].setdefault("N", "auto")
         point["solver"].setdefault("M", "auto")
     elif axis == "d":
-        point["instance"]["d"] = int(value)
+        point["instance"]["d"] = _as_int(value, "sweep value for d")
     else:
         raise ConfigError(f"unknown sweep axis {axis!r}")
     return point
@@ -365,7 +379,7 @@ def run_sweep(cfg: dict, out_dir: Path, jobs: int, tau_cost_override: float | No
 def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = None) -> int:
     """Run the lower-bound battery and emit one pass/fail JSON report."""
     lb_cfg = cfg.get("lower_bound", {})
-    seed = int(cfg.get("seed", 0))
+    seed = _as_int(cfg.get("seed", 0), "seed")
     rng = np.random.default_rng(seed)
     inst_cfg = cfg.get("instance", {"kind": "scsc", "preset": "mild"})
     constants = resolve_constants({**inst_cfg, "preset": inst_cfg.get("preset", "mild")})
@@ -377,7 +391,9 @@ def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = No
         items[name] = {"passed": bool(passed), **measured}
 
     # --- strongly-convex family ------------------------------------------------
-    scsc_dims = lb_cfg.get("scsc_dims", [16, 32])
+    scsc_dims = [
+        _as_int(d, "lower_bound.scsc_dims entry") for d in lb_cfg.get("scsc_dims", [16, 32])
+    ]
     budgets = lb_cfg.get("budgets", {"K": 10, "Q": 5, "T": 3})
     algorithms = lb_cfg.get("algorithms", ["baseline_aid_gd"])
 
@@ -385,7 +401,7 @@ def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = No
         override = _btilde_override(corruption, lambda: hard_instances.build_scsc(d, constants))
         return hard_instances.build_scsc(d, constants, btilde_override=override)
 
-    first = build_scsc_at(int(scsc_dims[0]))
+    first = build_scsc_at(scsc_dims[0])
     quartic = hard_instances.scsc_quartic(first.lam_coef, first.tau_coef)
     residual = abs(quartic(first.r))
     lo = hard_instances.scsc_bracket_low(first.lam_coef, first.tau_coef)
@@ -398,7 +414,7 @@ def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = No
     )
 
     for d in scsc_dims:
-        inst = first if int(d) == first.d else build_scsc_at(int(d))
+        inst = first if d == first.d else build_scsc_at(d)
         err = float(np.linalg.norm(inst.x_hat - inst.x_star_dense))
         bound = (7.0 + inst.lam_coef) / inst.tau_coef * inst.r ** inst.d
         record(
@@ -440,7 +456,7 @@ def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = No
     record("scsc_hypergradient_consistency", max(fd_devs) <= 1e-6, max_deviation=max(fd_devs))
 
     # --- convex family -----------------------------------------------------------
-    csc_d = int(lb_cfg.get("csc_d", 20))
+    csc_d = _as_int(lb_cfg.get("csc_d", 20), "lower_bound.csc_d")
     csc_B = float(lb_cfg.get("csc_B", 1.0))
     csc_constants = dataclasses.replace(constants, mu_x=0.0)
     csc_inst = hard_instances.build_csc(csc_d, csc_constants, csc_B)

@@ -109,7 +109,7 @@ def agd_inner(
     y = y0
     for t in range(1, cfg.N + 1):
         y = s - cfg.step * oracle.grad_y_g(x, s)
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise DivergenceError("inner accelerated descent diverged", step=t, last_good=y_prev)
         s = c_extra * y - c_mom * y_prev
         y_prev = y
@@ -131,7 +131,7 @@ def heavy_ball_solve(
     v = np.zeros_like(rhs)
     for t in range(1, cfg.M + 1):
         v_next = v - cfg.hb_step * (hess_apply(v) - rhs) + cfg.hb_momentum * (v - v_prev)
-        if not np.all(np.isfinite(v_next)):
+        if not np.isfinite(v_next).all():
             raise DivergenceError("heavy-ball iteration diverged", step=t, last_good=v)
         v_prev, v = v, v_next
     return v
@@ -210,7 +210,7 @@ def itd_estimate(
     y = y0
     for t in range(1, N + 1):
         y = y - eta * oracle.grad_y_g(x, y)
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise DivergenceError("inner gradient descent diverged", step=t, last_good=ys[-1])
         ys.append(y)
 

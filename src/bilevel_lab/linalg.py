@@ -1,10 +1,19 @@
 """Structured symmetric operators, dense fallback solvers, and scalar root finding.
 
+Every operator has one representation, a fixed-width row stencil: arrays
+`cols` and `vals` of shape (w, dim), where row i holds vals[k, i] at column
+cols[k, i].  Applying it is one gather, `(vals * v[cols]).sum(0)`, and its
+dense form is one scatter; each constructor builds the stencil directly.
+
 The two anti-banded coupling operators built here (the "scsc" and "csc"
 flavors) are integer +-1 matrices whose even powers are banded and extend the
-support of a vector by at most one coordinate per squared application.  Higher
-powers are always realized by repeated application of the base operator; dense
-forms exist only as an oracle for solves and eigenvalue checks at desk scale.
+support of a vector by at most one coordinate per squared application.  The
+power Z^(2k) lives on the window of columns i-k..i+k of row i and Z^(2k+1) on
+(d-1-i)-k..(d-1-i)+k+1 (scsc; one column earlier for csc), so a power sum
+stores one window per parity, filled by weighted slice-adds of the integer
+windows of the powers, which are computed once per (flavor, dim, power).
+Dense forms exist only as an oracle for solves and eigenvalue checks at desk
+scale.
 `solve_dense` takes one right-hand side or a block of them, so a caller that
 needs many solves with one operator (the affine inner map of an oracle) makes
 a single factorization, with the residual contract checked per column.
@@ -12,6 +21,7 @@ a single factorization, with the residual contract checked per column.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Mapping
 
 import numpy as np
@@ -45,20 +55,27 @@ def vector(entries, dim: int | None = None) -> np.ndarray:
     return v
 
 
-class StructuredOperator:
-    """A symmetric linear operator applied matrix-free.
+def _check_dim(dim: int) -> None:
+    if dim <= 0:
+        raise DimensionMismatchError("operator dimension must be positive")
 
-    Instances are immutable after construction and safe to share.  `kind` is a
-    human-readable tag; `apply` is the only computational contract.
+
+class StructuredOperator:
+    """A symmetric linear operator stored as a fixed-width row stencil.
+
+    `cols` and `vals` have shape (w, dim): row i of the operator holds
+    vals[k, i] at column cols[k, i] for k < w, and padding slots hold 0 at
+    an in-range column.  `apply` is one gather and `to_dense` one scatter,
+    whatever the operator.  Instances are immutable after construction and
+    safe to share; `kind` is a human-readable tag.
     """
 
-    def __init__(self, kind: str, dim: int, matvec: Callable[[np.ndarray], np.ndarray]):
-        if dim <= 0:
-            raise DimensionMismatchError("operator dimension must be positive")
+    def __init__(self, kind: str, cols: np.ndarray, vals: np.ndarray):
+        _check_dim(cols.shape[1])
         self.kind = kind
-        self.dim = dim
-        self._matvec = matvec
-        self._dense: np.ndarray | None = None
+        self.dim = cols.shape[1]
+        self.cols = cols
+        self.vals = vals
 
     def __repr__(self) -> str:
         return f"StructuredOperator(kind={self.kind!r}, dim={self.dim})"
@@ -68,7 +85,7 @@ class StructuredOperator:
             raise DimensionMismatchError(
                 f"operator dim {self.dim} incompatible with vector shape {v.shape}"
             )
-        return self._matvec(v)
+        return (self.vals * v[self.cols]).sum(0)
 
     def apply_power(self, v: np.ndarray, power: int) -> np.ndarray:
         out = v
@@ -77,25 +94,37 @@ class StructuredOperator:
         return out
 
     def to_dense(self) -> np.ndarray:
-        """Materialize the operator column by column (cached)."""
-        if self._dense is None:
-            a = np.empty((self.dim, self.dim))
-            e = np.zeros(self.dim)
-            for j in range(self.dim):
-                e[j] = 1.0
-                a[:, j] = self.apply(e)
-                e[j] = 0.0
-            self._dense = a
-        return self._dense
+        """Materialize the operator by one scatter of the stencil (a fresh array)."""
+        d = self.dim
+        flat = self.cols + d * np.arange(d)
+        dense = np.bincount(flat.ravel(), weights=self.vals.ravel(), minlength=d * d)
+        return dense.reshape(d, d)
+
+
+def _window(start: np.ndarray, width: int) -> np.ndarray:
+    """Columns start[i] .. start[i] + width - 1 of each row, clipped into range."""
+    dim = start.shape[0]
+    return np.clip(start + np.arange(width)[:, None], 0, dim - 1)
 
 
 def identity(dim: int) -> StructuredOperator:
-    return StructuredOperator("diagonal", dim, lambda v: v.copy())
+    _check_dim(dim)
+    return StructuredOperator("diagonal", np.arange(dim)[None, :], np.ones((1, dim)))
 
 
 def diagonal(values) -> StructuredOperator:
     vals = vector(values)
-    return StructuredOperator("diagonal", vals.shape[0], lambda v: vals * v)
+    return StructuredOperator("diagonal", np.arange(vals.shape[0])[None, :], vals[None, :].copy())
+
+
+def _banded_stencil(dim: int, bands: Mapping[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Window i-w..i+w for bandwidth w; band `off` fills slots w+off and w-off."""
+    width = max(bands, default=0)
+    vals = np.zeros((2 * width + 1, dim))
+    for off, band in bands.items():
+        vals[width + off, : dim - off] = band
+        vals[width - off, off:] = band
+    return _window(np.arange(dim) - width, 2 * width + 1), vals
 
 
 def tridiagonal(diag, off) -> StructuredOperator:
@@ -103,14 +132,7 @@ def tridiagonal(diag, off) -> StructuredOperator:
     e = vector(off)
     if e.shape[0] != d.shape[0] - 1:
         raise DimensionMismatchError("off-diagonal must have length dim-1")
-
-    def matvec(v: np.ndarray) -> np.ndarray:
-        out = d * v
-        out[:-1] += e * v[1:]
-        out[1:] += e * v[:-1]
-        return out
-
-    return StructuredOperator("tridiagonal", d.shape[0], matvec)
+    return StructuredOperator("tridiagonal", *_banded_stencil(d.shape[0], {0: d, 1: e}))
 
 
 def banded(dim: int, bands: Mapping[int, np.ndarray]) -> StructuredOperator:
@@ -123,19 +145,8 @@ def banded(dim: int, bands: Mapping[int, np.ndarray]) -> StructuredOperator:
         if band.shape[0] != dim - off:
             raise DimensionMismatchError(f"band at offset {off} must have length {dim - off}")
         stored[off] = band
-    bandwidth = max(stored) if stored else 0
-
-    def matvec(v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v)
-        for off, band in stored.items():
-            if off == 0:
-                out += band * v
-            else:
-                out[:-off] += band * v[off:]
-                out[off:] += band * v[:-off]
-        return out
-
-    return StructuredOperator(f"banded({bandwidth})", dim, matvec)
+    cols, vals = _banded_stencil(dim, stored)
+    return StructuredOperator(f"banded({max(stored, default=0)})", cols, vals)
 
 
 def dense(matrix) -> StructuredOperator:
@@ -145,18 +156,81 @@ def dense(matrix) -> StructuredOperator:
     scale = np.linalg.norm(a)
     if np.linalg.norm(a - a.T) > DENSE_SYMMETRY_TOL * max(scale, 1.0):
         raise ValueError("dense operator must be symmetric")
-    op = StructuredOperator("dense", a.shape[0], lambda v: a @ v)
-    op._dense = a
-    return op
+    d = a.shape[0]
+    # slot k of row i is column k; the column table is a broadcast view
+    cols = np.broadcast_to(np.arange(d)[:, None], (d, d))
+    return StructuredOperator("dense", cols, a.T.copy())
 
 
 def shifted_scaled(base: StructuredOperator, scale: float, shift: float) -> StructuredOperator:
-    """scale * base + shift * I."""
+    """scale * base + shift * I: the base stencil scaled, with a diagonal slot appended."""
+    cols = np.vstack([base.cols, np.arange(base.dim)])
+    vals = np.vstack([scale * base.vals, np.full(base.dim, float(shift))])
+    return StructuredOperator("shifted-scaled", cols, vals)
 
-    def matvec(v: np.ndarray) -> np.ndarray:
-        return scale * base.apply(v) + shift * v
 
-    return StructuredOperator("shifted-scaled", base.dim, matvec)
+@functools.lru_cache(maxsize=64)
+def _z_table(flavor: str, dim: int, power: int) -> np.ndarray:
+    """Integer entries of Z^power on its window, shape (power + 1, dim), read-only.
+
+    Entry [k, i] sits at column start + k of row i, where the window starts
+    at i - power/2 for an even power, and for an odd power at
+    (d-1-i) - (power-1)/2 (scsc) or one column earlier (csc).  Built by the
+    row recurrence of Z^p = Z Z^(p-1): scsc row i of Z M is
+    M[d-1-i] - M[d-i], csc row i is M[d-2-i] - M[d-1-i].
+    """
+    if power == 0:
+        table = np.ones((1, dim))
+    else:
+        # column i of `prev` is the window of row d-1-i of Z^(power-1)
+        prev = _z_table(flavor, dim, power - 1)[:, ::-1]
+        table = np.zeros((power + 1, dim))
+        plus, minus = (table[1:], table[:-1]) if power % 2 == 0 else (table[:-1], table[1:])
+        if flavor == "scsc":
+            plus += prev
+            minus[:, 1:] -= prev[:, :-1]
+        else:
+            plus[:, :-1] += prev[:, 1:]
+            minus -= prev
+    table.flags.writeable = False
+    return table
+
+
+def _z_stencil(
+    flavor: str, dim: int, weights: Mapping[int, float], shift: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stencil of shift * I + sum_p weights[p] * Z^p, one fixed window per parity.
+
+    The even powers and the shift share the window i-k..i+k (k the largest
+    even power over 2); the odd powers share the window of the largest odd
+    power.  Within a window the shift is placed first and the weighted powers
+    are added in ascending order, so each entry of a one-parity sum is
+    rounded exactly as in the accumulation shift*I + c_p Z^p + ... .
+    """
+    if flavor not in ("scsc", "csc"):
+        raise ValueError(f"unknown flavor {flavor!r}")
+    _check_dim(dim)
+    rows = np.arange(dim)
+    blocks = []
+    for parity in (0, 1):
+        powers = [p for p in sorted(weights) if p % 2 == parity]
+        if not powers and (parity or shift == 0.0):
+            continue
+        half = max(powers, default=0) // 2
+        vals = np.zeros((2 * half + 1 + parity, dim))
+        if parity == 0:
+            vals[half] = shift
+            start = rows - half
+        else:
+            start = (dim - 1 - rows) - half - (flavor == "csc")
+        for p in powers:
+            off = half - p // 2
+            vals[off : off + p + 1] += weights[p] * _z_table(flavor, dim, p)
+        blocks.append((_window(start, vals.shape[0]), vals))
+    if not blocks:  # the zero operator
+        return rows[None, :], np.zeros((1, dim))
+    cols, vals = zip(*blocks)
+    return np.vstack(cols), np.vstack(vals)
 
 
 def anti_banded_z(flavor: str, dim: int) -> StructuredOperator:
@@ -166,25 +240,7 @@ def anti_banded_z(flavor: str, dim: int) -> StructuredOperator:
     below it (i+j = dim).  csc: entry 1 on i+j = dim-2 and -1 on i+j = dim-1.
     Both are symmetric and invertible; their squares are tridiagonal.
     """
-    if flavor == "scsc":
-
-        def matvec(v: np.ndarray) -> np.ndarray:
-            w = v[::-1]
-            out = w.copy()
-            out[1:] -= w[:-1]
-            return out
-
-    elif flavor == "csc":
-
-        def matvec(v: np.ndarray) -> np.ndarray:
-            w = v[::-1]
-            out = -w
-            out[:-1] += w[1:]
-            return out
-
-    else:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    return StructuredOperator(f"anti-banded-Z-{flavor}", dim, matvec)
+    return StructuredOperator(f"anti-banded-Z-{flavor}", *_z_stencil(flavor, dim, {1: 1.0}, 0.0))
 
 
 def z_power_sum(
@@ -192,24 +248,18 @@ def z_power_sum(
 ) -> StructuredOperator:
     """sum_p coeffs[p] * Z^p + shift * I with Z the anti-banded operator.
 
-    Powers are realized by repeated application of Z, never stored densely.
+    The stencil is built from the cached integer windows of the powers of Z,
+    never from a dense form.
     """
-    z = anti_banded_z(flavor, dim)
     powers = sorted(p for p, c in coeffs.items() if c != 0.0)
+    if powers and powers[0] < 1:
+        raise ValueError("powers must be >= 1; the identity term is the shift")
     weights = {p: float(coeffs[p]) for p in powers}
-    max_power = powers[-1] if powers else 0
-
-    def matvec(v: np.ndarray) -> np.ndarray:
-        out = shift * v
-        w = v
-        for p in range(1, max_power + 1):
-            w = z.apply(w)
-            if p in weights:
-                out = out + weights[p] * w
-        return out
-
     label = "+".join(f"{weights[p]:g}*Z^{p}" for p in powers)
-    return StructuredOperator(f"z-power-sum({flavor}:{label};shift={shift:g})", dim, matvec)
+    return StructuredOperator(
+        f"z-power-sum({flavor}:{label};shift={shift:g})",
+        *_z_stencil(flavor, dim, weights, float(shift)),
+    )
 
 
 def solve_dense(op: StructuredOperator, rhs: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from bilevel_lab import hard_instances, span_lab
 from bilevel_lab.cli import main
@@ -100,6 +101,41 @@ class TestRunVerb:
         )
         assert main(["run", unknown_kind]) == 1
 
+    @pytest.mark.parametrize(
+        "block,key,value",
+        [
+            ("solver", "K", "ten"),
+            ("solver", "K", 0),
+            ("solver", "K", 2.5),
+            ("solver", "K", True),
+            ("solver", "N", "many"),
+            ("solver", "N", 0),
+            ("solver", "M", -3),
+            ("solver", "M", "4"),
+            ("instance", "d", "six"),
+            ("instance", "d", 6.5),
+            (None, "seed", "x"),
+        ],
+    )
+    def test_bad_integer_field_is_config_error(self, tmp_path, capsys, block, key, value):
+        doc = minimal_run_config(tmp_path / "out")
+        (doc if block is None else doc[block])[key] = value
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert key in err and "Traceback" not in err
+
+    def test_integral_float_fields_are_accepted(self, tmp_path):
+        doc = minimal_run_config(tmp_path / "out", K=3.0)
+        doc["solver"]["N"] = 4.0
+        doc["instance"]["d"] = 6.0
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["run", cfg]) == 0
+        resolved = json.loads((tmp_path / "out" / "resolved_config.json").read_text())
+        assert resolved["solver_resolved"]["K"] == 3 and resolved["solver_resolved"]["N"] == 4
+        assert resolved["instance"]["d"] == 6
+
     def test_divergence_exits_two_with_partial_trace(self, tmp_path):
         doc = {
             "output_dir": str(tmp_path / "out"),
@@ -194,6 +230,18 @@ class TestSweepVerb:
         cfg = write_config(tmp_path / "c.json", doc)
         assert main(["sweep", cfg]) == 1
 
+    def test_non_integer_d_value_is_config_error(self, tmp_path, capsys):
+        doc = {
+            "seed": 0,
+            "output_dir": str(tmp_path / "out"),
+            "instance": {"kind": "scsc", "preset": "mild", "d": 16},
+            "solver": {"algorithm": "accbio", "K": 5, "N": 5, "M": 5, "eps": 1e-3},
+            "sweep": {"axis": "d", "values": [16, "big"]},
+        }
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["sweep", cfg]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_partial_failure_marks_point_but_exits_zero(self, tmp_path):
         # d = 3 is below the instance minimum: that point is marked failed in
         # the summary while the healthy point keeps the sweep's exit at 0
@@ -247,6 +295,14 @@ class TestVerifyLbVerb:
         report = json.loads((tmp_path / "out" / "lower_bound_report.json").read_text())
         assert report["passed"] is True
         assert report["failed_items"] == []
+
+    @pytest.mark.parametrize("key,value", [("scsc_dims", [16, "x"]), ("csc_d", 12.5)])
+    def test_bad_dimension_is_config_error(self, tmp_path, capsys, key, value):
+        doc = battery_config(tmp_path / "out")
+        doc["lower_bound"][key] = value
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["verify-lb", cfg]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_corrupted_instance_fails_certificate(self, tmp_path):
         doc = battery_config(tmp_path / "out", corruption="btilde3")

@@ -42,6 +42,136 @@ class TestAntiBandedTables:
         assert np.allclose(z @ inv(d), np.eye(d), atol=1e-12)
 
 
+Z_TABLES = {"scsc": stencils.scsc_z_table, "csc": stencils.csc_z_table}
+# the builders' power sums ({2}+shift, {3,1}, {4,2}+shift) and single powers
+ONE_PARITY_SUMS = [
+    ({2: 0.225}, 0.1),
+    ({3: -0.3, 1: 0.7}, 0.0),
+    ({4: 1.0, 2: 3.7}, 0.013),
+    ({1: -1.25}, 0.0),
+    ({6: -1.5, 4: 0.3, 2: 2.0}, 0.2),
+    ({5: 0.5, 3: -0.125, 1: 3.0}, 0.0),
+]
+OPERATOR_KINDS = [
+    "z-scsc", "z-csc", "z-sum-scsc", "z-sum-csc", "identity", "diagonal",
+    "tridiagonal", "banded", "dense", "shifted-scaled",
+]
+
+
+def _power_sum_reference(flavor, d, coeffs, shift):
+    """shift*I + sum_p c_p Z^p from the hand-tabulated Z, accumulated in that order."""
+    z = Z_TABLES[flavor](d)
+    ref = shift * np.eye(d)
+    for p in sorted(coeffs):
+        ref = ref + coeffs[p] * np.linalg.matrix_power(z, p)
+    return ref
+
+
+def _operator_and_reference(kind, d, gen):
+    """An operator of the given kind and its dense form written out independently."""
+    if kind in ("z-scsc", "z-csc"):
+        flavor = kind[2:]
+        return linalg.anti_banded_z(flavor, d), Z_TABLES[flavor](d)
+    if kind in ("z-sum-scsc", "z-sum-csc"):
+        flavor = kind[6:]
+        coeffs, shift = {4: 1.0, 2: 3.7}, 0.013
+        return linalg.z_power_sum(flavor, d, coeffs, shift), _power_sum_reference(
+            flavor, d, coeffs, shift
+        )
+    if kind == "identity":
+        return linalg.identity(d), np.eye(d)
+    if kind == "diagonal":
+        v = gen.standard_normal(d)
+        return linalg.diagonal(v), np.diag(v)
+    if kind == "tridiagonal":
+        diag, off = gen.standard_normal(d), gen.standard_normal(d - 1)
+        return linalg.tridiagonal(diag, off), np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    if kind == "banded":
+        bands = {0: gen.standard_normal(d), 2: gen.standard_normal(d - 2)}
+        ref = np.diag(bands[0]) + np.diag(bands[2], 2) + np.diag(bands[2], -2)
+        return linalg.banded(d, bands), ref
+    if kind == "dense":
+        a = gen.standard_normal((d, d))
+        a = a + a.T
+        return linalg.dense(a), a
+    base_flavor = "csc" if d % 2 else "scsc"
+    base = linalg.z_power_sum(base_flavor, d, {2: 0.25})
+    ref = 1.7 * _power_sum_reference(base_flavor, d, {2: 0.25}, 0.0) + -0.4 * np.eye(d)
+    return linalg.shifted_scaled(base, 1.7, -0.4), ref
+
+
+class TestStencil:
+    @pytest.mark.parametrize("flavor", ["scsc", "csc"])
+    @pytest.mark.parametrize("d", [4, 5, 32, 33])
+    @pytest.mark.parametrize("coeffs,shift", ONE_PARITY_SUMS)
+    def test_power_sum_dense_form_is_exact(self, flavor, d, coeffs, shift):
+        op = linalg.z_power_sum(flavor, d, coeffs, shift)
+        assert np.array_equal(op.to_dense(), _power_sum_reference(flavor, d, coeffs, shift))
+
+    @pytest.mark.parametrize("flavor", ["scsc", "csc"])
+    @pytest.mark.parametrize("d", [4, 5, 32, 33])
+    def test_mixed_parity_sum_within_rounding(self, flavor, d):
+        # the two parity windows overlap near the middle row, where the even
+        # and odd parts are rounded separately before they are added
+        coeffs, shift = {1: 0.5, 2: 0.3, 3: 0.1, 4: 1.7}, 0.9
+        ref = _power_sum_reference(flavor, d, coeffs, shift)
+        dense = linalg.z_power_sum(flavor, d, coeffs, shift).to_dense()
+        assert np.max(np.abs(dense - ref)) <= 8 * np.finfo(np.float64).eps * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("kind", OPERATOR_KINDS)
+    @pytest.mark.parametrize("d", [4, 5, 32, 33])
+    def test_dense_form_of_every_kind_is_exact(self, kind, d):
+        op, ref = _operator_and_reference(kind, d, np.random.default_rng(d))
+        assert np.array_equal(op.to_dense(), ref)
+
+    @pytest.mark.parametrize("kind", OPERATOR_KINDS)
+    @pytest.mark.parametrize("d", [4, 5, 32, 33])
+    def test_apply_matches_dense_form(self, kind, d):
+        gen = np.random.default_rng(100 + d)
+        op, _ = _operator_and_reference(kind, d, gen)
+        a = op.to_dense()
+        for _ in range(3):
+            v = gen.standard_normal(d)
+            expected = a @ v
+            assert np.linalg.norm(op.apply(v) - expected) <= 1e-14 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("kind", OPERATOR_KINDS)
+    def test_to_dense_makes_no_apply_call(self, kind, monkeypatch):
+        op, ref = _operator_and_reference(kind, 9, np.random.default_rng(3))
+
+        def forbidden(self, v):
+            raise AssertionError("to_dense must not apply the operator")
+
+        monkeypatch.setattr(linalg.StructuredOperator, "apply", forbidden)
+        assert np.array_equal(op.to_dense(), ref)
+
+    def test_to_dense_returns_a_fresh_array(self):
+        op = linalg.z_power_sum("scsc", 6, {2: 1.0}, shift=0.5)
+        first = op.to_dense()
+        first[:] = 0.0
+        assert np.array_equal(op.to_dense(), _power_sum_reference("scsc", 6, {2: 1.0}, 0.5))
+
+    def test_benchmark_build_densifies_only_what_the_exact_surface_needs(
+        self, benchmark_constants, monkeypatch
+    ):
+        from bilevel_lab.hard_instances import build_scsc_benchmark
+
+        densified = []
+        to_dense = linalg.StructuredOperator.to_dense
+
+        def spy(self):
+            densified.append(self.kind)
+            return to_dense(self)
+
+        monkeypatch.setattr(linalg.StructuredOperator, "to_dense", spy)
+        oracle = build_scsc_benchmark(32, benchmark_constants, initial_gap=1.0)
+        outer = oracle.outer
+        # the spectrum check and the affine solve densify H, the affine map's
+        # right-hand side J, and the reduction of phi the three outer blocks
+        expected = [oracle.h_op, oracle.h_op, oracle.j_op, outer.a_xx, outer.a_yy, outer.a_xy]
+        assert sorted(densified) == sorted(op.kind for op in expected)
+
+
 class TestApply:
     def test_scsc_z2_first_column(self):
         z2 = linalg.z_power_sum("scsc", 4, {2: 1.0})
@@ -62,6 +192,14 @@ class TestApply:
         op = linalg.anti_banded_z("scsc", 5)
         with pytest.raises(DimensionMismatchError):
             op.apply(np.zeros(6))
+
+    @pytest.mark.parametrize("kind", OPERATOR_KINDS)
+    def test_dimension_mismatch_every_kind(self, kind):
+        # a longer vector would gather without error: the shape check must fire
+        op, _ = _operator_and_reference(kind, 5, np.random.default_rng(7))
+        for bad in (np.zeros(6), np.zeros(4), np.zeros((5, 1))):
+            with pytest.raises(DimensionMismatchError):
+                op.apply(bad)
 
     @pytest.mark.parametrize("flavor", ["scsc", "csc"])
     @pytest.mark.parametrize("d", [8, 64])
