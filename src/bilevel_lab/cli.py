@@ -109,18 +109,16 @@ def _decoupled_oracle(d: int) -> QuadraticBilevelOracle:
     return QuadraticBilevelOracle(identity(d), None, np.zeros(d), outer, constants)
 
 
-def _btilde_override(corruption, build_clean):
-    """The certified b_tilde with the `btilde3` negative control applied.
+def _btilde_shift(corruption, d: int):
+    """The `btilde3` negative control: 0.1 added to b_tilde's third entry.
 
-    Returns None for a clean build.  `build_clean()` builds the clean instance.
+    Returns None for a clean build.
     """
     if corruption is None:
         return None
     if corruption != "btilde3":
         raise ConfigError(f"unknown corruption {corruption!r}")
-    override = build_clean().b_tilde.copy()
-    override[2] += 0.1
-    return override
+    return 0.1 * (np.arange(d) == 2)
 
 
 def build_instance(inst_cfg: dict):
@@ -133,19 +131,13 @@ def build_instance(inst_cfg: dict):
         return oracle, None, {"kind": kind, "d": d}
     constants = resolve_constants(inst_cfg)
     if kind == "scsc":
-        override = _btilde_override(
-            corruption, lambda: hard_instances.build_scsc(d, constants, inst_cfg.get("Lbar_xy"))
-        )
         inst = hard_instances.build_scsc(
-            d, constants, inst_cfg.get("Lbar_xy"), btilde_override=override
+            d, constants, inst_cfg.get("Lbar_xy"), btilde_shift=_btilde_shift(corruption, d)
         )
         return inst.oracle, inst, {"kind": kind, "d": d, "corruption": corruption}
     if kind == "csc":
         B = float(inst_cfg.get("B", 1.0))
-        override = _btilde_override(
-            corruption, lambda: hard_instances.build_csc(d, constants, B)
-        )
-        inst = hard_instances.build_csc(d, constants, B, btilde_override=override)
+        inst = hard_instances.build_csc(d, constants, B, btilde_shift=_btilde_shift(corruption, d))
         return inst.oracle, inst, {"kind": kind, "d": d, "B": B, "corruption": corruption}
     if kind == "scsc-benchmark":
         initial_gap = inst_cfg.get("initial_gap")
@@ -376,30 +368,44 @@ def run_sweep(cfg: dict, out_dir: Path, jobs: int, tau_cost_override: float | No
 # ---------------------------------------------------------------------------
 
 
+def _lb_budgets(lb_cfg: dict, key: str, default: dict) -> dict:
+    """A `verify-lb` budget block: exactly the keys K, Q and T, each an integer >= 1."""
+    block, name = lb_cfg.get(key, default), f"lower_bound.{key}"
+    if not isinstance(block, dict) or set(block) != {"K", "Q", "T"}:
+        raise ConfigError(f"{name} needs exactly the keys K, Q and T, got {block!r}")
+    return {k: _as_int(block[k], f"{name}.{k}", minimum=1) for k in ("K", "Q", "T")}
+
+
 def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = None) -> int:
     """Run the lower-bound battery and emit one pass/fail JSON report."""
     lb_cfg = cfg.get("lower_bound", {})
+    if not isinstance(lb_cfg, dict):
+        raise ConfigError(f"lower_bound must be an object, got {lb_cfg!r}")
     seed = _as_int(cfg.get("seed", 0), "seed")
     rng = np.random.default_rng(seed)
     inst_cfg = cfg.get("instance", {"kind": "scsc", "preset": "mild"})
     constants = resolve_constants({**inst_cfg, "preset": inst_cfg.get("preset", "mild")})
     corruption = inst_cfg.get("corruption")
     tau_cost = 2.0 if tau_cost_override is None else tau_cost_override
+    scsc_dims = lb_cfg.get("scsc_dims", [16, 32])
+    if not isinstance(scsc_dims, list) or not scsc_dims:
+        raise ConfigError(f"lower_bound.scsc_dims must be a non-empty list, got {scsc_dims!r}")
+    scsc_dims = [_as_int(d, "lower_bound.scsc_dims entry") for d in scsc_dims]
+    budgets = _lb_budgets(lb_cfg, "budgets", {"K": 10, "Q": 5, "T": 3})
+    algorithms = lb_cfg.get("algorithms", ["baseline_aid_gd"])
+    known = span_lab.SIMULATOR_ALGORITHMS
+    if not isinstance(algorithms, list) or any(a not in known for a in algorithms):
+        raise ConfigError(f"lower_bound.algorithms must be a list of {known}, got {algorithms!r}")
+    csc_d = _as_int(lb_cfg.get("csc_d", 20), "lower_bound.csc_d")
+    csc_budgets = _lb_budgets(lb_cfg, "csc_budgets", {"K": 4, "Q": 2, "T": 3})
     items: dict[str, dict] = {}
 
     def record(name: str, passed: bool, **measured):
         items[name] = {"passed": bool(passed), **measured}
 
     # --- strongly-convex family ------------------------------------------------
-    scsc_dims = [
-        _as_int(d, "lower_bound.scsc_dims entry") for d in lb_cfg.get("scsc_dims", [16, 32])
-    ]
-    budgets = lb_cfg.get("budgets", {"K": 10, "Q": 5, "T": 3})
-    algorithms = lb_cfg.get("algorithms", ["baseline_aid_gd"])
-
     def build_scsc_at(d: int):
-        override = _btilde_override(corruption, lambda: hard_instances.build_scsc(d, constants))
-        return hard_instances.build_scsc(d, constants, btilde_override=override)
+        return hard_instances.build_scsc(d, constants, btilde_shift=_btilde_shift(corruption, d))
 
     first = build_scsc_at(scsc_dims[0])
     quartic = hard_instances.scsc_quartic(first.lam_coef, first.tau_coef)
@@ -456,7 +462,6 @@ def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = No
     record("scsc_hypergradient_consistency", max(fd_devs) <= 1e-6, max_deviation=max(fd_devs))
 
     # --- convex family -----------------------------------------------------------
-    csc_d = _as_int(lb_cfg.get("csc_d", 20), "lower_bound.csc_d")
     csc_B = float(lb_cfg.get("csc_B", 1.0))
     csc_constants = dataclasses.replace(constants, mu_x=0.0)
     csc_inst = hard_instances.build_csc(csc_d, csc_constants, csc_B)
@@ -469,7 +474,6 @@ def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = No
     measured, floor = hard_instances.csc_grad_floor_verify(csc_inst)
     record("csc_grad_floor_static", measured >= floor, measured_min=measured, floor=floor)
 
-    csc_budgets = lb_cfg.get("csc_budgets", {"K": 4, "Q": 2, "T": 3})
     x_final, profile = span_lab.simulate_on_instance(
         csc_inst, "baseline_aid_gd", csc_budgets, tau_cost
     )

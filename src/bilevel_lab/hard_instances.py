@@ -153,11 +153,11 @@ def build_scsc(
     d: int,
     constants: SmoothnessConstants,
     Lbar_xy: float | None = None,
-    btilde_override: np.ndarray | None = None,
+    btilde_shift: np.ndarray | None = None,
 ) -> ScscInstance:
     """Build the strongly-convex worst-case instance at dimension d.
 
-    `btilde_override` replaces the certified right-hand side and exists only
+    `btilde_shift` is added to the certified right-hand side and exists only
     so verification campaigns can exercise their negative controls.
     """
     c = constants
@@ -183,8 +183,8 @@ def build_scsc(
     b_tilde = np.zeros(d)
     b_tilde[0] = (2.0 + lam + tau) * r - (3.0 + lam) * r**2 + r**3
     b_tilde[1] = r - 1.0
-    if btilde_override is not None:
-        b_tilde = linalg.vector(btilde_override, d)
+    if btilde_shift is not None:
+        b_tilde = b_tilde + linalg.vector(btilde_shift, d)
 
     z = linalg.anti_banded_z("scsc", d)
     b = linalg.solve_dense(z, b_tilde / gamma)
@@ -249,6 +249,14 @@ def build_scsc_benchmark(
     return oracle
 
 
+def _scsc_dimension_bound(M: int, r: float, lam_coef: float, tau_coef: float) -> float:
+    """max(2M, M + 1 + log_r(tau / (4 (7 + lam)))): a feasible d lies strictly above it."""
+    if not (0.0 < r < 1.0):
+        raise InvariantViolationError("decay factor must lie in (0, 1)")
+    ratio = tau_coef / (4.0 * (7.0 + lam_coef))
+    return max(2.0 * M, M + 1.0 + math.log(ratio) / math.log(r))
+
+
 def scsc_feasible_dimension(
     M: int,
     r: float,
@@ -258,15 +266,10 @@ def scsc_feasible_dimension(
 ) -> int:
     """Smallest d strictly above both branches of the dimension rule.
 
-    The second branch is M + 1 + log_r(tau / (4 (7 + lam))); for r close to 1
-    the log branch explodes, in which case an InfeasibleDimensionError carries
-    the required dimension.
+    For r close to 1 the log branch explodes, in which case an
+    InfeasibleDimensionError carries the required dimension.
     """
-    if not (0.0 < r < 1.0):
-        raise InvariantViolationError("decay factor must lie in (0, 1)")
-    ratio = tau_coef / (4.0 * (7.0 + lam_coef))
-    log_branch = M + 1.0 + math.log(ratio) / math.log(r)
-    d = int(math.floor(max(2.0 * M, log_branch))) + 1
+    d = int(math.floor(_scsc_dimension_bound(M, r, lam_coef, tau_coef))) + 1
     if d > cap:
         raise InfeasibleDimensionError(
             f"feasible dimension exceeds cap {cap}", required_dim=d
@@ -275,9 +278,7 @@ def scsc_feasible_dimension(
 
 
 def scsc_dimension_is_feasible(instance: ScscInstance, M: int) -> bool:
-    ratio = instance.tau_coef / (4.0 * (7.0 + instance.lam_coef))
-    bound = max(2.0 * M, M + 1.0 + math.log(ratio) / math.log(instance.r))
-    return instance.d > bound
+    return instance.d > _scsc_dimension_bound(M, instance.r, instance.lam_coef, instance.tau_coef)
 
 
 def scsc_gap_floor(instance: ScscInstance, M: int, x0: np.ndarray) -> float:
@@ -354,7 +355,7 @@ def build_csc(
     d: int,
     constants: SmoothnessConstants,
     B: float,
-    btilde_override: np.ndarray | None = None,
+    btilde_shift: np.ndarray | None = None,
 ) -> CscInstance:
     """Build the convex worst-case instance with minimizer (B / sqrt d) * ones."""
     c = constants
@@ -374,8 +375,8 @@ def build_csc(
     )
     b_tilde[1] = scale * (-c.L_x * beta**2 - c.L_x * beta * c.mu_y / 2.0)
     b_tilde[2] = scale * (c.L_x * beta**2 / 4.0)
-    if btilde_override is not None:
-        b_tilde = linalg.vector(btilde_override, d)
+    if btilde_shift is not None:
+        b_tilde = b_tilde + linalg.vector(btilde_shift, d)
 
     z = linalg.anti_banded_z("csc", d)
     b = linalg.solve_dense(z, (2.0 / (c.L_y * c.Ltil_xy)) * b_tilde)

@@ -4,9 +4,10 @@ predicted support caps, suboptimality floors, and gradient-norm floors.
 The simulator pins one concrete schedule for the (K, Q, T) budget accounting:
 Q x-update events, each preceded by n_inner = K/Q - 1 inner y-steps, with T
 Hessian-vector products inside every hypergradient; the mapping is logged into
-the profile so a report is self-describing.  Support is tolerance-based: exact
-zero chains hold in exact arithmetic, while the span-projection residual is
-the authoritative criterion in floating point.
+the profile so a report is self-describing.  A span-respecting x stays within
+the first M coordinates and in the zero chain span{Z^(2j) Z b}; the first
+fact is read off the profile's running maximum of the active index, the second
+by projecting the final x onto a full-rank QR of the normalized chain basis.
 
 The built-in algorithms drive the solvers' `outer_loop` with their own rules;
 `SupportProfile` is its observer, recording every x-update and inner
@@ -34,14 +35,13 @@ from .hypergrad import AgdConfig, HeavyBallConfig
 from .oracles import counted
 from .solvers import accbio_bg_rule, accbio_rule, gd_rule, l_phi_estimate, outer_loop
 
-TOL_ACTIVE = 1e-10
 TOL_SUPPORT = 1e-10
 TOL_SPAN_RESIDUAL = 1e-8
 
 SIMULATOR_ALGORITHMS = ("baseline_aid_gd", "accbio", "accbio_bg")
 
 
-def active_index(v: np.ndarray, tol: float = TOL_ACTIVE) -> int:
+def active_index(v: np.ndarray, tol: float = TOL_SUPPORT) -> int:
     """Largest 1-based index whose magnitude exceeds tol * ||v||_inf (0 if none)."""
     peak = float(np.max(np.abs(v))) if v.size else 0.0
     if peak == 0.0:
@@ -64,26 +64,19 @@ class SupportProfile:
     """Per-event support observations for one simulated run."""
 
     budgets: dict
-    tol_active: float = TOL_ACTIVE
     x_support: list[int] = field(default_factory=list)  # cumulative max per x-update
     y_support: list[int] = field(default_factory=list)  # cumulative max per y-step
-    x_support_raw: list[int] = field(default_factory=list)
-    y_support_raw: list[int] = field(default_factory=list)
-    x_iterates: list[np.ndarray] = field(default_factory=list)
     final_x: np.ndarray | None = None
     mapping: dict = field(default_factory=dict)
 
-    def _observe(self, v: np.ndarray, raw_list: list[int], cumulative: list[int]):
-        raw = active_index(v, self.tol_active)
-        raw_list.append(raw)
-        cumulative.append(max(cumulative[-1] if cumulative else 0, raw))
+    def _observe(self, v: np.ndarray, cumulative: list[int]):
+        cumulative.append(max(cumulative[-1] if cumulative else 0, active_index(v)))
 
     def observe_x(self, x: np.ndarray):
-        self._observe(x, self.x_support_raw, self.x_support)
-        self.x_iterates.append(x.copy())
+        self._observe(x, self.x_support)
 
     def observe_y(self, y: np.ndarray):
-        self._observe(y, self.y_support_raw, self.y_support)
+        self._observe(y, self.y_support)
 
     @property
     def max_x_index(self) -> int:
@@ -218,45 +211,33 @@ def span_projection_residual(
 ) -> float:
     """Relative least-squares distance of x to the reachable subspace.
 
-    Basis columns are normalized before projecting (their norms grow like
-    4^j, which would otherwise swamp the least-squares problem), and the
-    projector is built from the numerically significant singular directions.
+    Basis columns are normalized (their norms grow like 4^j) and the
+    projector is the full Q of their QR factorization: every chain direction
+    is kept, however small its share of the basis's spectrum.
     """
     norm = float(np.linalg.norm(x))
     if norm == 0.0:
         return 0.0
     basis = span_basis(instance, M)
-    basis = basis / np.linalg.norm(basis, axis=0, keepdims=True)
-    u, s, _ = np.linalg.svd(basis, full_matrices=False)
-    rank = int(np.sum(s > s[0] * np.finfo(np.float64).eps * max(basis.shape)))
-    u = u[:, :rank]
-    return float(np.linalg.norm(x - u @ (u.T @ x))) / norm
+    q, _ = np.linalg.qr(basis / np.linalg.norm(basis, axis=0, keepdims=True))
+    return float(np.linalg.norm(x - q @ (q.T @ x))) / norm
 
 
 def verify_support_cap(
     profile: SupportProfile, instance: ScscInstance | CscInstance
 ) -> LowerBoundReport:
-    """Check every recorded x-iterate against the predicted support cap.
+    """Check a profiled run against the predicted support cap M.
 
-    The coordinate screen is tolerance-based; the span-projection residual of
-    the final iterate is the authoritative criterion.
+    Every x-update's active index must stay within M (the profile's running
+    maximum), and the final iterate must lie in the chain's span.
     """
     b = profile.budgets
     M = support_cap(instance.kind, b["K"], b["Q"], b["T"])
     report = LowerBoundReport(
         instance_kind=instance.kind, budgets=dict(b), predicted_support_cap=M
     )
-    coords_ok = True
-    observed = 0
-    for x in profile.x_iterates:
-        idx = active_index(x, TOL_SUPPORT)
-        observed = max(observed, idx)
-        peak = float(np.max(np.abs(x)))
-        if peak > 0.0 and M < instance.d:
-            tail = float(np.max(np.abs(x[M:])))
-            coords_ok = coords_ok and tail <= TOL_SUPPORT * peak
-    report.observed_max_index = observed
-    report.checks["coordinates_within_cap"] = coords_ok and observed <= M
+    report.observed_max_index = profile.max_x_index
+    report.checks["coordinates_within_cap"] = profile.max_x_index <= M
     if profile.final_x is not None:
         resid = span_projection_residual(instance, profile.final_x, M)
         report.span_residual = resid

@@ -136,6 +136,31 @@ class TestRunVerb:
         assert resolved["solver_resolved"]["K"] == 3 and resolved["solver_resolved"]["N"] == 4
         assert resolved["instance"]["d"] == 6
 
+    @pytest.mark.parametrize("kind,preset", [("scsc", "mild"), ("csc", "mild-csc")])
+    def test_corrupted_instance_is_built_once(self, tmp_path, monkeypatch, kind, preset):
+        built = []
+        build = getattr(hard_instances, f"build_{kind}")
+
+        def spy(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(hard_instances, f"build_{kind}", spy)
+        doc = {
+            "output_dir": str(tmp_path / "out"),
+            "instance": {"kind": kind, "preset": preset, "d": 16, "corruption": "btilde3"},
+            "solver": {"algorithm": "accbio", "K": 3, "N": 4, "M": 4, "eps": 1e-3,
+                       "regularize": {"eps": 0.01, "R": 2.0}},
+        }
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["run", cfg]) == 0
+        assert len(built) == 1
+        inst = built[0]
+        clean = build(16, inst.constants, *([inst.B] if kind == "csc" else []))
+        expected = clean.b_tilde.copy()
+        expected[2] += 0.1
+        assert np.array_equal(inst.b_tilde, expected)
+
     def test_divergence_exits_two_with_partial_trace(self, tmp_path):
         doc = {
             "output_dir": str(tmp_path / "out"),
@@ -296,13 +321,37 @@ class TestVerifyLbVerb:
         assert report["passed"] is True
         assert report["failed_items"] == []
 
-    @pytest.mark.parametrize("key,value", [("scsc_dims", [16, "x"]), ("csc_d", 12.5)])
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("scsc_dims", [16, "x"]),
+            ("csc_d", 12.5),
+            ("scsc_dims", []),
+            ("budgets", {"K": "ten", "Q": 5, "T": 3}),
+            ("budgets", {"K": 10, "Q": 5}),
+            ("budgets", {"K": 10, "Q": 5, "T": 3, "N": 2}),
+            ("budgets", {"K": 10, "Q": 0, "T": 3}),
+            ("algorithms", ["acbio"]),
+            ("algorithms", "accbio"),
+            ("csc_budgets", {"K": 4.5, "Q": 2, "T": 2}),
+        ],
+    )
     def test_bad_dimension_is_config_error(self, tmp_path, capsys, key, value):
         doc = battery_config(tmp_path / "out")
         doc["lower_bound"][key] = value
         cfg = write_config(tmp_path / "c.json", doc)
         assert main(["verify-lb", cfg]) == 1
-        assert capsys.readouterr().err.startswith("config error:")
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+
+    def test_lower_bound_block_must_be_an_object(self, tmp_path, capsys):
+        doc = battery_config(tmp_path / "out")
+        doc["lower_bound"] = []
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["verify-lb", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
 
     def test_corrupted_instance_fails_certificate(self, tmp_path):
         doc = battery_config(tmp_path / "out", corruption="btilde3")
@@ -311,7 +360,12 @@ class TestVerifyLbVerb:
         report = json.loads((tmp_path / "out" / "lower_bound_report.json").read_text())
         assert any("geometric_minimizer" in item for item in report["failed_items"])
 
-    def test_each_listed_dimension_is_built_once(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "corruption,exit_code", [(None, 0), ("btilde3", 3)], ids=["clean", "btilde3"]
+    )
+    def test_each_listed_dimension_is_built_once(
+        self, tmp_path, monkeypatch, corruption, exit_code
+    ):
         built = []
         build_scsc = hard_instances.build_scsc
 
@@ -320,9 +374,9 @@ class TestVerifyLbVerb:
             return build_scsc(d, *args, **kwargs)
 
         monkeypatch.setattr(hard_instances, "build_scsc", spy)
-        doc = battery_config(tmp_path / "out", scsc_dims=(16, 32))
+        doc = battery_config(tmp_path / "out", scsc_dims=(16, 32), corruption=corruption)
         cfg = write_config(tmp_path / "c.json", doc)
-        assert main(["verify-lb", cfg]) == 0
+        assert main(["verify-lb", cfg]) == exit_code
         assert {16, 32} <= set(built)
         assert len(built) == len(set(built))
 

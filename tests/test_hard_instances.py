@@ -64,7 +64,8 @@ class TestScscConstruction:
     def test_corrupted_btilde_breaks_certificate(self, mild_constants, scsc_mild16):
         bad = scsc_mild16.b_tilde.copy()
         bad[2] = 0.1
-        inst = build_scsc(16, mild_constants, btilde_override=bad)
+        inst = build_scsc(16, mild_constants, btilde_shift=bad - scsc_mild16.b_tilde)
+        assert np.array_equal(inst.b_tilde, bad)
         err = np.linalg.norm(inst.x_hat - inst.x_star_dense)
         bound = (7.0 + inst.lam_coef) / inst.tau_coef * inst.r**16
         assert err > bound

@@ -18,14 +18,24 @@ from bilevel_lab.span_lab import (
 )
 
 BUDGETS = {"K": 10, "Q": 5, "T": 3}
+BATTERY_BUDGETS = {"K": 60, "Q": 10, "T": 5}  # the scaled battery's run budgets
+
+
+def feasible_instance(constants, budgets):
+    probe = build_scsc(16, constants)
+    m = support_cap("scsc", **budgets)
+    d = scsc_feasible_dimension(m, probe.r, probe.lam_coef, probe.tau_coef)
+    return build_scsc(d, constants)
 
 
 @pytest.fixture(scope="module")
 def scsc_run_instance(mild_constants):
-    probe = build_scsc(16, mild_constants)
-    m = support_cap("scsc", **BUDGETS)
-    d = scsc_feasible_dimension(m, probe.r, probe.lam_coef, probe.tau_coef)
-    return build_scsc(d, mild_constants)
+    return feasible_instance(mild_constants, BUDGETS)
+
+
+@pytest.fixture(scope="module")
+def battery_run_instance(mild_constants):
+    return feasible_instance(mild_constants, BATTERY_BUDGETS)
 
 
 class TestSupportBookkeeping:
@@ -41,7 +51,7 @@ class TestSupportBookkeeping:
 
     def test_first_y_update_has_support_of_b(self, scsc_run_instance):
         _, profile = simulate_on_instance(scsc_run_instance, "baseline_aid_gd", BUDGETS)
-        assert profile.y_support_raw[0] == active_index(scsc_run_instance.b)
+        assert profile.y_support[0] == active_index(scsc_run_instance.b)
 
     def test_support_caps_formulas(self):
         assert support_cap("scsc", 10, 5, 3) == 32
@@ -100,15 +110,34 @@ class TestSupportCap:
     def test_out_of_span_mass_fails(self, scsc_run_instance):
         d = scsc_run_instance.d
         m = support_cap("scsc", **BUDGETS)
-        bad = np.zeros(d)
-        bad[m + 4] = 1.0  # unit mass at coordinate M + 5
-        profile = SupportProfile(budgets=dict(BUDGETS))
-        profile.observe_x(bad)
-        profile.final_x = bad
-        report = verify_support_cap(profile, scsc_run_instance)
-        assert not report.passed
-        assert not report.checks["coordinates_within_cap"]
-        assert not report.checks["span_projection"]
+        # unit mass at coordinate M + 5, and at M + 2: the chain's M + 1
+        # columns end at coordinate M + 2, so a tail norm beyond it reads 0
+        # there although the vector is far from their span
+        for index in (m + 4, m + 1):
+            bad = np.zeros(d)
+            bad[index] = 1.0
+            profile = SupportProfile(budgets=dict(BUDGETS))
+            profile.observe_x(bad)
+            profile.final_x = bad
+            report = verify_support_cap(profile, scsc_run_instance)
+            assert not report.passed
+            assert not report.checks["coordinates_within_cap"]
+            assert not report.checks["span_projection"]
+
+    def test_accbio_iterate_in_span_at_battery_budgets(self, battery_run_instance):
+        _, profile = simulate_on_instance(battery_run_instance, "accbio", BATTERY_BUDGETS)
+        report = verify_support_cap(profile, battery_run_instance)
+        assert battery_run_instance.d == 245 and report.predicted_support_cap == 122
+        assert report.span_residual <= 1e-8
+        assert report.passed
+
+    def test_unit_vector_inside_cap_is_in_span(self, battery_run_instance):
+        # every chain direction counts, however small its share of the
+        # normalized basis's spectrum: e at coordinate M//2 is in the span
+        m = support_cap("scsc", **BATTERY_BUDGETS)
+        e = np.zeros(battery_run_instance.d)
+        e[m // 2] = 1.0
+        assert span_projection_residual(battery_run_instance, e, m) <= 1e-8
 
 
 class TestFloors:
