@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import hard_instances, presets, solvers, span_lab
-from .errors import BilevelLabError, ConfigError, DivergenceError
+from .errors import BilevelLabError, ConfigError, ConstraintError, DivergenceError
 from .hypergrad import AgdConfig, HeavyBallConfig
 from .linalg import identity
 from .oracles import (
@@ -78,26 +78,26 @@ def _as_int(value, name: str, minimum: int | None = None) -> int:
 
 def resolve_constants(inst_cfg: dict) -> SmoothnessConstants:
     preset = inst_cfg.get("preset")
-    if preset == "mild":
-        base = presets.mild_scsc_constants()
-    elif preset == "mild-csc":
-        base = presets.mild_csc_constants()
-    elif preset == "benchmark":
-        base = presets.benchmark_scsc_constants(float(inst_cfg.get("kappa_y", 4.0)))
-    elif preset is None:
-        base = None
-    else:
-        raise ConfigError(f"unknown preset {preset!r}")
     overrides = inst_cfg.get("constants")
-    if overrides is None:
-        if base is None:
-            raise ConfigError("instance needs a preset or explicit constants")
-        return base
-    fields = {} if base is None else dataclasses.asdict(base)
-    fields.update(overrides)
+    if preset not in (None, "mild", "mild-csc", "benchmark"):
+        raise ConfigError(f"unknown preset {preset!r}")
+    if preset is None and overrides is None:
+        raise ConfigError("instance needs a preset or explicit constants")
     try:
+        if preset == "mild":
+            base = presets.mild_scsc_constants()
+        elif preset == "mild-csc":
+            base = presets.mild_csc_constants()
+        elif preset == "benchmark":
+            base = presets.benchmark_scsc_constants(float(inst_cfg.get("kappa_y", 4.0)))
+        else:
+            base = None
+        if overrides is None:
+            return base
+        fields = {} if base is None else dataclasses.asdict(base)
+        fields.update(overrides)
         return SmoothnessConstants(**fields)
-    except (TypeError, BilevelLabError) as exc:
+    except (TypeError, ValueError, BilevelLabError) as exc:
         raise ConfigError(f"invalid constants: {exc}") from None
 
 
@@ -122,32 +122,41 @@ def _btilde_shift(corruption, d: int):
 
 
 def build_instance(inst_cfg: dict):
-    """Return (oracle, hard_instance_or_None, info dict) for a config block."""
+    """Return (oracle, hard_instance_or_None, info dict) for a config block.
+
+    A builder's ConstraintError (a dimension below 4, constants outside a
+    family's range) is invalid input, so it surfaces as a ConfigError.
+    """
     kind = _require(inst_cfg, "kind", "instance")
     d = _as_int(inst_cfg.get("d", 16), "instance.d")
-    corruption = inst_cfg.get("corruption")
     if kind == "decoupled":
         oracle = _decoupled_oracle(d)
         return oracle, None, {"kind": kind, "d": d}
     constants = resolve_constants(inst_cfg)
-    if kind == "scsc":
-        inst = hard_instances.build_scsc(
-            d, constants, inst_cfg.get("Lbar_xy"), btilde_shift=_btilde_shift(corruption, d)
-        )
-        return inst.oracle, inst, {"kind": kind, "d": d, "corruption": corruption}
-    if kind == "csc":
-        B = float(inst_cfg.get("B", 1.0))
-        inst = hard_instances.build_csc(d, constants, B, btilde_shift=_btilde_shift(corruption, d))
-        return inst.oracle, inst, {"kind": kind, "d": d, "B": B, "corruption": corruption}
-    if kind == "scsc-benchmark":
-        initial_gap = inst_cfg.get("initial_gap")
-        oracle = hard_instances.build_scsc_benchmark(
-            d,
-            constants,
-            b_scale=float(inst_cfg.get("b_scale", 1.0)),
-            initial_gap=None if initial_gap is None else float(initial_gap),
-        )
-        return oracle, None, {"kind": kind, "d": d, "initial_gap": initial_gap}
+    corruption = inst_cfg.get("corruption")
+    try:
+        if kind == "scsc":
+            inst = hard_instances.build_scsc(
+                d, constants, inst_cfg.get("Lbar_xy"), btilde_shift=_btilde_shift(corruption, d)
+            )
+            return inst.oracle, inst, {"kind": kind, "d": d, "corruption": corruption}
+        if kind == "csc":
+            B = float(inst_cfg.get("B", 1.0))
+            inst = hard_instances.build_csc(
+                d, constants, B, btilde_shift=_btilde_shift(corruption, d)
+            )
+            return inst.oracle, inst, {"kind": kind, "d": d, "B": B, "corruption": corruption}
+        if kind == "scsc-benchmark":
+            initial_gap = inst_cfg.get("initial_gap")
+            oracle = hard_instances.build_scsc_benchmark(
+                d,
+                constants,
+                b_scale=float(inst_cfg.get("b_scale", 1.0)),
+                initial_gap=None if initial_gap is None else float(initial_gap),
+            )
+            return oracle, None, {"kind": kind, "d": d, "initial_gap": initial_gap}
+    except ConstraintError as exc:
+        raise ConfigError(f"invalid instance: {exc}") from None
     raise ConfigError(f"unknown instance kind {kind!r}")
 
 
@@ -369,11 +378,19 @@ def run_sweep(cfg: dict, out_dir: Path, jobs: int, tau_cost_override: float | No
 
 
 def _lb_budgets(lb_cfg: dict, key: str, default: dict) -> dict:
-    """A `verify-lb` budget block: exactly the keys K, Q and T, each an integer >= 1."""
+    """A `verify-lb` budget block: exactly the keys K, Q and T, each an integer >= 1.
+
+    The simulator's uniform schedule also needs K divisible by Q and K >= 2Q.
+    """
     block, name = lb_cfg.get(key, default), f"lower_bound.{key}"
     if not isinstance(block, dict) or set(block) != {"K", "Q", "T"}:
         raise ConfigError(f"{name} needs exactly the keys K, Q and T, got {block!r}")
-    return {k: _as_int(block[k], f"{name}.{k}", minimum=1) for k in ("K", "Q", "T")}
+    budgets = {k: _as_int(block[k], f"{name}.{k}", minimum=1) for k in ("K", "Q", "T")}
+    if budgets["K"] % budgets["Q"] or budgets["K"] < 2 * budgets["Q"]:
+        raise ConfigError(
+            f"{name} breaks the uniform schedule: needs K divisible by Q and K >= 2Q"
+        )
+    return budgets
 
 
 def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = None) -> int:
@@ -390,13 +407,13 @@ def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = No
     scsc_dims = lb_cfg.get("scsc_dims", [16, 32])
     if not isinstance(scsc_dims, list) or not scsc_dims:
         raise ConfigError(f"lower_bound.scsc_dims must be a non-empty list, got {scsc_dims!r}")
-    scsc_dims = [_as_int(d, "lower_bound.scsc_dims entry") for d in scsc_dims]
+    scsc_dims = [_as_int(d, "lower_bound.scsc_dims entry", minimum=4) for d in scsc_dims]
     budgets = _lb_budgets(lb_cfg, "budgets", {"K": 10, "Q": 5, "T": 3})
     algorithms = lb_cfg.get("algorithms", ["baseline_aid_gd"])
     known = span_lab.SIMULATOR_ALGORITHMS
     if not isinstance(algorithms, list) or any(a not in known for a in algorithms):
         raise ConfigError(f"lower_bound.algorithms must be a list of {known}, got {algorithms!r}")
-    csc_d = _as_int(lb_cfg.get("csc_d", 20), "lower_bound.csc_d")
+    csc_d = _as_int(lb_cfg.get("csc_d", 20), "lower_bound.csc_d", minimum=4)
     csc_budgets = _lb_budgets(lb_cfg, "csc_budgets", {"K": 4, "Q": 2, "T": 3})
     items: dict[str, dict] = {}
 

@@ -140,7 +140,7 @@ def _scsc_operators(d, constants, Lbar_xy, alpha, beta, b):
     a_xy = linalg.z_power_sum(
         "scsc", d, {3: -alpha * beta / c.Ltil_xy, 1: Lbar_xy / 2.0}
     )
-    a_yy = linalg.diagonal(np.full(d, c.L_y))
+    a_yy = linalg.z_power_sum("scsc", d, {}, shift=c.L_y)
     z2_b = z.apply_power(b, 2)
     lin_y = (Lbar_xy / c.Ltil_xy) * b - (2.0 * alpha * beta / c.Ltil_xy**2) * z2_b
     outer = QuadraticOuter(a_xx=a_xx, a_yy=a_yy, a_xy=a_xy, lin_y=lin_y)
@@ -186,12 +186,11 @@ def build_scsc(
     if btilde_shift is not None:
         b_tilde = b_tilde + linalg.vector(btilde_shift, d)
 
-    z = linalg.anti_banded_z("scsc", d)
-    b = linalg.solve_dense(z, b_tilde / gamma)
+    b = linalg.solve_z("scsc", b_tilde / gamma)
     x_hat = r ** np.arange(1, d + 1, dtype=np.float64)
 
     minimizer_op = linalg.z_power_sum("scsc", d, {4: 1.0, 2: lam}, shift=tau)
-    x_star_dense = linalg.solve_dense(minimizer_op, b_tilde)
+    x_star_dense = linalg.banded_ldl(minimizer_op).solve(b_tilde)
 
     outer, h_op, j_op = _scsc_operators(d, c, Lbar_xy, alpha, beta, b)
     oracle = QuadraticBilevelOracle(h_op, j_op, b, outer, c)
@@ -227,7 +226,8 @@ def build_scsc_benchmark(
     conditioned), so it supports condition-number sweeps down to kappa_y = 1.
     When `initial_gap` is given, b is rescaled so phi(0) - phi* equals it
     (the gap is homogeneous of degree two in b), which keeps sweep points
-    comparable in outer difficulty.
+    comparable in outer difficulty.  The rescaled oracle shares the H factor
+    and the x* of the one exact-surface pass that measured the gap.
     """
     c = constants
     if c.mu_x <= 0:
@@ -237,15 +237,13 @@ def build_scsc_benchmark(
     Lbar_xy = max(c.L_xy, min_feasible_lbar(c))
     b = np.zeros(d)
     b[0] = b_scale
+    if initial_gap is not None and initial_gap <= 0:
+        raise ConstraintError("initial_gap must be positive")
     outer, h_op, j_op = _scsc_operators(d, c, Lbar_xy, alpha, beta, b)
     oracle = QuadraticBilevelOracle(h_op, j_op, b, outer, c)
     if initial_gap is not None:
-        if initial_gap <= 0:
-            raise ConstraintError("initial_gap must be positive")
         gap = oracle.phi(np.zeros(d)) - oracle.phi_star
-        b = b * math.sqrt(initial_gap / gap)
-        outer, h_op, j_op = _scsc_operators(d, c, Lbar_xy, alpha, beta, b)
-        oracle = QuadraticBilevelOracle(h_op, j_op, b, outer, c, validate_spectrum=False)
+        oracle = oracle.rescaled(math.sqrt(initial_gap / gap))
     return oracle
 
 
@@ -344,7 +342,7 @@ def _csc_oracle(d, constants, beta, b) -> QuadraticBilevelOracle:
     """Assemble the csc oracle: outer (L_x/4) Z^2 plus L_y I, inner (H, J) in Z."""
     c = constants
     a_xx = linalg.z_power_sum("csc", d, {2: c.L_x / 4.0})
-    a_yy = linalg.diagonal(np.full(d, c.L_y))
+    a_yy = linalg.z_power_sum("csc", d, {}, shift=c.L_y)
     outer = QuadraticOuter(a_xx=a_xx, a_yy=a_yy)
     h_op = linalg.z_power_sum("csc", d, {2: beta}, shift=c.mu_y)
     j_op = linalg.z_power_sum("csc", d, {1: -c.Ltil_xy / 2.0})
@@ -378,8 +376,7 @@ def build_csc(
     if btilde_shift is not None:
         b_tilde = b_tilde + linalg.vector(btilde_shift, d)
 
-    z = linalg.anti_banded_z("csc", d)
-    b = linalg.solve_dense(z, (2.0 / (c.L_y * c.Ltil_xy)) * b_tilde)
+    b = linalg.solve_z("csc", (2.0 / (c.L_y * c.Ltil_xy)) * b_tilde)
 
     return CscInstance(
         d=d,

@@ -13,6 +13,7 @@ N+2 gradients, N Hessian-vector and N Jacobian-vector products.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -90,17 +91,23 @@ class HypergradientEstimate:
     y: np.ndarray
 
 
+def _finite(v: np.ndarray) -> bool:
+    """Whether every entry of v is finite; a finite v.v settles it in one reduction."""
+    return math.isfinite(v.dot(v)) or bool(np.isfinite(v).all())
+
+
 def agd_inner(
-    oracle,
-    x: np.ndarray,
+    grad: Callable[[np.ndarray], np.ndarray],
     y0: np.ndarray,
     cfg: AgdConfig,
     on_iterate: Callable[[np.ndarray], None] | None = None,
 ) -> np.ndarray:
     """Run N accelerated descent steps on g(x, .) from y0.
 
-    `on_iterate` (if given) sees each new iterate; it only observes and must
-    not query the counted surface.
+    `grad` is the inner gradient y -> grad_y g(x, y) at the fixed outer x,
+    as `grad_y_g_at(x)` of an oracle or its counted surface returns it;
+    each step calls it once.  `on_iterate` (if given) sees each new iterate;
+    it only observes and must not query the counted surface.
     """
     c_extra = cfg.extrapolation
     c_mom = cfg.momentum
@@ -108,8 +115,8 @@ def agd_inner(
     s = y0
     y = y0
     for t in range(1, cfg.N + 1):
-        y = s - cfg.step * oracle.grad_y_g(x, s)
-        if not np.isfinite(y).all():
+        y = s - cfg.step * grad(s)
+        if not _finite(y):
             raise DivergenceError("inner accelerated descent diverged", step=t, last_good=y_prev)
         s = c_extra * y - c_mom * y_prev
         y_prev = y
@@ -131,7 +138,7 @@ def heavy_ball_solve(
     v = np.zeros_like(rhs)
     for t in range(1, cfg.M + 1):
         v_next = v - cfg.hb_step * (hess_apply(v) - rhs) + cfg.hb_momentum * (v - v_prev)
-        if not np.isfinite(v_next).all():
+        if not _finite(v_next):
             raise DivergenceError("heavy-ball iteration diverged", step=t, last_good=v)
         v_prev, v = v, v_next
     return v
@@ -182,7 +189,8 @@ def aid_estimate(
     `on_iterate`), then heavy-ball on the inner-Hessian linear system, then a
     single Jacobian-vector product.
     """
-    y_n = agd_inner(oracle, x, y0, agd, on_iterate)
+    # cfg by keyword: perfbench/layers.py reads it from args[3] or kwargs["cfg"]
+    y_n = agd_inner(oracle.grad_y_g_at(x), y0, cfg=agd, on_iterate=on_iterate)
     rhs = oracle.grad_y_f(x, y_n)
     v = heavy_ball_solve(lambda u: oracle.hess_y_g_vec(x, y_n, u), rhs, hb)
     g = oracle.grad_x_f(x, y_n) - oracle.jac_xy_g_vec(x, y_n, v)
@@ -210,7 +218,7 @@ def itd_estimate(
     y = y0
     for t in range(1, N + 1):
         y = y - eta * oracle.grad_y_g(x, y)
-        if not np.isfinite(y).all():
+        if not _finite(y):
             raise DivergenceError("inner gradient descent diverged", step=t, last_good=ys[-1])
         ys.append(y)
 

@@ -12,11 +12,19 @@ power Z^(2k) lives on the window of columns i-k..i+k of row i and Z^(2k+1) on
 (d-1-i)-k..(d-1-i)+k+1 (scsc; one column earlier for csc), so a power sum
 stores one window per parity, filled by weighted slice-adds of the integer
 windows of the powers, which are computed once per (flavor, dim, power).
-Dense forms exist only as an oracle for solves and eigenvalue checks at desk
-scale.
-`solve_dense` takes one right-hand side or a block of them, so a caller that
-needs many solves with one operator (the affine inner map of an oracle) makes
-a single factorization, with the residual contract checked per column.
+A power sum remembers its polynomial (`poly`), so products of such operators
+can be formed as power sums again.
+
+A power sum of even powers, like `diagonal`, `tridiagonal` and `banded`, has
+a banded stencil (`band_form`).  `BandedLDL` factors a banded symmetric
+positive definite matrix once, O(d w^2); a tridiagonal factor solves by
+recursive-doubling scans, O(d log d) in about 2 log2(d) vectorized steps.
+The same factorization decides spectrum bounds by inertia
+(`spectrum_within`), and `solve_z` inverts Z by a cumulative sum, so the
+anti-banded families never need a dense form.  Dense forms remain the oracle
+for other operators: `solve_dense` takes one right-hand side or a block of
+them (one factorization, residual contract checked per column) and
+`symmetric_eig_extremes` is capped at DENSE_EIG_CAP.
 """
 
 from __future__ import annotations
@@ -36,6 +44,9 @@ from .errors import (
 
 DENSE_EIG_CAP = 2048
 SOLVE_RESIDUAL_TOL = 1e-10
+# scan coefficients below this are flushed to zero: each term dropped is under
+# 2^-64 of the partial sum it multiplies, below the float64 rounding of a solve
+SCAN_COEFF_FLOOR = 2.0**-64
 DENSE_SYMMETRY_TOL = 1e-12
 
 
@@ -70,12 +81,21 @@ class StructuredOperator:
     safe to share; `kind` is a human-readable tag.
     """
 
-    def __init__(self, kind: str, cols: np.ndarray, vals: np.ndarray):
+    def __init__(
+        self,
+        kind: str,
+        cols: np.ndarray,
+        vals: np.ndarray,
+        poly: tuple[str, dict[int, float]] | None = None,
+    ):
         _check_dim(cols.shape[1])
         self.kind = kind
         self.dim = cols.shape[1]
         self.cols = cols
         self.vals = vals
+        # (flavor, {power: coefficient}) when the operator is a polynomial in
+        # the anti-banded Z of that flavor, power 0 being the identity
+        self.poly = poly
 
     def __repr__(self) -> str:
         return f"StructuredOperator(kind={self.kind!r}, dim={self.dim})"
@@ -104,7 +124,8 @@ class StructuredOperator:
 def _window(start: np.ndarray, width: int) -> np.ndarray:
     """Columns start[i] .. start[i] + width - 1 of each row, clipped into range."""
     dim = start.shape[0]
-    return np.clip(start + np.arange(width)[:, None], 0, dim - 1)
+    # minimum/maximum: np.clip costs several times more on stencil-sized arrays
+    return np.minimum(np.maximum(start + np.arange(width)[:, None], 0), dim - 1)
 
 
 def identity(dim: int) -> StructuredOperator:
@@ -166,7 +187,13 @@ def shifted_scaled(base: StructuredOperator, scale: float, shift: float) -> Stru
     """scale * base + shift * I: the base stencil scaled, with a diagonal slot appended."""
     cols = np.vstack([base.cols, np.arange(base.dim)])
     vals = np.vstack([scale * base.vals, np.full(base.dim, float(shift))])
-    return StructuredOperator("shifted-scaled", cols, vals)
+    poly = None
+    if base.poly is not None:
+        flavor, coeffs = base.poly
+        scaled = {p: scale * c for p, c in coeffs.items()}
+        scaled[0] = scaled.get(0, 0.0) + float(shift)
+        poly = (flavor, scaled)
+    return StructuredOperator("shifted-scaled", cols, vals, poly)
 
 
 @functools.lru_cache(maxsize=64)
@@ -240,7 +267,9 @@ def anti_banded_z(flavor: str, dim: int) -> StructuredOperator:
     below it (i+j = dim).  csc: entry 1 on i+j = dim-2 and -1 on i+j = dim-1.
     Both are symmetric and invertible; their squares are tridiagonal.
     """
-    return StructuredOperator(f"anti-banded-Z-{flavor}", *_z_stencil(flavor, dim, {1: 1.0}, 0.0))
+    return StructuredOperator(
+        f"anti-banded-Z-{flavor}", *_z_stencil(flavor, dim, {1: 1.0}, 0.0), (flavor, {1: 1.0})
+    )
 
 
 def z_power_sum(
@@ -256,9 +285,13 @@ def z_power_sum(
         raise ValueError("powers must be >= 1; the identity term is the shift")
     weights = {p: float(coeffs[p]) for p in powers}
     label = "+".join(f"{weights[p]:g}*Z^{p}" for p in powers)
+    poly = dict(weights)
+    if shift != 0.0:
+        poly[0] = float(shift)
     return StructuredOperator(
         f"z-power-sum({flavor}:{label};shift={shift:g})",
         *_z_stencil(flavor, dim, weights, float(shift)),
+        (flavor, poly),
     )
 
 
@@ -286,6 +319,193 @@ def solve_dense(op: StructuredOperator, rhs: np.ndarray) -> np.ndarray:
             cond=float(np.linalg.cond(a)),
         )
     return x
+
+
+def band_form(op: StructuredOperator) -> np.ndarray | None:
+    """The lower bands of a banded operator, or None when its stencil is not banded.
+
+    A stencil is banded when row i holds the window of columns i-w..i+w, the
+    form of `diagonal`, `tridiagonal`, `banded` and of a power sum of even
+    powers only.  Row m of the result holds the entries A[i, i-m] (zero for
+    i < m), read from the stencil without a copy.
+    """
+    rows = op.cols.shape[0]
+    if rows % 2 == 0:
+        return None
+    w = rows // 2
+    if not np.array_equal(op.cols, _window(np.arange(op.dim) - w, rows)):
+        return None
+    return op.vals[w::-1]
+
+
+def _scan_levels(coef: np.ndarray) -> list[np.ndarray]:
+    """Per-level coefficients of the recursive-doubling scan of z_i = r_i + coef_i z_(i-1).
+
+    coef_0 must be 0.  Level k adds coef^(k)_i z_(i-2^k), where coef^(k) is
+    the product of 2^k consecutive coefficients.  Products below
+    SCAN_COEFF_FLOOR are flushed to zero (left in, they decay into subnormal
+    arithmetic), and the scan stops at the first level with no coefficient
+    left.
+    """
+    c = coef.copy()
+    levels = []
+    s = 1
+    while s < c.shape[0]:
+        level = c[s:]
+        level[np.abs(level) < SCAN_COEFF_FLOOR] = 0.0
+        if not level.any():
+            break
+        levels.append(level.copy())
+        level *= c[:-s].copy()
+        s *= 2
+    return levels
+
+
+def _scan(z: np.ndarray, levels: list[np.ndarray], backward: bool = False) -> None:
+    """Run a first-order linear recurrence in place over precomputed scan levels.
+
+    Forward levels add coef * z[i - 2^k] to z[i]; backward levels, stored in
+    the same orientation as z, add coef * z[i + 2^k].  z may carry extra
+    trailing axes (a block of right-hand sides).
+    """
+    s = 1
+    for coef in levels:
+        if z.ndim > 1:
+            coef = coef.reshape(coef.shape + (1,) * (z.ndim - 1))
+        if backward:
+            z[:-s] += coef * z[s:]
+        else:
+            z[s:] += coef * z[:-s]
+        s *= 2
+
+
+class BandedLDL:
+    """LDL' factorization of a symmetric positive definite banded matrix, no pivoting.
+
+    `lower` holds the bands as `band_form` returns them.  The factorization is
+    a scalar loop over the rows, O(d w^2), made once.  A tridiagonal factor
+    (w <= 1) solves by recursive doubling: forward and back substitution are
+    first-order recurrences, each run as about log2(d) vectorized scans over
+    coefficients precomputed here.  Wider bands solve by a scalar loop.
+    Raises SingularOperatorError at the first pivot that is not positive, so
+    a successful factorization certifies positive definiteness (Sylvester's
+    law of inertia).
+    """
+
+    def __init__(self, lower: np.ndarray):
+        w, d = lower.shape[0] - 1, lower.shape[1]
+        a = lower.tolist()
+        low = [[0.0] * d for _ in range(w + 1)]  # low[m][i] = L[i, i-m]
+        piv = [0.0] * d
+        for i in range(d):
+            top = i if i < w else w
+            s = a[0][i]
+            if w == 1 and i:  # the tridiagonal recurrence, unrolled
+                low[1][i] = lij = a[1][i] / piv[i - 1]
+                s -= lij * a[1][i]
+            elif top:
+                for m in range(top, 0, -1):
+                    j = i - m
+                    t = a[m][i]
+                    for k in range(i - top, j):
+                        t -= low[i - k][i] * piv[k] * low[j - k][j]
+                    low[m][i] = t / piv[j]
+                for m in range(1, top + 1):
+                    s -= low[m][i] * low[m][i] * piv[i - m]
+            if not s > 0.0:
+                raise SingularOperatorError(
+                    f"LDL' pivot {i} is {s:.3e}: the matrix is not positive definite"
+                )
+            piv[i] = s
+        self.dim = d
+        self.width = w
+        self.pivots = np.array(piv)
+        self._low = low
+
+    @functools.cached_property
+    def _scans(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Forward and backward scan levels of a tridiagonal factor, built on first solve."""
+        sub = -np.array(self._low[1]) if self.width else np.zeros(self.dim)
+        # forward: z_i = r_i - L[i, i-1] z_(i-1).  backward: x_i = u_i - L[i+1, i] x_(i+1),
+        # the forward scan of the reversed vector with its levels turned back
+        back = _scan_levels(np.append(sub[1:], 0.0)[::-1])
+        return _scan_levels(sub), [coef[::-1].copy() for coef in back]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve for a (dim,) rhs, or a (dim, k) block of them when tridiagonal."""
+        if rhs.ndim not in (1, 2) or rhs.shape[0] != self.dim:
+            raise DimensionMismatchError(
+                f"factor dim {self.dim} incompatible with rhs shape {rhs.shape}"
+            )
+        if self.width > 1:
+            if rhs.ndim != 1:
+                raise DimensionMismatchError("a wide-band factor solves one rhs at a time")
+            return self._solve_by_loop(rhs)
+        forward, backward = self._scans
+        x = np.array(rhs, dtype=np.float64)
+        _scan(x, forward)
+        x /= self.pivots if x.ndim == 1 else self.pivots[:, None]
+        _scan(x, backward, backward=True)
+        return x
+
+    def _solve_by_loop(self, rhs: np.ndarray) -> np.ndarray:
+        low, piv, w, d = self._low, self.pivots.tolist(), self.width, self.dim
+        z = rhs.tolist()
+        for i in range(d):
+            s = z[i]
+            for m in range(1, min(w, i) + 1):
+                s -= low[m][i] * z[i - m]
+            z[i] = s
+        z = [zi / p for zi, p in zip(z, piv)]
+        for i in range(d - 1, -1, -1):
+            s = z[i]
+            for m in range(1, min(w, d - 1 - i) + 1):
+                s -= low[m][i + m] * z[i + m]
+            z[i] = s
+        return np.array(z)
+
+
+def banded_ldl(op: StructuredOperator) -> BandedLDL:
+    """Factor a symmetric positive definite operator with a banded stencil."""
+    lower = band_form(op)
+    if lower is None:
+        raise ValueError(f"{op.kind} has no banded stencil")
+    return BandedLDL(lower)
+
+
+def spectrum_within(op: StructuredOperator, lo: float, hi: float) -> bool:
+    """Whether every eigenvalue of the symmetric `op` lies strictly inside (lo, hi).
+
+    A banded op is decided by inertia: op - lo*I and hi*I - op must both
+    factor with positive LDL' pivots, an O(d w^2) test with no
+    eigendecomposition.  Any other op goes through `symmetric_eig_extremes`.
+    """
+    lower = band_form(op)
+    if lower is None:
+        e_lo, e_hi = symmetric_eig_extremes(op)
+        return lo < e_lo and e_hi < hi
+    above, below = lower.copy(), -lower
+    above[0] -= lo
+    below[0] += hi
+    try:
+        BandedLDL(above)
+        BandedLDL(below)
+    except SingularOperatorError:
+        return False
+    return True
+
+
+def solve_z(flavor: str, rhs: np.ndarray) -> np.ndarray:
+    """Z^-1 rhs for the anti-banded Z of either flavor, as a cumulative sum.
+
+    scsc: (Z b)_i = b_(d-1-i) - b_(d-i) telescopes to b_k = sum_(j <= d-1-k) rhs_j.
+    csc: (Z b)_i = b_(d-2-i) - b_(d-1-i) telescopes to b_k = -sum_(j >= d-1-k) rhs_j.
+    """
+    if flavor == "scsc":
+        return np.cumsum(rhs)[::-1].copy()
+    if flavor == "csc":
+        return -np.cumsum(rhs[::-1])
+    raise ValueError(f"unknown flavor {flavor!r}")
 
 
 def bisect_root(

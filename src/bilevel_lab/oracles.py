@@ -5,18 +5,33 @@ matrix-vector queries (Hessian-vector, Jacobian-vector) for a pair (f, g),
 where the outer objective is phi(x) = f(x, y*(x)) and y*(x) minimizes
 g(x, .).  Every oracle is a `QuadraticBilevelOracle`: the inner problem is
 quadratic in y and the outer objective is quadratic, so each oracle also
-carries the exact surface (y_star, phi, grad_phi, phi_star).  The inner
-solution is affine in x, y*(x) = S x + t with S = -H^-1 J and t = -H^-1 b, so
-each oracle makes one dense inner solve for (S, t) on first use and serves its
-whole exact surface from that map with matrix-vector products.  Algorithms see
-only the counted surface from `counted`, which carries the five queries and
-no exact surface; verification observers read the exact surface of the base
-oracle, uncounted.
+carries the exact surface (y_star, phi, grad_phi, phi_star).
+
+How the exact surface is computed depends on the operators' structure:
+- A tridiagonal inner Hessian H (the hard-instance families' mu_y + beta Z^2)
+  is factored once by LDL'.  y*(x) = -H^-1 (J x + b) and the hypergradient
+  grad_x f - J H^-1 grad_y f then cost one scan solve each, O(d log d).
+- When every operator is a polynomial in one anti-banded Z (both families and
+  their `regularize_convex` wraps), all of them commute, and the stationarity
+  equation of phi cleared by H^2 is an even power sum of degree at most 6,
+  i.e. banded (pentadiagonal in the scsc family, whose Z^6 terms cancel):
+  x* comes from one banded LDL' solve.  No d x d array is formed.
+- Any other oracle makes one dense solve for the affine map y*(x) = S x + t
+  (S = -H^-1 J, t = -H^-1 b) and serves its surface by matvecs, with x* from
+  the dense quadratic reduction of phi.  The reduction also serves
+  `csc_grad_floor_verify` on every oracle.
+The spectrum check is an inertia test on a banded H and a dense
+eigendecomposition otherwise.  Algorithms see only the counted surface from
+`counted`, which carries the five queries and no exact surface; verification
+observers read the exact surface of the base oracle, uncounted.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
 from . import linalg
@@ -103,11 +118,11 @@ class QuadraticBilevelOracle:
     """Oracle for g(x, y) = y'Hy/2 + x'Jy + b'y with a quadratic outer f.
 
     The five query methods (grad_x_f, grad_y_f, grad_y_g, hess_y_g_vec,
-    jac_xy_g_vec) are what algorithms may call.  Everything else is the
-    exact surface, for verification only, and is served from the affine map
-    y*(x) = S x + t, solved once and cached: phi is evaluated through y*,
-    grad_phi is the exact hypergradient, and phi_star is computed lazily from
-    the quadratic reduction of phi, which reuses the same map.
+    jac_xy_g_vec) are what algorithms may call; `grad_y_g_at` binds the
+    inner gradient to one x.  Everything else is the exact surface, for
+    verification only, computed lazily and cached (see the module docstring):
+    phi is evaluated through y*, grad_phi is the exact hypergradient, and
+    phi_star is phi at the cached minimizer x_star.
     """
 
     def __init__(
@@ -125,12 +140,12 @@ class QuadraticBilevelOracle:
         if j_op is not None and j_op.dim != q:
             raise DimensionMismatchError("coupling operator dim must match the inner dim")
         if validate_spectrum:
-            lo, hi = linalg.symmetric_eig_extremes(h_op)
             slack = SPECTRUM_SLACK * max(1.0, constants.Ltil_y)
-            if lo < constants.mu_y - slack or hi > constants.Ltil_y + slack:
+            lo, hi = constants.mu_y - slack, constants.Ltil_y + slack
+            if not linalg.spectrum_within(h_op, lo, hi):
                 raise InvariantViolationError(
-                    f"inner Hessian spectrum [{lo:.6g}, {hi:.6g}] outside "
-                    f"[{constants.mu_y:.6g}, {constants.Ltil_y:.6g}]"
+                    f"inner Hessian spectrum not inside "
+                    f"[{constants.mu_y:.6g}, {constants.Ltil_y:.6g}] (slack {slack:.1e})"
                 )
 
         self.p = p
@@ -152,6 +167,17 @@ class QuadraticBilevelOracle:
             g = g + self.j_op.apply(x)
         return g
 
+    def grad_y_g_at(self, x) -> Callable[[np.ndarray], np.ndarray]:
+        """grad_y_g(x, .) for one fixed x, as a closure: J x is applied once.
+
+        Each call returns (H y + b) + J x, the same sum as grad_y_g(x, y).
+        """
+        h_apply, b = self.h_op.apply, self.b
+        if self.j_op is None:
+            return lambda y: h_apply(y) + b
+        jx = self.j_op.apply(x)
+        return lambda y: h_apply(y) + b + jx
+
     def hess_y_g_vec(self, x, y, v):
         return self.h_op.apply(v)
 
@@ -161,6 +187,14 @@ class QuadraticBilevelOracle:
         return self.j_op.apply(v)
 
     # -- verification surface (never counted) ----------------------------------
+    def _inner_factor(self) -> linalg.BandedLDL | None:
+        """The LDL' factor of a tridiagonal H (cached), or None for any other H."""
+        if "h_ldl" not in self._cache:
+            lower = linalg.band_form(self.h_op)
+            tridiagonal = lower is not None and lower.shape[0] <= 2
+            self._cache["h_ldl"] = linalg.BandedLDL(lower) if tridiagonal else None
+        return self._cache["h_ldl"]
+
     def _affine_map(self) -> tuple[np.ndarray, np.ndarray]:
         """(S, t) with y*(x) = S @ x + t, from one dense solve for [b, J] (cached)."""
         if "affine" not in self._cache:
@@ -173,8 +207,11 @@ class QuadraticBilevelOracle:
         return self._cache["affine"]
 
     def y_star(self, x: np.ndarray) -> np.ndarray:
-        s, t = self._affine_map()
-        return s @ x + t
+        factor = self._inner_factor()
+        if factor is None:
+            s, t = self._affine_map()
+            return s @ x + t
+        return -factor.solve(self.b if self.j_op is None else self.j_op.apply(x) + self.b)
 
     def phi(self, x: np.ndarray) -> float:
         return self.outer.value(x, self.y_star(x))
@@ -184,37 +221,95 @@ class QuadraticBilevelOracle:
 
     # -- quadratic reduction of phi --------------------------------------------
     def phi_quadratic_reduction(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return (H_phi, c_phi) with grad_phi(x) = H_phi @ x + c_phi."""
+        """Return (H_phi, c_phi) with grad_phi(x) = H_phi @ x + c_phi, dense.
+
+        With a tridiagonal H and the cleared system this is H^-2 (P, H^2 c_phi),
+        by block scan solves; otherwise it is formed from the affine map.
+        """
         if "reduction" not in self._cache:
-            s, t = self._affine_map()
-            a_xx = self.outer.a_xx.to_dense()
-            a_yy = self.outer.a_yy.to_dense()
-            a_xy = None if self.outer.a_xy is None else self.outer.a_xy.to_dense()
-            h_phi = s.T @ (a_yy @ s)
-            h_phi += a_xx
-            c_phi = s.T @ (a_yy @ t)
-            if a_xy is not None:
-                cross = a_xy @ s
-                h_phi += cross
-                h_phi += cross.T
-                del cross  # frees a d x d block before the symmetrizing copy
-                c_phi = c_phi + a_xy @ t
-            if self.outer.lin_x is not None:
-                c_phi = c_phi + self.outer.lin_x
-            if self.outer.lin_y is not None:
-                c_phi = c_phi + s.T @ self.outer.lin_y
+            cleared, factor = self._cleared_system(), self._inner_factor()
+            if cleared is None or factor is None:
+                h_phi, c_phi = self._affine_reduction()
+            else:
+                p_op, rhs = cleared
+                h_phi = factor.solve(factor.solve(p_op.to_dense()))
+                c_phi = factor.solve(factor.solve(rhs))
             h_phi = h_phi + h_phi.T
             h_phi *= 0.5
             h_phi[np.abs(h_phi) < FLUSH_TOL] = 0.0
             self._cache["reduction"] = (h_phi, c_phi)
         return self._cache["reduction"]
 
+    def _affine_reduction(self) -> tuple[np.ndarray, np.ndarray]:
+        """(H_phi, c_phi) from the affine map, before symmetrization.
+
+        H_phi = S'A_yy S + A_xx + A_xy S + S'A_xy, c_phi = S'(A_yy t + lin_y) + A_xy t + lin_x.
+        """
+        s, t = self._affine_map()
+        a_xx = self.outer.a_xx.to_dense()
+        a_yy = self.outer.a_yy.to_dense()
+        a_xy = None if self.outer.a_xy is None else self.outer.a_xy.to_dense()
+        h_phi = s.T @ (a_yy @ s)
+        h_phi += a_xx
+        c_phi = s.T @ (a_yy @ t)
+        if a_xy is not None:
+            cross = a_xy @ s
+            h_phi += cross
+            h_phi += cross.T
+            del cross  # frees a d x d block before the symmetrizing copy
+            c_phi = c_phi + a_xy @ t
+        if self.outer.lin_x is not None:
+            c_phi = c_phi + self.outer.lin_x
+        if self.outer.lin_y is not None:
+            c_phi = c_phi + s.T @ self.outer.lin_y
+        return h_phi, c_phi
+
+    def _cleared_system(self) -> tuple[StructuredOperator, np.ndarray] | None:
+        """(P, H^2 c_phi): the stationarity equation of phi cleared by H^2 (cached).
+
+        When every operator is a polynomial in one symmetric Z they commute,
+        and H^2 grad_phi(x) = P x + H^2 c_phi with
+        P = H^2 A_xx - 2 H A_xy J + A_yy J^2 and
+        H^2 c_phi = H (H lin_x - A_xy b - J lin_y) + A_yy J b.
+        P is built as a power sum.  None when the operators lack that
+        structure, or when P has odd powers and so is not banded.
+        """
+        if "cleared" not in self._cache:
+            self._cache["cleared"] = None
+            polys = _z_polynomials(self.h_op, self.j_op, self.outer)
+            if polys is not None:
+                flavor, (h, j, a_xx, a_xy, a_yy) = polys
+                coeffs = _poly_sum((1.0, h, h, a_xx), (-2.0, h, a_xy, j), (1.0, a_yy, j, j))
+                shift = coeffs.pop(0, 0.0)
+                p_op = linalg.z_power_sum(flavor, self.p, coeffs, shift)
+                if linalg.band_form(p_op) is not None:
+                    self._cache["cleared"] = (p_op, self._cleared_rhs())
+        return self._cache["cleared"]
+
+    def _cleared_rhs(self) -> np.ndarray:
+        o = self.outer
+        inner = np.zeros(self.p) if o.lin_x is None else self.h_op.apply(o.lin_x)
+        if o.a_xy is not None:
+            inner = inner - o.a_xy.apply(self.b)
+        if self.j_op is not None and o.lin_y is not None:
+            inner = inner - self.j_op.apply(o.lin_y)
+        rhs = self.h_op.apply(inner)
+        if self.j_op is not None:
+            rhs = rhs + o.a_yy.apply(self.j_op.apply(self.b))
+        return rhs
+
     @property
     def x_star(self) -> np.ndarray:
-        """Minimizer of phi, solved once from the quadratic reduction."""
+        """Minimizer of phi, solved once: a banded solve of the cleared system, else dense."""
         if "x_star" not in self._cache:
-            h_phi, c_phi = self.phi_quadratic_reduction()
-            self._cache["x_star"] = np.linalg.solve(h_phi, -c_phi)
+            cleared = self._cleared_system()
+            if cleared is None:
+                h_phi, c_phi = self.phi_quadratic_reduction()
+                xs = np.linalg.solve(h_phi, -c_phi)
+            else:
+                p_op, rhs = cleared
+                xs = -linalg.banded_ldl(p_op).solve(rhs)
+            self._cache["x_star"] = xs
         return self._cache["x_star"]
 
     @property
@@ -238,22 +333,82 @@ class QuadraticBilevelOracle:
             )
         return self._cache["ngyf"]
 
+    def rescaled(self, scale: float) -> "QuadraticBilevelOracle":
+        """This oracle with b and the outer linear terms multiplied by `scale`.
+
+        y*, x* and every gradient scale by `scale` and phi by its square, so
+        the copy shares the cached H factor, takes x* rescaled instead of
+        solving again, and skips the spectrum check of the same H.
+        """
+        o = self.outer
+        outer = dataclasses.replace(
+            o,
+            lin_x=None if o.lin_x is None else scale * o.lin_x,
+            lin_y=None if o.lin_y is None else scale * o.lin_y,
+        )
+        copy = QuadraticBilevelOracle(
+            self.h_op, self.j_op, scale * self.b, outer, self.constants, validate_spectrum=False
+        )
+        if "h_ldl" in self._cache:
+            copy._cache["h_ldl"] = self._cache["h_ldl"]
+        if "x_star" in self._cache:
+            copy._cache["x_star"] = scale * self._cache["x_star"]
+        return copy
+
 
 # perfbench/layers.py wraps y_star, phi and grad_phi through this name; the
 # alias can go once the benchmark hooks QuadraticBilevelOracle directly.
 BilevelOracle = QuadraticBilevelOracle
 
 
-def exact_hypergradient(oracle: QuadraticBilevelOracle, x: np.ndarray) -> np.ndarray:
-    """Exact grad phi(x) by the implicit-function formula on the cached affine map.
+def _poly_sum(*terms) -> dict[int, float]:
+    """sum of scale * p1 * p2 * ... over terms (scale, p1, p2, ...); polys are {power: coeff}."""
+    total: dict[int, float] = {}
+    for scale, *factors in terms:
+        product = {0: scale}
+        for factor in factors:
+            nxt: dict[int, float] = {}
+            for p, c in product.items():
+                for q, e in factor.items():
+                    nxt[p + q] = nxt.get(p + q, 0.0) + c * e
+            product = nxt
+        for p, c in product.items():
+            total[p] = total.get(p, 0.0) + c
+    return {p: c for p, c in total.items() if c != 0.0}
 
-    grad phi = grad_x f - J H^-1 grad_y f, and J H^-1 = -S' because H and J
-    are symmetric, so this is grad_x f + S' grad_y f at y*(x): two matvecs
-    with S, no solve.
+
+def _z_polynomials(h_op, j_op, outer: QuadraticOuter):
+    """(flavor, [H, J, A_xx, A_xy, A_yy] as {power: coeff}) when all are polynomials in one Z.
+
+    An absent operator is the zero polynomial.  Returns None when any present
+    operator carries no polynomial, or they mix flavors or dimensions.
     """
-    s, _ = oracle._affine_map()
+    ops = [h_op, j_op, outer.a_xx, outer.a_xy, outer.a_yy]
+    present = [op for op in ops if op is not None]
+    if any(op.poly is None for op in present):
+        return None
+    if len({(op.poly[0], op.dim) for op in present}) != 1:
+        return None
+    return present[0].poly[0], [{} if op is None else op.poly[1] for op in ops]
+
+
+def exact_hypergradient(oracle: QuadraticBilevelOracle, x: np.ndarray) -> np.ndarray:
+    """Exact grad phi(x) = grad_x f - J H^-1 grad_y f at y*(x), the implicit-function formula.
+
+    With a tridiagonal H this is the solve for y* and one more for
+    H^-1 grad_y f.  Otherwise it reads the cached affine map: J H^-1 = -S'
+    because H and J are symmetric, so it is grad_x f + S' grad_y f, two
+    matvecs with S.
+    """
+    factor = oracle._inner_factor()
     ys = oracle.y_star(x)
-    return oracle.grad_x_f(x, ys) + s.T @ oracle.grad_y_f(x, ys)
+    if factor is None:
+        s, _ = oracle._affine_map()
+        return oracle.grad_x_f(x, ys) + s.T @ oracle.grad_y_f(x, ys)
+    g = oracle.grad_x_f(x, ys)
+    if oracle.j_op is None:
+        return g
+    return g - oracle.j_op.apply(factor.solve(oracle.grad_y_f(x, ys)))
 
 
 @dataclass
@@ -298,6 +453,16 @@ class _CountedOracle:
     def grad_y_g(self, x, y):
         self._counters.n_G += 1
         return self._base.grad_y_g(x, y)
+
+    def grad_y_g_at(self, x) -> Callable[[np.ndarray], np.ndarray]:
+        """grad_y_g(x, .) bound to one x (J x applied once); each call counts one gradient."""
+        counters, grad = self._counters, self._base.grad_y_g_at(x)
+
+        def counted_grad(y):
+            counters.n_G += 1
+            return grad(y)
+
+        return counted_grad
 
     def hess_y_g_vec(self, x, y, v):
         self._counters.n_H += 1

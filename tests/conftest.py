@@ -56,3 +56,17 @@ def solve_calls(monkeypatch):
 
     monkeypatch.setattr(linalg, "solve_dense", spy)
     return shapes
+
+
+@pytest.fixture()
+def factor_calls(monkeypatch):
+    """(band width, dim) of every banded LDL' factorization made during the test."""
+    calls = []
+    init = linalg.BandedLDL.__init__
+
+    def spy(self, lower):
+        calls.append((lower.shape[0] - 1, lower.shape[1]))
+        init(self, lower)
+
+    monkeypatch.setattr(linalg.BandedLDL, "__init__", spy)
+    return calls

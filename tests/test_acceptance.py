@@ -156,7 +156,7 @@ def test_c07_inner_solver_rates():
     y_star = oracle.y_star(x)
     prefactor = np.sqrt((c.Ltil_y + c.mu_y) / c.mu_y) * np.linalg.norm(y_star)
     for n in range(1, 21):
-        y = agd_inner(oracle, x, np.zeros(16), AgdConfig.from_constants(c, n))
+        y = agd_inner(oracle.grad_y_g_at(x), np.zeros(16), AgdConfig.from_constants(c, n))
         ok = ok and np.linalg.norm(y - y_star) <= prefactor * np.exp(
             -n / (2.0 * np.sqrt(c.kappa_y))
         )

@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
@@ -179,6 +180,68 @@ class TestRunVerb:
         assert (tmp_path / "out" / "trace.csv").exists()
 
 
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            {"kind": "scsc", "preset": "benchmark", "d": 3},
+            {"kind": "csc", "preset": "mild-csc", "d": 3},
+            {"kind": "scsc", "preset": "benchmark", "kappa_y": -1, "d": 16},
+            {"kind": "scsc-benchmark", "preset": "benchmark", "kappa_y": "x", "d": 16},
+            {"kind": "scsc", "preset": "mild", "constants": {"mu_x": 0.0}, "d": 16},
+        ],
+        ids=["scsc-d3", "csc-d3", "kappa-negative", "kappa-not-a-number", "scsc-mu_x-zero"],
+    )
+    def test_invalid_instance_is_config_error(self, tmp_path, capsys, instance):
+        doc = minimal_run_config(tmp_path / "out", K=2)
+        doc["instance"] = instance
+        doc["solver"]["regularize"] = {"eps": 0.01, "R": 2.0}
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("d", [5000, 16384])
+    def test_large_dimension_runs(self, tmp_path, capsys, d):
+        # above the dense eigenvalue cap (2048); a d x d float64 array at
+        # d=16384 would take 2 GB
+        doc = minimal_run_config(tmp_path / "out", K=2)
+        doc["instance"] = {"kind": "scsc", "preset": "benchmark", "kappa_y": 4.0, "d": d}
+        cfg = write_config(tmp_path / "c.json", doc)
+        start = time.perf_counter()
+        assert main(["run", cfg]) == 0
+        assert time.perf_counter() - start <= 30.0
+        assert "Traceback" not in capsys.readouterr().err
+        lines = (tmp_path / "out" / "trace.csv").read_text().strip().splitlines()
+        assert len(lines) == 4
+
+    @pytest.mark.parametrize(
+        "instance,extra",
+        [
+            ({"kind": "scsc", "preset": "benchmark", "d": 64}, {}),
+            ({"kind": "scsc-benchmark", "preset": "benchmark", "d": 64, "initial_gap": 1.0}, {}),
+            (
+                {"kind": "csc", "preset": "mild-csc", "d": 64},
+                {"regularize": {"eps": 0.01, "R": 2.0}},
+            ),
+        ],
+        ids=["scsc", "scsc-benchmark", "csc-regularized"],
+    )
+    def test_z_family_run_densifies_nothing(self, tmp_path, monkeypatch, instance, extra):
+        from bilevel_lab import linalg
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a Z-family run must not densify")
+
+        monkeypatch.setattr(linalg.StructuredOperator, "to_dense", forbidden)
+        monkeypatch.setattr(linalg, "solve_dense", forbidden)
+        monkeypatch.setattr(linalg, "symmetric_eig_extremes", forbidden)
+        doc = minimal_run_config(tmp_path / "out", K=3)
+        doc["instance"] = instance
+        doc["solver"].update(extra)
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["run", cfg]) == 0
+
+
 class TestSweepVerb:
     def test_single_point_matches_run(self, tmp_path):
         base = {
@@ -344,6 +407,30 @@ class TestVerifyLbVerb:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("budgets", {"K": 11, "Q": 5, "T": 3}),
+            ("budgets", {"K": 5, "Q": 5, "T": 3}),
+            ("csc_budgets", {"K": 3, "Q": 2, "T": 2}),
+            ("scsc_dims", [3]),
+            ("csc_d", 3),
+        ],
+        ids=["K-not-divisible", "K-below-2Q", "csc-K-not-divisible", "scsc-d3", "csc-d3"],
+    )
+    def test_budgets_breaking_the_schedule_are_config_errors(
+        self, tmp_path, capsys, monkeypatch, key, value
+    ):
+        builds = []
+        monkeypatch.setattr(hard_instances, "build_scsc", lambda *a, **k: builds.append(a))
+        doc = battery_config(tmp_path / "out")
+        doc["lower_bound"][key] = value
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["verify-lb", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert builds == []  # rejected before any build
 
     def test_lower_bound_block_must_be_an_object(self, tmp_path, capsys):
         doc = battery_config(tmp_path / "out")

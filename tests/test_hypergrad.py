@@ -45,7 +45,7 @@ class TestAgdInner:
         x = np.linspace(-1, 1, 16)
         y_star = oracle.y_star(x)
         cfg = AgdConfig.from_constants(oracle.constants, 10)
-        y = agd_inner(oracle, x, y_star, cfg)
+        y = agd_inner(oracle.grad_y_g_at(x), y_star, cfg)
         assert np.allclose(y, y_star, atol=1e-10)
 
     def test_kappa4_coefficients(self):
@@ -61,7 +61,7 @@ class TestAgdInner:
         y_star = oracle.y_star(x)
         prefactor = np.sqrt((c.Ltil_y + c.mu_y) / c.mu_y) * np.linalg.norm(y_star)
         for n in range(1, 21):
-            y = agd_inner(oracle, x, np.zeros(16), AgdConfig.from_constants(c, n))
+            y = agd_inner(oracle.grad_y_g_at(x), np.zeros(16), AgdConfig.from_constants(c, n))
             envelope = prefactor * np.exp(-n / (2.0 * np.sqrt(c.kappa_y)))
             assert np.linalg.norm(y - y_star) <= envelope
 
@@ -148,7 +148,7 @@ class TestAidEstimate:
             for m in (1, 5, 25)
         ]
         # with no coupling the Jacobian term vanishes: G = grad_x f(x, y_N)
-        y_n = agd_inner(oracle, x, np.zeros(8), agd)
+        y_n = agd_inner(oracle.grad_y_g_at(x), np.zeros(8), agd)
         expected = oracle.grad_x_f(x, y_n)
         for g in results:
             assert np.allclose(g, expected, atol=1e-14)
@@ -191,7 +191,7 @@ class TestAidEstimate:
             est = aid_estimate(metered, x, y0, agd, hb)
             full = aid_estimate(oracle, x, y0, agd, hb)
             assert np.array_equal(est.G, full.G)
-            assert np.array_equal(est.y, agd_inner(oracle, x, y0, agd))
+            assert np.array_equal(est.y, agd_inner(oracle.grad_y_g_at(x), y0, agd))
 
     def test_counter_footprint(self, scsc_mild16, rng):
         x = rng.standard_normal(16)

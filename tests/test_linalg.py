@@ -152,7 +152,7 @@ class TestStencil:
         assert np.array_equal(op.to_dense(), _power_sum_reference("scsc", 6, {2: 1.0}, 0.5))
 
     def test_benchmark_build_densifies_only_what_the_exact_surface_needs(
-        self, benchmark_constants, monkeypatch
+        self, benchmark_constants, monkeypatch, factor_calls
     ):
         from bilevel_lab.hard_instances import build_scsc_benchmark
 
@@ -164,12 +164,12 @@ class TestStencil:
             return to_dense(self)
 
         monkeypatch.setattr(linalg.StructuredOperator, "to_dense", spy)
-        oracle = build_scsc_benchmark(32, benchmark_constants, initial_gap=1.0)
-        outer = oracle.outer
-        # the spectrum check and the affine solve densify H, the affine map's
-        # right-hand side J, and the reduction of phi the three outer blocks
-        expected = [oracle.h_op, oracle.h_op, oracle.j_op, outer.a_xx, outer.a_yy, outer.a_xy]
-        assert sorted(densified) == sorted(op.kind for op in expected)
+        build_scsc_benchmark(32, benchmark_constants, initial_gap=1.0)
+        # the exact surface is banded, so nothing is densified; the gap is
+        # measured in one pass: two inertia factors of the spectrum check, the
+        # tridiagonal H, and the (pentadiagonal) cleared system for x*
+        assert densified == []
+        assert sorted(factor_calls) == [(1, 32)] * 3 + [(2, 32)]
 
 
 class TestApply:
@@ -295,6 +295,88 @@ class TestSolveDense:
     def test_rhs_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             linalg.solve_dense(linalg.identity(3), np.ones((4, 2)))
+
+
+class TestBandedLDL:
+    @pytest.mark.parametrize("flavor", ["scsc", "csc"])
+    @pytest.mark.parametrize("d", [4, 5, 32, 1024, 16384])
+    def test_tridiagonal_scan_solve_residual(self, flavor, d):
+        h = linalg.z_power_sum(flavor, d, {2: 0.375}, shift=0.5)  # H at kappa_y = 4
+        factor = linalg.banded_ldl(h)
+        gen = np.random.default_rng(d)
+        rhs = gen.standard_normal(d)
+        x = factor.solve(rhs)
+        assert np.linalg.norm(h.apply(x) - rhs) <= 1e-14 * np.linalg.norm(rhs)
+        block = gen.standard_normal((d, 3))
+        xs = factor.solve(block)
+        for k in range(3):
+            assert np.array_equal(xs[:, k], factor.solve(block[:, k]))
+
+    @pytest.mark.parametrize("flavor", ["scsc", "csc"])
+    @pytest.mark.parametrize("d", [4, 5, 33])
+    @pytest.mark.parametrize(
+        "coeffs,shift", [({4: 1.0, 2: 3.7}, 0.013), ({6: 0.2, 4: 1.0, 2: 2.0}, 0.5)]
+    )
+    def test_wide_band_solve_matches_dense(self, flavor, d, coeffs, shift):
+        op = linalg.z_power_sum(flavor, d, coeffs, shift)
+        rhs = np.random.default_rng(d).standard_normal(d)
+        x = linalg.banded_ldl(op).solve(rhs)
+        ref = np.linalg.solve(op.to_dense(), rhs)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_pivots_are_those_of_the_dense_factorization(self):
+        op = linalg.tridiagonal(np.array([2.0, 3.0, 4.0]), np.array([1.0, -1.0]))
+        pivots = linalg.banded_ldl(op).pivots
+        assert np.allclose(pivots, [2.0, 2.5, 4.0 - 1.0 / 2.5])
+
+    def test_indefinite_matrix_is_rejected(self):
+        op = linalg.tridiagonal(np.array([1.0, 1.0, 1.0]), np.array([2.0, 0.0]))
+        with pytest.raises(SingularOperatorError):
+            linalg.banded_ldl(op)
+
+    @pytest.mark.parametrize("op", [
+        linalg.anti_banded_z("scsc", 6),
+        linalg.z_power_sum("csc", 6, {3: 1.0, 1: 2.0}),
+        linalg.dense(np.eye(5)),
+        linalg.shifted_scaled(linalg.identity(4), 2.0, 1.0),
+    ], ids=["z", "odd-sum", "dense", "shifted-scaled"])
+    def test_only_banded_stencils_have_a_band_form(self, op):
+        assert linalg.band_form(op) is None
+        with pytest.raises(ValueError):
+            linalg.banded_ldl(op)
+
+    @pytest.mark.parametrize("op,width", [
+        (linalg.identity(5), 0),
+        (linalg.z_power_sum("scsc", 7, {2: 1.0}, shift=0.1), 1),
+        (linalg.z_power_sum("csc", 7, {4: 1.0, 2: 1.0}), 2),
+        (linalg.banded(6, {0: np.ones(6), 3: np.ones(3)}), 3),
+    ], ids=["identity", "z2", "z4", "banded"])
+    def test_band_form_reads_the_lower_bands(self, op, width):
+        lower = linalg.band_form(op)
+        dense = op.to_dense()
+        assert lower.shape == (width + 1, op.dim)
+        for m in range(width + 1):
+            assert np.array_equal(lower[m, m:], np.diagonal(dense, -m))
+            assert not lower[m, :m].any()
+
+    @pytest.mark.parametrize("flavor", ["scsc", "csc"])
+    @pytest.mark.parametrize("d", [2, 5, 32, 1024])
+    def test_solve_z_inverts_z(self, flavor, d):
+        rhs = np.random.default_rng(d).standard_normal(d)
+        b = linalg.solve_z(flavor, rhs)
+        # a cumulative sum rounds like a sum of d terms
+        resid = np.linalg.norm(linalg.anti_banded_z(flavor, d).apply(b) - rhs)
+        assert resid <= 1e-14 * np.sqrt(d) * np.linalg.norm(rhs)
+
+    def test_spectrum_within_decides_both_ends(self):
+        h = linalg.z_power_sum("scsc", 16, {2: 0.4}, shift=0.7)
+        lo, hi = np.linalg.eigvalsh(h.to_dense())[[0, -1]]
+        assert linalg.spectrum_within(h, lo - 1e-9, hi + 1e-9)
+        assert not linalg.spectrum_within(h, lo + 1e-9, hi + 1e-9)
+        assert not linalg.spectrum_within(h, lo - 1e-9, hi - 1e-9)
+        dense = linalg.dense(h.to_dense())  # the eigendecomposition path
+        assert linalg.spectrum_within(dense, lo - 1e-9, hi + 1e-9)
+        assert not linalg.spectrum_within(dense, lo + 1e-9, hi + 1e-9)
 
 
 class TestBisect:

@@ -9,6 +9,7 @@ from bilevel_lab import (
     QuadraticOuter,
     SmoothnessConstants,
     build_scsc,
+    build_scsc_benchmark,
     counted,
     exact_hypergradient,
     finite_difference_check,
@@ -154,24 +155,28 @@ class TestAffineMap:
             assert np.linalg.norm(ys - ys_ref) <= 1e-10 * np.linalg.norm(ys_ref)
             assert np.linalg.norm(g - g_ref) <= 1e-10 * np.linalg.norm(g_ref)
 
-    def test_one_solve_serves_the_exact_surface(self, mild_constants, solve_calls):
+    def test_one_solve_serves_the_exact_surface(self, mild_constants, solve_calls, factor_calls):
         oracle = build_scsc(16, mild_constants).oracle
-        solve_calls.clear()  # the builder's own solves
+        factor_calls.clear()  # the builder's minimizer solve and spectrum check
         x = np.linspace(-1.0, 1.0, 16)
         oracle.y_star(x)
-        assert solve_calls == [(16, 17)]  # b and the 16 columns of J, solved together
+        assert factor_calls == [(1, 16)]  # the tridiagonal H, factored once
         oracle.phi(x)
         oracle.grad_phi(x)
         _ = oracle.phi_star
         _ = oracle.norm_grad_y_f_at_xstar
-        assert len(solve_calls) == 1
+        # and the cleared system for x*: pentadiagonal, as the Z^6 terms of
+        # H^2 A_xx and 2 H A_xy J cancel in the scsc family
+        assert factor_calls == [(1, 16), (2, 16)]
+        assert solve_calls == []
 
-    def test_fd_check_makes_no_solve_once_cached(self, scsc_mild16, solve_calls):
+    def test_fd_check_makes_no_solve_once_cached(self, scsc_mild16, solve_calls, factor_calls):
         oracle = scsc_mild16.oracle
         oracle.y_star(np.zeros(16))
-        solve_calls.clear()
+        factor_calls.clear()
         x = np.random.default_rng(3).standard_normal(16)
         assert finite_difference_check(oracle, x, 1e-5) <= 1e-6
+        assert factor_calls == []
         assert solve_calls == []
 
 
@@ -249,3 +254,101 @@ class TestConstants:
 
     def test_kappa_y(self):
         assert _plain_constants(mu_y=0.5, Ltil_y=2.0).kappa_y == pytest.approx(4.0)
+
+
+def _dense_exact_surface(oracle, x):
+    """(y*(x), grad phi(x), x*, phi*) by dense solves with the operators' dense forms."""
+    o = oracle.outer
+    d = oracle.p
+    h, j = oracle.h_op.to_dense(), oracle.j_op.to_dense()
+    a_xx, a_yy = o.a_xx.to_dense(), o.a_yy.to_dense()
+    a_xy = np.zeros((d, d)) if o.a_xy is None else o.a_xy.to_dense()
+    lin_x = np.zeros(d) if o.lin_x is None else o.lin_x
+    lin_y = np.zeros(d) if o.lin_y is None else o.lin_y
+    y = -np.linalg.solve(h, j @ x + oracle.b)
+    grad = a_xx @ x + a_xy @ y + lin_x - j @ np.linalg.solve(h, a_yy @ y + a_xy @ x + lin_y)
+    s, t = -np.linalg.solve(h, j), -np.linalg.solve(h, oracle.b)
+    h_phi = a_xx + a_xy @ s + s.T @ a_xy + s.T @ a_yy @ s
+    c_phi = lin_x + a_xy @ t + s.T @ (a_yy @ t + lin_y)
+    xs = np.linalg.solve(h_phi, -c_phi)
+    ys = s @ xs + t
+    phi = 0.5 * xs @ a_xx @ xs + xs @ a_xy @ ys + 0.5 * ys @ a_yy @ ys + lin_x @ xs + lin_y @ ys
+    return y, grad, xs, phi
+
+
+class TestBandedSurface:
+    @staticmethod
+    def _oracle(which, request):
+        from bilevel_lab import build_csc
+        from bilevel_lab.presets import benchmark_scsc_constants, mild_csc_constants
+
+        if which == "scsc_d1024":
+            return build_scsc(1024, benchmark_scsc_constants(4.0)).oracle
+        if which.startswith("benchmark_kappa"):
+            kappa = float(which.removeprefix("benchmark_kappa"))
+            return build_scsc_benchmark(32, benchmark_scsc_constants(kappa), initial_gap=1.0)
+        if which == "regularized_csc20":
+            return regularize_convex(build_csc(20, mild_csc_constants(), B=1.0).oracle, 1e-3, 1.0)
+        return request.getfixturevalue(which).oracle
+
+    @pytest.mark.parametrize(
+        "which",
+        [
+            "scsc_mild16",
+            "scsc_bench32",
+            "scsc_d1024",
+            "csc20",
+            "benchmark_kappa1",
+            "benchmark_kappa64",
+            "regularized_csc20",
+        ],
+    )
+    def test_matches_dense_reference(self, which, request, solve_calls):
+        oracle = self._oracle(which, request)
+        x = np.random.default_rng(11).standard_normal(oracle.p)
+        ys, grad = oracle.y_star(x), oracle.grad_phi(x)
+        xs, phi_star = oracle.x_star, oracle.phi_star
+        assert solve_calls == []  # served by the banded factors, not densified
+        ys_ref, grad_ref, xs_ref, phi_ref = _dense_exact_surface(oracle, x)
+        assert np.linalg.norm(ys - ys_ref) <= 1e-10 * np.linalg.norm(ys_ref)
+        assert np.linalg.norm(grad - grad_ref) <= 1e-10 * np.linalg.norm(grad_ref)
+        assert np.linalg.norm(xs - xs_ref) <= 1e-10 * np.linalg.norm(xs_ref)
+        assert abs(phi_star - phi_ref) <= 1e-10 * abs(phi_ref)
+
+    def test_rescaled_oracle_matches_a_fresh_build(self, benchmark_constants):
+        base = build_scsc_benchmark(32, benchmark_constants)
+        _ = base.x_star  # cached, so the rescaled copy takes it rescaled
+        scaled = base.rescaled(2.5)
+        fresh = build_scsc_benchmark(32, benchmark_constants, b_scale=2.5)
+        x = np.random.default_rng(2).standard_normal(32)
+        assert np.allclose(scaled.x_star, fresh.x_star, rtol=1e-12, atol=0.0)
+        assert scaled.phi_star == pytest.approx(fresh.phi_star, rel=1e-12)
+        assert scaled.phi(x) == pytest.approx(fresh.phi(x), rel=1e-12)
+        assert np.allclose(scaled.grad_phi(x), fresh.grad_phi(x), rtol=1e-12, atol=1e-14)
+
+
+class TestSpectrumCheck:
+    @staticmethod
+    def _oracle(mu_y, ltil_y):
+        h = linalg.z_power_sum("scsc", 24, {2: 0.4}, shift=0.7)
+        outer = QuadraticOuter(a_xx=linalg.identity(24), a_yy=linalg.identity(24))
+        c = _plain_constants(mu_y=mu_y, Ltil_y=ltil_y)
+        return QuadraticBilevelOracle(h, None, np.zeros(24), outer, c)
+
+    @pytest.mark.parametrize("end", ["low", "high"])
+    def test_inertia_rejects_two_slacks_outside_accepts_half(self, end):
+        from bilevel_lab.oracles import SPECTRUM_SLACK
+
+        h = linalg.z_power_sum("scsc", 24, {2: 0.4}, shift=0.7).to_dense()
+        lo, hi = np.linalg.eigvalsh(h)[[0, -1]]
+        slack = SPECTRUM_SLACK * max(1.0, hi)
+        for factor, accepted in ((2.0, False), (0.5, True)):
+            if end == "low":  # the spectrum reaches factor * slack below mu_y
+                mu_y, ltil_y = lo + factor * slack, hi
+            else:  # and above Ltil_y
+                mu_y, ltil_y = lo, hi - factor * slack
+            if accepted:
+                self._oracle(mu_y, ltil_y)
+            else:
+                with pytest.raises(InvariantViolationError):
+                    self._oracle(mu_y, ltil_y)

@@ -95,7 +95,9 @@ class TestAccBiO:
             assert after.n_J >= before.n_J
             assert after.complexity >= before.complexity
 
-    def test_exact_surface_solves_do_not_grow_with_K(self, benchmark_constants, solve_calls):
+    def test_exact_surface_solves_do_not_grow_with_K(
+        self, benchmark_constants, solve_calls, factor_calls
+    ):
         per_run = []
         for K in (5, 20):
             oracle = build_scsc(32, benchmark_constants).oracle  # a cold cache
@@ -105,10 +107,12 @@ class TestAccBiO:
                 K=K, L_phi=l_phi_estimate(c, "quadratic-g"), mu_x=c.mu_x, agd=agd, hb=hb, eps=1e-6
             )
             solve_calls.clear()
+            factor_calls.clear()
             trace = accbio(oracle, cfg)
             assert len(trace.records) == K + 1
-            per_run.append(len(solve_calls))
-        assert per_run[0] == per_run[1] <= 1
+            per_run.append((list(factor_calls), len(solve_calls)))
+        # one factor of H and one of the cleared system per oracle, none per record
+        assert per_run[0] == per_run[1] == ([(1, 32), (2, 32)], 0)
 
     def test_divergence_carries_partial_trace(self, scsc_bench32):
         c = scsc_bench32.constants
