@@ -56,6 +56,46 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config does not parse: {path}: {exc}") from None
 
 
+# the keys each config block may hold; `regularize` sits inside `solver`
+CONFIG_KEYS = {
+    "config": {"seed", "output_dir", "instance", "solver", "sweep", "lower_bound"},
+    "instance": {
+        "kind", "d", "preset", "kappa_y", "constants", "corruption", "Lbar_xy", "B",
+        "initial_gap", "b_scale",
+    },
+    "solver": {
+        "algorithm", "K", "N", "M", "eps", "U", "alpha", "stepsize", "L_phi", "tau_cost",
+        "regularize",
+    },
+    "regularize": {"eps", "R"},
+    "sweep": {"axis", "values"},
+    "lower_bound": {
+        "budgets", "scsc_dims", "csc_d", "csc_B", "csc_budgets", "algorithms", "rstar_eps",
+    },
+}
+
+
+def _check_keys(block, name: str) -> None:
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} must be an object, got {block!r}")
+    unknown = sorted(set(block) - CONFIG_KEYS[name])
+    if unknown:
+        raise ConfigError(
+            f"unknown key(s) {', '.join(map(repr, unknown))} in {name}; "
+            f"allowed: {', '.join(sorted(CONFIG_KEYS[name]))}"
+        )
+
+
+def check_config_keys(cfg) -> None:
+    """Reject a config holding a key outside its block's allowed set (before any build)."""
+    _check_keys(cfg, "config")
+    for name in ("instance", "solver", "sweep", "lower_bound"):
+        if name in cfg:
+            _check_keys(cfg[name], name)
+    if cfg.get("solver", {}).get("regularize") is not None:
+        _check_keys(cfg["solver"]["regularize"], "regularize")
+
+
 def _require(cfg: dict, key: str, where: str):
     if key not in cfg:
         raise ConfigError(f"missing field {key!r} in {where}")
@@ -608,6 +648,7 @@ def main(argv=None) -> int:
         return run_report(args.directory)
     try:
         cfg = load_config(args.config)
+        check_config_keys(cfg)
         if args.seed is not None:
             cfg["seed"] = args.seed
         out_dir = Path(args.out or cfg.get("output_dir", "out"))

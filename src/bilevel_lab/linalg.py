@@ -5,6 +5,14 @@ Every operator has one representation, a fixed-width row stencil: arrays
 cols[k, i].  Applying it is one gather, `(vals * v[cols]).sum(0)`, and its
 dense form is one scatter; each constructor builds the stencil directly.
 
+Below SMALL_DIM the kernels switch to ones that carry less interpreter and
+indexing overhead, chosen by the dimension alone.  An operator with
+dim <= SMALL_DIM scatters its stencil once, at construction, into a private
+read-only dense form, and `apply` is then one dense matvec; a tridiagonal
+`BandedLDL` of that size solves by a scalar Thomas loop instead of scans.
+The stencil stays the only representation: the dense form is derived from
+it, and `to_dense` still scatters a fresh array.
+
 The two anti-banded coupling operators built here (the "scsc" and "csc"
 flavors) are integer +-1 matrices whose even powers are banded and extend the
 support of a vector by at most one coordinate per squared application.  The
@@ -17,14 +25,14 @@ can be formed as power sums again.
 
 A power sum of even powers, like `diagonal`, `tridiagonal` and `banded`, has
 a banded stencil (`band_form`).  `BandedLDL` factors a banded symmetric
-positive definite matrix once, O(d w^2); a tridiagonal factor solves by
-recursive-doubling scans, O(d log d) in about 2 log2(d) vectorized steps.
-The same factorization decides spectrum bounds by inertia
+positive definite matrix once, O(d w^2); a tridiagonal factor above
+SMALL_DIM solves by recursive-doubling scans, O(d log d) in about 2 log2(d)
+vectorized steps.  The same factorization decides spectrum bounds by inertia
 (`spectrum_within`), and `solve_z` inverts Z by a cumulative sum, so the
-anti-banded families never need a dense form.  Dense forms remain the oracle
-for other operators: `solve_dense` takes one right-hand side or a block of
-them (one factorization, residual contract checked per column) and
-`symmetric_eig_extremes` is capped at DENSE_EIG_CAP.
+anti-banded families never need a dense form above SMALL_DIM.  Dense forms
+remain the oracle for other operators: `solve_dense` takes one right-hand
+side or a block of them (one factorization, residual contract checked per
+column) and `symmetric_eig_extremes` is capped at DENSE_EIG_CAP.
 """
 
 from __future__ import annotations
@@ -43,6 +51,12 @@ from .errors import (
 )
 
 DENSE_EIG_CAP = 2048
+# largest dimension served by the small-dimension kernels (dense matvec apply,
+# scalar tridiagonal solve).  Measured on x86-64, numpy 2.4 with one OpenBLAS
+# thread: a dense matvec beats the stencil gather up to d~128 and the Thomas
+# loop beats the scans up to about the same size (table in CHANGES.md); 64
+# keeps both clear of the crossover.
+SMALL_DIM = 64
 SOLVE_RESIDUAL_TOL = 1e-10
 # scan coefficients below this are flushed to zero: each term dropped is under
 # 2^-64 of the partial sum it multiplies, below the float64 rounding of a solve
@@ -77,8 +91,9 @@ class StructuredOperator:
     `cols` and `vals` have shape (w, dim): row i of the operator holds
     vals[k, i] at column cols[k, i] for k < w, and padding slots hold 0 at
     an in-range column.  `apply` is one gather and `to_dense` one scatter,
-    whatever the operator.  Instances are immutable after construction and
-    safe to share; `kind` is a human-readable tag.
+    whatever the operator; with dim <= SMALL_DIM, `apply` is a matvec with
+    the dense form scattered once at construction.  Instances are immutable
+    after construction and safe to share; `kind` is a human-readable tag.
     """
 
     def __init__(
@@ -96,6 +111,11 @@ class StructuredOperator:
         # (flavor, {power: coefficient}) when the operator is a polynomial in
         # the anti-banded Z of that flavor, power 0 being the identity
         self.poly = poly
+        self._matrix = None
+        if self.dim <= SMALL_DIM:
+            matrix = self.to_dense()
+            matrix.flags.writeable = False
+            self._matrix = matrix
 
     def __repr__(self) -> str:
         return f"StructuredOperator(kind={self.kind!r}, dim={self.dim})"
@@ -105,7 +125,22 @@ class StructuredOperator:
             raise DimensionMismatchError(
                 f"operator dim {self.dim} incompatible with vector shape {v.shape}"
             )
+        if self._matrix is not None:
+            return self._matrix.dot(v)
         return (self.vals * v[self.cols]).sum(0)
+
+    def apply_block(self, block: np.ndarray) -> np.ndarray:
+        """Apply to every column of a (dim, k) block; above SMALL_DIM, one gather per slot."""
+        if block.ndim != 2 or block.shape[0] != self.dim:
+            raise DimensionMismatchError(
+                f"operator dim {self.dim} incompatible with block shape {block.shape}"
+            )
+        if self._matrix is not None:
+            return self._matrix @ block
+        out = np.zeros(block.shape)
+        for cols, vals in zip(self.cols, self.vals):
+            out += vals[:, None] * block[cols]
+        return out
 
     def apply_power(self, v: np.ndarray, power: int) -> np.ndarray:
         out = v
@@ -384,9 +419,10 @@ class BandedLDL:
 
     `lower` holds the bands as `band_form` returns them.  The factorization is
     a scalar loop over the rows, O(d w^2), made once.  A tridiagonal factor
-    (w <= 1) solves by recursive doubling: forward and back substitution are
-    first-order recurrences, each run as about log2(d) vectorized scans over
-    coefficients precomputed here.  Wider bands solve by a scalar loop.
+    (w <= 1) with dim <= SMALL_DIM solves by a scalar Thomas loop; a larger
+    one by recursive doubling: forward and back substitution are first-order
+    recurrences, each run as about log2(d) vectorized scans over coefficients
+    precomputed on first solve.  Wider bands solve by a scalar loop.
     Raises SingularOperatorError at the first pivot that is not positive, so
     a successful factorization certifies positive definiteness (Sylvester's
     law of inertia).
@@ -421,6 +457,7 @@ class BandedLDL:
         self.width = w
         self.pivots = np.array(piv)
         self._low = low
+        self._piv = piv
 
     @functools.cached_property
     def _scans(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -432,7 +469,11 @@ class BandedLDL:
         return _scan_levels(sub), [coef[::-1].copy() for coef in back]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for a (dim,) rhs, or a (dim, k) block of them when tridiagonal."""
+        """Solve for a (dim,) rhs, or a (dim, k) block of them when tridiagonal.
+
+        A small tridiagonal factor solves a block column by column, so each
+        column equals the solve of that column alone.
+        """
         if rhs.ndim not in (1, 2) or rhs.shape[0] != self.dim:
             raise DimensionMismatchError(
                 f"factor dim {self.dim} incompatible with rhs shape {rhs.shape}"
@@ -441,12 +482,31 @@ class BandedLDL:
             if rhs.ndim != 1:
                 raise DimensionMismatchError("a wide-band factor solves one rhs at a time")
             return self._solve_by_loop(rhs)
+        if self.dim <= SMALL_DIM:
+            if rhs.ndim == 1:
+                return self._solve_tridiagonal_by_loop(rhs)
+            x = np.empty(rhs.shape)
+            for j in range(rhs.shape[1]):
+                x[:, j] = self._solve_tridiagonal_by_loop(rhs[:, j])
+            return x
         forward, backward = self._scans
         x = np.array(rhs, dtype=np.float64)
         _scan(x, forward)
         x /= self.pivots if x.ndim == 1 else self.pivots[:, None]
         _scan(x, backward, backward=True)
         return x
+
+    def _solve_tridiagonal_by_loop(self, rhs: np.ndarray) -> np.ndarray:
+        """Thomas: forward substitution, then back substitution with the pivot division folded in."""
+        d, piv = self.dim, self._piv
+        sub = self._low[1] if self.width else [0.0] * d  # sub[i] = L[i, i-1]
+        z = rhs.tolist()
+        for i in range(1, d):
+            z[i] -= sub[i] * z[i - 1]
+        z[-1] /= piv[-1]
+        for i in range(d - 2, -1, -1):
+            z[i] = z[i] / piv[i] - sub[i + 1] * z[i + 1]
+        return np.array(z)
 
     def _solve_by_loop(self, rhs: np.ndarray) -> np.ndarray:
         low, piv, w, d = self._low, self.pivots.tolist(), self.width, self.dim

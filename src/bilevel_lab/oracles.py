@@ -113,6 +113,18 @@ class QuadraticOuter:
             val += self.lin_y @ y
         return float(val)
 
+    def values(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """`value` at each column pair of a (p, k) block xs and a (q, k) block ys."""
+        val = 0.5 * (xs * self.a_xx.apply_block(xs)).sum(0)
+        val += 0.5 * (ys * self.a_yy.apply_block(ys)).sum(0)
+        if self.a_xy is not None:
+            val += (xs * self.a_xy.apply_block(ys)).sum(0)
+        if self.lin_x is not None:
+            val += self.lin_x @ xs
+        if self.lin_y is not None:
+            val += self.lin_y @ ys
+        return val
+
 
 class QuadraticBilevelOracle:
     """Oracle for g(x, y) = y'Hy/2 + x'Jy + b'y with a quadratic outer f.
@@ -481,17 +493,54 @@ def counted(
     return _CountedOracle(oracle, counters), counters
 
 
+# coordinates per block of `finite_difference_gradient`, whose 2 * FD_BLOCK
+# points are solved for together.  Small blocks keep the temporaries in cache:
+# at d=256 and d=1024, 16 coordinates ran about 2x faster than 128 or more.
+FD_BLOCK = 16
+
+
+def _phi_columns(oracle: QuadraticBilevelOracle, xs: np.ndarray) -> np.ndarray:
+    """phi at each column of a (p, k) block, each from its own y* = -H^-1 (J x + b).
+
+    One block solve on the cached factor (or the cached affine map) serves
+    every column; the outer values are taken column-wise.
+    """
+    factor = oracle._inner_factor()
+    if factor is None:
+        s, t = oracle._affine_map()
+        ys = s @ xs + t[:, None]
+    else:
+        rhs = np.repeat(oracle.b[:, None], xs.shape[1], axis=1)
+        if oracle.j_op is not None:
+            rhs += oracle.j_op.apply_block(xs)
+        ys = -factor.solve(rhs)
+    return oracle.outer.values(xs, ys)
+
+
+def finite_difference_gradient(oracle: QuadraticBilevelOracle, x: np.ndarray, h: float) -> np.ndarray:
+    """Central differences (phi(x + h e_i) - phi(x - h e_i)) / 2h for every coordinate i.
+
+    The points x +- h e_i are evaluated in blocks of FD_BLOCK coordinates by
+    `_phi_columns`, so phi at each point still comes from that point's y*.
+    """
+    if h <= 0:
+        raise InvariantViolationError("finite-difference step h must be positive")
+    p = x.shape[0]
+    fd = np.empty(p)
+    for lo in range(0, p, FD_BLOCK):
+        k = min(FD_BLOCK, p - lo)
+        step = np.zeros((p, k))
+        step[lo + np.arange(k), np.arange(k)] = h
+        phis = _phi_columns(oracle, np.hstack([x[:, None] + step, x[:, None] - step]))
+        fd[lo : lo + k] = (phis[:k] - phis[k:]) / (2 * h)
+    return fd
+
+
 def finite_difference_check(oracle: QuadraticBilevelOracle, x: np.ndarray, h: float) -> float:
     """Max deviation between central differences of phi and the exact hypergradient.
 
     Deviation is measured as ||fd - g||_inf / (1 + ||g||_inf).
     """
-    if h <= 0:
-        raise InvariantViolationError("finite-difference step h must be positive")
+    fd = finite_difference_gradient(oracle, x, h)
     g = exact_hypergradient(oracle, x)
-    fd = np.zeros_like(x)
-    for i in range(x.shape[0]):
-        step = np.zeros_like(x)
-        step[i] = h
-        fd[i] = (oracle.phi(x + step) - oracle.phi(x - step)) / (2 * h)
     return float(np.max(np.abs(fd - g)) / (1.0 + np.max(np.abs(g))))

@@ -1,17 +1,27 @@
 import csv
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bilevel_lab import hard_instances, span_lab
-from bilevel_lab.cli import main
+from bilevel_lab import hard_instances, linalg, span_lab
+from bilevel_lab.cli import check_config_keys, main
 
 
 def write_config(path, doc):
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+# one run per Z family; the dimension is set by each test
+Z_FAMILY_RUNS = [
+    ({"kind": "scsc", "preset": "benchmark"}, {}),
+    ({"kind": "scsc-benchmark", "preset": "benchmark", "initial_gap": 1.0}, {}),
+    ({"kind": "csc", "preset": "mild-csc"}, {"regularize": {"eps": 0.01, "R": 2.0}}),
+]
+Z_FAMILY_IDS = ["scsc", "scsc-benchmark", "csc-regularized"]
 
 
 def minimal_run_config(out_dir, K=10):
@@ -214,21 +224,8 @@ class TestRunVerb:
         lines = (tmp_path / "out" / "trace.csv").read_text().strip().splitlines()
         assert len(lines) == 4
 
-    @pytest.mark.parametrize(
-        "instance,extra",
-        [
-            ({"kind": "scsc", "preset": "benchmark", "d": 64}, {}),
-            ({"kind": "scsc-benchmark", "preset": "benchmark", "d": 64, "initial_gap": 1.0}, {}),
-            (
-                {"kind": "csc", "preset": "mild-csc", "d": 64},
-                {"regularize": {"eps": 0.01, "R": 2.0}},
-            ),
-        ],
-        ids=["scsc", "scsc-benchmark", "csc-regularized"],
-    )
+    @pytest.mark.parametrize("instance,extra", Z_FAMILY_RUNS, ids=Z_FAMILY_IDS)
     def test_z_family_run_densifies_nothing(self, tmp_path, monkeypatch, instance, extra):
-        from bilevel_lab import linalg
-
         def forbidden(*args, **kwargs):
             raise AssertionError("a Z-family run must not densify")
 
@@ -236,10 +233,100 @@ class TestRunVerb:
         monkeypatch.setattr(linalg, "solve_dense", forbidden)
         monkeypatch.setattr(linalg, "symmetric_eig_extremes", forbidden)
         doc = minimal_run_config(tmp_path / "out", K=3)
-        doc["instance"] = instance
+        # above the small-dimension kernels, whose operators keep a dense form
+        doc["instance"] = {**instance, "d": linalg.SMALL_DIM + 1}
         doc["solver"].update(extra)
         cfg = write_config(tmp_path / "c.json", doc)
         assert main(["run", cfg]) == 0
+
+    @pytest.mark.parametrize("instance,extra", Z_FAMILY_RUNS, ids=Z_FAMILY_IDS)
+    def test_small_z_family_run_densifies_each_operator_once(
+        self, tmp_path, monkeypatch, instance, extra
+    ):
+        densified, applying = [], []
+        to_dense, apply = linalg.StructuredOperator.to_dense, linalg.StructuredOperator.apply
+
+        def spy_to_dense(self):
+            if applying:
+                raise AssertionError("an apply must not densify")
+            densified.append(self)  # kept alive, so ids stay distinct
+            return to_dense(self)
+
+        def spy_apply(self, v):
+            applying.append(self)
+            try:
+                return apply(self, v)
+            finally:
+                applying.pop()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a Z-family run must not solve or decompose densely")
+
+        monkeypatch.setattr(linalg.StructuredOperator, "to_dense", spy_to_dense)
+        monkeypatch.setattr(linalg.StructuredOperator, "apply", spy_apply)
+        monkeypatch.setattr(linalg, "solve_dense", forbidden)
+        monkeypatch.setattr(linalg, "symmetric_eig_extremes", forbidden)
+        doc = minimal_run_config(tmp_path / "out", K=3)
+        doc["instance"] = {**instance, "d": 32}
+        doc["solver"].update(extra)
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["run", cfg]) == 0
+        ids = [id(op) for op in densified]
+        assert ids and len(set(ids)) == len(ids)
+
+
+SHIPPED_CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize(
+        "verb,config,path,key",
+        [
+            ("run", "benchmark_run.json", (), "sed"),
+            ("run", "benchmark_run.json", ("instance",), "dd"),
+            ("run", "benchmark_run.json", ("solver",), "NN"),
+            ("run", "benchmark_run.json", ("solver", "regularize"), "RR"),
+            ("sweep", "kappa_sweep.json", ("sweep",), "value"),
+            ("sweep", "kappa_sweep.json", ("solver",), "NN"),
+            ("verify-lb", "lower_bound_battery.json", ("lower_bound",), "budget"),
+            ("verify-lb", "lower_bound_battery.json", (), "lowerbound"),
+        ],
+    )
+    def test_unknown_key_is_config_error(
+        self, tmp_path, capsys, monkeypatch, verb, config, path, key
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an unknown key must be rejected before any build")
+
+        for builder in ("build_scsc", "build_csc", "build_scsc_benchmark"):
+            monkeypatch.setattr(hard_instances, builder, forbidden)
+        doc = json.loads((SHIPPED_CONFIGS / config).read_text())
+        doc["output_dir"] = str(tmp_path / "out")
+        if path == ("solver", "regularize"):
+            doc["solver"]["regularize"] = {"eps": 0.01, "R": 2.0}
+        block = doc
+        for name in path:
+            block = block[name]
+        block[key] = 3
+        assert main([verb, write_config(tmp_path / "c.json", doc)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and repr(key) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("path", [("sweep",), ("solver", "regularize")])
+    def test_block_that_is_not_an_object_is_config_error(self, tmp_path, capsys, path):
+        doc = minimal_run_config(tmp_path / "out")
+        block = doc
+        for name in path[:-1]:
+            block = block[name]
+        block[path[-1]] = 5
+        assert main(["run", write_config(tmp_path / "c.json", doc)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("config", sorted(p.name for p in SHIPPED_CONFIGS.glob("*.json")))
+    def test_shipped_configs_hold_only_known_keys(self, config):
+        check_config_keys(json.loads((SHIPPED_CONFIGS / config).read_text()))
 
 
 class TestSweepVerb:

@@ -14,6 +14,8 @@ from bilevel_lab.errors import (
 
 import stencils
 
+SMALL = linalg.SMALL_DIM
+
 
 def _z_power_dense(flavor, d, power):
     z = linalg.anti_banded_z(flavor, d)
@@ -125,7 +127,7 @@ class TestStencil:
         assert np.array_equal(op.to_dense(), ref)
 
     @pytest.mark.parametrize("kind", OPERATOR_KINDS)
-    @pytest.mark.parametrize("d", [4, 5, 32, 33])
+    @pytest.mark.parametrize("d", [4, 5, 32, 33, SMALL, SMALL + 1])
     def test_apply_matches_dense_form(self, kind, d):
         gen = np.random.default_rng(100 + d)
         op, _ = _operator_and_reference(kind, d, gen)
@@ -164,12 +166,13 @@ class TestStencil:
             return to_dense(self)
 
         monkeypatch.setattr(linalg.StructuredOperator, "to_dense", spy)
-        build_scsc_benchmark(32, benchmark_constants, initial_gap=1.0)
+        d = SMALL + 1  # above the small-dimension kernels, which keep a dense form
+        build_scsc_benchmark(d, benchmark_constants, initial_gap=1.0)
         # the exact surface is banded, so nothing is densified; the gap is
         # measured in one pass: two inertia factors of the spectrum check, the
         # tridiagonal H, and the (pentadiagonal) cleared system for x*
         assert densified == []
-        assert sorted(factor_calls) == [(1, 32)] * 3 + [(2, 32)]
+        assert sorted(factor_calls) == [(1, d)] * 3 + [(2, d)]
 
 
 class TestApply:
@@ -195,11 +198,27 @@ class TestApply:
 
     @pytest.mark.parametrize("kind", OPERATOR_KINDS)
     def test_dimension_mismatch_every_kind(self, kind):
-        # a longer vector would gather without error: the shape check must fire
-        op, _ = _operator_and_reference(kind, 5, np.random.default_rng(7))
-        for bad in (np.zeros(6), np.zeros(4), np.zeros((5, 1))):
-            with pytest.raises(DimensionMismatchError):
-                op.apply(bad)
+        # a longer vector would gather without error, and a dense matvec
+        # accepts a (d, 1) column: the shape check must fire for both kernels
+        for d in (5, SMALL, SMALL + 1):
+            op, _ = _operator_and_reference(kind, d, np.random.default_rng(7))
+            for bad in (np.zeros(d + 1), np.zeros(d - 1), np.zeros((d, 1))):
+                with pytest.raises(DimensionMismatchError):
+                    op.apply(bad)
+            for bad in (np.zeros(d), np.zeros((d + 1, 2)), np.zeros((d, 2, 1))):
+                with pytest.raises(DimensionMismatchError):
+                    op.apply_block(bad)
+
+    @pytest.mark.parametrize("kind", OPERATOR_KINDS)
+    @pytest.mark.parametrize("d", [5, SMALL + 1])
+    def test_block_apply_matches_columns(self, kind, d):
+        gen = np.random.default_rng(200 + d)
+        op, _ = _operator_and_reference(kind, d, gen)
+        block = gen.standard_normal((d, 4))
+        out = op.apply_block(block)
+        for k in range(4):
+            expected = op.apply(block[:, k])
+            assert np.linalg.norm(out[:, k] - expected) <= 1e-14 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("flavor", ["scsc", "csc"])
     @pytest.mark.parametrize("d", [8, 64])
@@ -299,7 +318,7 @@ class TestSolveDense:
 
 class TestBandedLDL:
     @pytest.mark.parametrize("flavor", ["scsc", "csc"])
-    @pytest.mark.parametrize("d", [4, 5, 32, 1024, 16384])
+    @pytest.mark.parametrize("d", [4, 5, 32, SMALL, SMALL + 1, 1024, 16384])
     def test_tridiagonal_scan_solve_residual(self, flavor, d):
         h = linalg.z_power_sum(flavor, d, {2: 0.375}, shift=0.5)  # H at kappa_y = 4
         factor = linalg.banded_ldl(h)

@@ -14,6 +14,7 @@ from bilevel_lab import (
     exact_hypergradient,
     finite_difference_check,
     linalg,
+    oracles,
     regularize_convex,
 )
 from bilevel_lab.errors import (
@@ -120,6 +121,54 @@ class TestFiniteDifferenceCheck:
         inst = build_csc(16, csc_constants, B=1.0)
         x = rng.standard_normal(16)
         assert finite_difference_check(inst.oracle, x, 1e-5) <= 1e-6
+
+    @staticmethod
+    def _dense_oracle(d):
+        """Dense H, J and A_xy with both linear terms: served by the affine map."""
+        gen = np.random.default_rng(d)
+        q, _ = np.linalg.qr(gen.standard_normal((d, d)))
+        h = (q * gen.uniform(1.0, 2.0, d)) @ q.T
+        j, a_xy = (0.3 * gen.standard_normal((d, d)) for _ in range(2))
+        outer = QuadraticOuter(
+            a_xx=linalg.identity(d),
+            a_yy=linalg.identity(d),
+            a_xy=linalg.dense(a_xy + a_xy.T),
+            lin_x=gen.standard_normal(d),
+            lin_y=gen.standard_normal(d),
+        )
+        return QuadraticBilevelOracle(
+            linalg.dense(0.5 * (h + h.T)),
+            linalg.dense(j + j.T),
+            gen.standard_normal(d),
+            outer,
+            _plain_constants(Ltil_y=2.0),
+        )
+
+    @pytest.mark.parametrize(
+        "which", ["decoupled", "dense6", "dense65", "scsc_mild16", "csc20", "scsc_mild65"]
+    )
+    @pytest.mark.parametrize("block", [oracles.FD_BLOCK, 5])
+    def test_block_path_matches_per_coordinate_phi(
+        self, which, block, request, mild_constants, monkeypatch
+    ):
+        if which == "decoupled":
+            oracle = decoupled_oracle()
+        elif which.startswith("dense"):
+            oracle = self._dense_oracle(int(which.removeprefix("dense")))
+        elif which == "scsc_mild65":  # above SMALL_DIM: gather kernels, scan solves
+            oracle = build_scsc(65, mild_constants).oracle
+        else:
+            oracle = request.getfixturevalue(which).oracle
+        monkeypatch.setattr(oracles, "FD_BLOCK", block)  # 5 splits x into several blocks
+        x, h = np.random.default_rng(5).standard_normal(oracle.p), 1e-5
+        fd = oracles.finite_difference_gradient(oracle, x, h)
+        ref = np.zeros(oracle.p)
+        for i in range(oracle.p):
+            step = np.zeros(oracle.p)
+            step[i] = h
+            ref[i] = (oracle.phi(x + step) - oracle.phi(x - step)) / (2 * h)
+        g = exact_hypergradient(oracle, x)
+        assert np.max(np.abs(fd - ref)) <= 1e-8 * (1.0 + np.max(np.abs(g)))
 
 
 class TestAffineMap:
