@@ -15,6 +15,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -116,6 +117,30 @@ def _as_int(value, name: str, minimum: int | None = None) -> int:
     return int(value)
 
 
+def _as_float(value, name: str, positive: bool = False) -> float:
+    """A finite real config value (an int or a float, not a bool).
+
+    Raises ConfigError for anything else, and for a value <= 0 if `positive`.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    if positive and number <= 0:
+        raise ConfigError(f"{name} must be positive, got {value!r}")
+    return number
+
+
+def _optional_float(block: dict, key: str, where: str) -> float | None:
+    """`_as_float` of block[key], or None when the key is absent or null."""
+    value = block.get(key)
+    return None if value is None else _as_float(value, f"{where}.{key}")
+
+
 def resolve_constants(inst_cfg: dict) -> SmoothnessConstants:
     preset = inst_cfg.get("preset")
     overrides = inst_cfg.get("constants")
@@ -129,7 +154,8 @@ def resolve_constants(inst_cfg: dict) -> SmoothnessConstants:
         elif preset == "mild-csc":
             base = presets.mild_csc_constants()
         elif preset == "benchmark":
-            base = presets.benchmark_scsc_constants(float(inst_cfg.get("kappa_y", 4.0)))
+            kappa_y = _as_float(inst_cfg.get("kappa_y", 4.0), "instance.kappa_y")
+            base = presets.benchmark_scsc_constants(kappa_y)
         else:
             base = None
         if overrides is None:
@@ -177,11 +203,14 @@ def build_instance(inst_cfg: dict):
     try:
         if kind == "scsc":
             inst = hard_instances.build_scsc(
-                d, constants, inst_cfg.get("Lbar_xy"), btilde_shift=_btilde_shift(corruption, d)
+                d,
+                constants,
+                _optional_float(inst_cfg, "Lbar_xy", "instance"),
+                btilde_shift=_btilde_shift(corruption, d),
             )
             return inst.oracle, inst, {"kind": kind, "d": d, "corruption": corruption}
         if kind == "csc":
-            B = float(inst_cfg.get("B", 1.0))
+            B = _as_float(inst_cfg.get("B", 1.0), "instance.B")
             inst = hard_instances.build_csc(
                 d, constants, B, btilde_shift=_btilde_shift(corruption, d)
             )
@@ -191,8 +220,8 @@ def build_instance(inst_cfg: dict):
             oracle = hard_instances.build_scsc_benchmark(
                 d,
                 constants,
-                b_scale=float(inst_cfg.get("b_scale", 1.0)),
-                initial_gap=None if initial_gap is None else float(initial_gap),
+                b_scale=_as_float(inst_cfg.get("b_scale", 1.0), "instance.b_scale"),
+                initial_gap=_optional_float(inst_cfg, "initial_gap", "instance"),
             )
             return oracle, None, {"kind": kind, "d": d, "initial_gap": initial_gap}
     except ConstraintError as exc:
@@ -211,14 +240,21 @@ def _resolve_budgets(solver_cfg: dict, constants: SmoothnessConstants, kappa_x: 
 def run_solver(oracle, solver_cfg: dict, tau_cost: float):
     """Run the configured solver; returns (trace, resolved-params dict)."""
     algorithm = _require(solver_cfg, "algorithm", "solver")
-    eps = float(solver_cfg.get("eps", 1e-6))
+    eps = _as_float(solver_cfg.get("eps", 1e-6), "solver.eps", positive=True)
     reg = solver_cfg.get("regularize")
     if reg is not None:
         oracle = solvers.regularize_convex(
-            oracle, float(_require(reg, "eps", "regularize")), float(_require(reg, "R", "regularize"))
+            oracle,
+            _as_float(_require(reg, "eps", "regularize"), "regularize.eps", positive=True),
+            _as_float(_require(reg, "R", "regularize"), "regularize.R", positive=True),
         )
     constants = oracle.constants
-    l_phi = float(solver_cfg.get("L_phi") or solvers.l_phi_estimate(constants, "quadratic-g"))
+    # L_phi, alpha and stepsize: a falsy value (absent, null, 0) means the derived default
+    l_phi = _as_float(
+        solver_cfg.get("L_phi") or solvers.l_phi_estimate(constants, "quadratic-g"),
+        "solver.L_phi",
+        positive=True,
+    )
     mu_x = constants.mu_x
     if mu_x <= 0:
         raise ConfigError(
@@ -246,20 +282,24 @@ def run_solver(oracle, solver_cfg: dict, tau_cost: float):
         cfg = solvers.AccBiOConfig(K=K, L_phi=l_phi, mu_x=mu_x, agd=agd, hb=hb, eps=eps)
         return solvers.accbio(oracle, cfg, tau_cost), resolved
     if algorithm == "accbio-bg":
-        alpha = float(solver_cfg.get("alpha") or 1.0 / (2.0 * l_phi))
+        alpha = _as_float(
+            solver_cfg.get("alpha") or 1.0 / (2.0 * l_phi), "solver.alpha", positive=True
+        )
         u_bound = solver_cfg.get("U")
         if u_bound is None:
             raise ConfigError(
                 "accbio-bg requires a declared outer-gradient bound: set solver.U"
             )
-        u_bound = float(u_bound)
+        u_bound = _as_float(u_bound, "solver.U", positive=True)
         cfg = solvers.AccBiOBGConfig(
             K=K, alpha=alpha, mu_x=mu_x, agd=agd, hb=hb, U=u_bound
         )
         resolved.update(alpha=alpha, U=u_bound)
         return solvers.accbio_bg(oracle, cfg, tau_cost), resolved
     if algorithm == "baseline-gd":
-        stepsize = float(solver_cfg.get("stepsize") or 1.0 / l_phi)
+        stepsize = _as_float(
+            solver_cfg.get("stepsize") or 1.0 / l_phi, "solver.stepsize", positive=True
+        )
         resolved.update(stepsize=stepsize)
         return (
             solvers.baseline_aid_gd(oracle, stepsize, K, agd, hb, tau_cost),
@@ -307,11 +347,10 @@ def run_experiment(cfg: dict, out_dir: Path, tau_cost_override: float | None = N
     inst_cfg = _require(cfg, "instance", "config")
     solver_cfg = _require(cfg, "solver", "config")
     seed = _as_int(cfg.get("seed", 0), "seed")
-    tau_cost = float(
-        tau_cost_override
-        if tau_cost_override is not None
-        else solver_cfg.get("tau_cost", 2.0)
-    )
+    if tau_cost_override is None:
+        tau_cost = _as_float(solver_cfg.get("tau_cost", 2.0), "solver.tau_cost", positive=True)
+    else:
+        tau_cost = float(tau_cost_override)
     oracle, instance, info = build_instance(inst_cfg)
     trace = None
     try:
@@ -455,6 +494,8 @@ def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = No
         raise ConfigError(f"lower_bound.algorithms must be a list of {known}, got {algorithms!r}")
     csc_d = _as_int(lb_cfg.get("csc_d", 20), "lower_bound.csc_d", minimum=4)
     csc_budgets = _lb_budgets(lb_cfg, "csc_budgets", {"K": 4, "Q": 2, "T": 3})
+    csc_B = _as_float(lb_cfg.get("csc_B", 1.0), "lower_bound.csc_B", positive=True)
+    eps_budget = _as_float(lb_cfg.get("rstar_eps", 1e-2), "lower_bound.rstar_eps", positive=True)
     items: dict[str, dict] = {}
 
     def record(name: str, passed: bool, **measured):
@@ -519,7 +560,6 @@ def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = No
     record("scsc_hypergradient_consistency", max(fd_devs) <= 1e-6, max_deviation=max(fd_devs))
 
     # --- convex family -----------------------------------------------------------
-    csc_B = float(lb_cfg.get("csc_B", 1.0))
     csc_constants = dataclasses.replace(constants, mu_x=0.0)
     csc_inst = hard_instances.build_csc(csc_d, csc_constants, csc_B)
     grad_at_star = float(np.linalg.norm(exact_hypergradient(csc_inst.oracle, csc_inst.x_star)))
@@ -552,7 +592,6 @@ def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = No
         floor=grad_report.grad_floor,
     )
 
-    eps_budget = float(lb_cfg.get("rstar_eps", 1e-2))
     rstar = hard_instances.csc_rstar(csc_constants, csc_B, eps_budget)
     record(
         "csc_rstar_root",

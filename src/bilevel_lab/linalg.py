@@ -24,15 +24,14 @@ A power sum remembers its polynomial (`poly`), so products of such operators
 can be formed as power sums again.
 
 A power sum of even powers, like `diagonal`, `tridiagonal` and `banded`, has
-a banded stencil (`band_form`).  `BandedLDL` factors a banded symmetric
-positive definite matrix once, O(d w^2); a tridiagonal factor above
-SMALL_DIM solves by recursive-doubling scans, O(d log d) in about 2 log2(d)
-vectorized steps.  The same factorization decides spectrum bounds by inertia
-(`spectrum_within`), and `solve_z` inverts Z by a cumulative sum, so the
-anti-banded families never need a dense form above SMALL_DIM.  Dense forms
-remain the oracle for other operators: `solve_dense` takes one right-hand
-side or a block of them (one factorization, residual contract checked per
-column) and `symmetric_eig_extremes` is capped at DENSE_EIG_CAP.
+a banded stencil (`band_form`), read in place; any other stencil is read as
+one full band (w = d-1) off its dense form.  `BandedLDL` factors either once,
+O(d w^2); a tridiagonal factor above SMALL_DIM solves by recursive-doubling
+scans, O(d log d) in about 2 log2(d) vectorized steps.  The same
+factorization decides spectrum bounds by inertia (`spectrum_within`), and
+`solve_z` inverts Z by a cumulative sum, so the anti-banded families never
+need a dense form above SMALL_DIM.  `solve_dense` and
+`symmetric_eig_extremes` remain as dense references.
 """
 
 from __future__ import annotations
@@ -469,25 +468,22 @@ class BandedLDL:
         return _scan_levels(sub), [coef[::-1].copy() for coef in back]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for a (dim,) rhs, or a (dim, k) block of them when tridiagonal.
+        """Solve for a (dim,) rhs, or a (dim, k) block of them.
 
-        A small tridiagonal factor solves a block column by column, so each
-        column equals the solve of that column alone.
+        A factor that scans solves a block at once; any other solves it column
+        by column, so each column equals the solve of that column alone.
         """
         if rhs.ndim not in (1, 2) or rhs.shape[0] != self.dim:
             raise DimensionMismatchError(
                 f"factor dim {self.dim} incompatible with rhs shape {rhs.shape}"
             )
-        if self.width > 1:
-            if rhs.ndim != 1:
-                raise DimensionMismatchError("a wide-band factor solves one rhs at a time")
-            return self._solve_by_loop(rhs)
-        if self.dim <= SMALL_DIM:
+        if self.width > 1 or self.dim <= SMALL_DIM:
+            loop = self._solve_by_loop if self.width > 1 else self._solve_tridiagonal_by_loop
             if rhs.ndim == 1:
-                return self._solve_tridiagonal_by_loop(rhs)
+                return loop(rhs)
             x = np.empty(rhs.shape)
             for j in range(rhs.shape[1]):
-                x[:, j] = self._solve_tridiagonal_by_loop(rhs[:, j])
+                x[:, j] = loop(rhs[:, j])
             return x
         forward, backward = self._scans
         x = np.array(rhs, dtype=np.float64)
@@ -525,25 +521,33 @@ class BandedLDL:
         return np.array(z)
 
 
-def banded_ldl(op: StructuredOperator) -> BandedLDL:
-    """Factor a symmetric positive definite operator with a banded stencil."""
+def _lower_bands(op: StructuredOperator) -> np.ndarray:
+    """`band_form(op)`, or for any other stencil one full band (w = dim-1) read off `to_dense()`."""
     lower = band_form(op)
     if lower is None:
-        raise ValueError(f"{op.kind} has no banded stencil")
-    return BandedLDL(lower)
+        rows = np.arange(op.dim)
+        lower = np.where(rows >= rows[:, None], op.to_dense()[rows, rows - rows[:, None]], 0.0)
+    return lower
+
+
+def banded_ldl(op: StructuredOperator) -> BandedLDL:
+    """Factor a symmetric positive definite operator.
+
+    A banded stencil is factored in place, O(d w^2).  Any other (`dense`, a
+    power sum with odd powers, `shifted_scaled`) is factored as one full band,
+    O(d^3) in the scalar LDL' loop, which is meant for desk-scale operators.
+    """
+    return BandedLDL(_lower_bands(op))
 
 
 def spectrum_within(op: StructuredOperator, lo: float, hi: float) -> bool:
     """Whether every eigenvalue of the symmetric `op` lies strictly inside (lo, hi).
 
-    A banded op is decided by inertia: op - lo*I and hi*I - op must both
-    factor with positive LDL' pivots, an O(d w^2) test with no
-    eigendecomposition.  Any other op goes through `symmetric_eig_extremes`.
+    Decided by inertia: op - lo*I and hi*I - op must both factor with
+    positive LDL' pivots, with no eigendecomposition.  The cost is that of
+    `banded_ldl`: O(d w^2) on a banded stencil, O(d^3) on any other.
     """
-    lower = band_form(op)
-    if lower is None:
-        e_lo, e_hi = symmetric_eig_extremes(op)
-        return lo < e_lo and e_hi < hi
+    lower = _lower_bands(op)
     above, below = lower.copy(), -lower
     above[0] -= lo
     below[0] += hi

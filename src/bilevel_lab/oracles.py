@@ -7,23 +7,24 @@ g(x, .).  Every oracle is a `QuadraticBilevelOracle`: the inner problem is
 quadratic in y and the outer objective is quadratic, so each oracle also
 carries the exact surface (y_star, phi, grad_phi, phi_star).
 
-How the exact surface is computed depends on the operators' structure:
-- A tridiagonal inner Hessian H (the hard-instance families' mu_y + beta Z^2)
-  is factored once by LDL'.  y*(x) = -H^-1 (J x + b) and the hypergradient
-  grad_x f - J H^-1 grad_y f then cost one scan solve each, O(d log d).
+The exact surface needs two things from the inner Hessian H: solves with it
+and an inertia test, both from LDL' factors (`linalg.banded_ldl`):
+- H is factored once.  y*(x) = -H^-1 (J x + b) and the hypergradient
+  grad_x f - J H^-1 grad_y f then cost one solve each: a scan solve,
+  O(d log d), for the hard-instance families' tridiagonal mu_y + beta Z^2.
+  An H without a banded stencil is factored as one full band, O(d^3), which
+  only hand-built desk-scale operators need.
 - When every operator is a polynomial in one anti-banded Z (both families and
   their `regularize_convex` wraps), all of them commute, and the stationarity
   equation of phi cleared by H^2 is an even power sum of degree at most 6,
   i.e. banded (pentadiagonal in the scsc family, whose Z^6 terms cancel):
   x* comes from one banded LDL' solve.  No d x d array is formed.
-- Any other oracle makes one dense solve for the affine map y*(x) = S x + t
-  (S = -H^-1 J, t = -H^-1 b) and serves its surface by matvecs, with x* from
-  the dense quadratic reduction of phi.  The reduction also serves
-  `csc_grad_floor_verify` on every oracle.
-The spectrum check is an inertia test on a banded H and a dense
-eigendecomposition otherwise.  Algorithms see only the counted surface from
-`counted`, which carries the five queries and no exact surface; verification
-observers read the exact surface of the base oracle, uncounted.
+- Any other oracle takes x* from the dense quadratic reduction of phi, built
+  on y*(x) = S x + t (S = -H^-1 J, t = -H^-1 b) from one block solve on the
+  factor.  The reduction also serves `csc_grad_floor_verify` on every oracle.
+The spectrum check is an inertia test on H.  Algorithms see only the counted
+surface from `counted`, which carries the five queries and no exact surface;
+verification observers read the exact surface of the base oracle, uncounted.
 """
 
 from __future__ import annotations
@@ -39,10 +40,9 @@ from .errors import DimensionMismatchError, InvariantViolationError
 from .linalg import StructuredOperator
 
 SPECTRUM_SLACK = 1e-8
-# Entries of the affine map (S, t) and of the reduction's H_phi below this are
-# set to zero.  They lie far below what a dense solve resolves, and the product
-# of two of them underflows: left in, the geometric tail of the scsc family puts
-# S' A S and the x_star solve into subnormal arithmetic (5-8x slower at d=1024).
+# Entries of the reduction's H_phi below this are set to zero.  They lie far
+# below what a solve resolves, and the product of two of them underflows into
+# subnormal arithmetic, several times slower than normal floating point.
 FLUSH_TOL = float(np.sqrt(np.finfo(np.float64).tiny))
 
 
@@ -199,31 +199,15 @@ class QuadraticBilevelOracle:
         return self.j_op.apply(v)
 
     # -- verification surface (never counted) ----------------------------------
-    def _inner_factor(self) -> linalg.BandedLDL | None:
-        """The LDL' factor of a tridiagonal H (cached), or None for any other H."""
+    def _inner_factor(self) -> linalg.BandedLDL:
+        """The LDL' factor of H (cached)."""
         if "h_ldl" not in self._cache:
-            lower = linalg.band_form(self.h_op)
-            tridiagonal = lower is not None and lower.shape[0] <= 2
-            self._cache["h_ldl"] = linalg.BandedLDL(lower) if tridiagonal else None
+            self._cache["h_ldl"] = linalg.banded_ldl(self.h_op)
         return self._cache["h_ldl"]
 
-    def _affine_map(self) -> tuple[np.ndarray, np.ndarray]:
-        """(S, t) with y*(x) = S @ x + t, from one dense solve for [b, J] (cached)."""
-        if "affine" not in self._cache:
-            rhs = [self.b] if self.j_op is None else [self.b, self.j_op.to_dense()]
-            sol = linalg.solve_dense(self.h_op, np.column_stack(rhs))
-            np.negative(sol, out=sol)
-            sol[np.abs(sol) < FLUSH_TOL] = 0.0
-            s = np.zeros((self.q, self.p)) if self.j_op is None else sol[:, 1:]
-            self._cache["affine"] = (s, sol[:, 0])
-        return self._cache["affine"]
-
     def y_star(self, x: np.ndarray) -> np.ndarray:
-        factor = self._inner_factor()
-        if factor is None:
-            s, t = self._affine_map()
-            return s @ x + t
-        return -factor.solve(self.b if self.j_op is None else self.j_op.apply(x) + self.b)
+        rhs = self.b if self.j_op is None else self.j_op.apply(x) + self.b
+        return -self._inner_factor().solve(rhs)
 
     def phi(self, x: np.ndarray) -> float:
         return self.outer.value(x, self.y_star(x))
@@ -235,15 +219,15 @@ class QuadraticBilevelOracle:
     def phi_quadratic_reduction(self) -> tuple[np.ndarray, np.ndarray]:
         """Return (H_phi, c_phi) with grad_phi(x) = H_phi @ x + c_phi, dense.
 
-        With a tridiagonal H and the cleared system this is H^-2 (P, H^2 c_phi),
-        by block scan solves; otherwise it is formed from the affine map.
+        With the cleared system this is H^-2 (P, H^2 c_phi), by block solves on
+        the factor; otherwise it is formed from the affine map y*(x) = S x + t.
         """
         if "reduction" not in self._cache:
-            cleared, factor = self._cleared_system(), self._inner_factor()
-            if cleared is None or factor is None:
+            cleared = self._cleared_system()
+            if cleared is None:
                 h_phi, c_phi = self._affine_reduction()
             else:
-                p_op, rhs = cleared
+                factor, (p_op, rhs) = self._inner_factor(), cleared
                 h_phi = factor.solve(factor.solve(p_op.to_dense()))
                 c_phi = factor.solve(factor.solve(rhs))
             h_phi = h_phi + h_phi.T
@@ -253,11 +237,15 @@ class QuadraticBilevelOracle:
         return self._cache["reduction"]
 
     def _affine_reduction(self) -> tuple[np.ndarray, np.ndarray]:
-        """(H_phi, c_phi) from the affine map, before symmetrization.
+        """(H_phi, c_phi) from the affine map y*(x) = S x + t, before symmetrization.
 
+        S = -H^-1 J and t = -H^-1 b come from one block solve on the factor;
         H_phi = S'A_yy S + A_xx + A_xy S + S'A_xy, c_phi = S'(A_yy t + lin_y) + A_xy t + lin_x.
         """
-        s, t = self._affine_map()
+        rhs = [self.b] if self.j_op is None else [self.b, self.j_op.to_dense()]
+        sol = -self._inner_factor().solve(np.column_stack(rhs))
+        s = np.zeros((self.q, self.p)) if self.j_op is None else sol[:, 1:]
+        t = sol[:, 0]
         a_xx = self.outer.a_xx.to_dense()
         a_yy = self.outer.a_yy.to_dense()
         a_xy = None if self.outer.a_xy is None else self.outer.a_xy.to_dense()
@@ -407,20 +395,14 @@ def _z_polynomials(h_op, j_op, outer: QuadraticOuter):
 def exact_hypergradient(oracle: QuadraticBilevelOracle, x: np.ndarray) -> np.ndarray:
     """Exact grad phi(x) = grad_x f - J H^-1 grad_y f at y*(x), the implicit-function formula.
 
-    With a tridiagonal H this is the solve for y* and one more for
-    H^-1 grad_y f.  Otherwise it reads the cached affine map: J H^-1 = -S'
-    because H and J are symmetric, so it is grad_x f + S' grad_y f, two
-    matvecs with S.
+    That is the solve for y* and one more, on the cached factor of H, for
+    H^-1 grad_y f.
     """
-    factor = oracle._inner_factor()
     ys = oracle.y_star(x)
-    if factor is None:
-        s, _ = oracle._affine_map()
-        return oracle.grad_x_f(x, ys) + s.T @ oracle.grad_y_f(x, ys)
     g = oracle.grad_x_f(x, ys)
     if oracle.j_op is None:
         return g
-    return g - oracle.j_op.apply(factor.solve(oracle.grad_y_f(x, ys)))
+    return g - oracle.j_op.apply(oracle._inner_factor().solve(oracle.grad_y_f(x, ys)))
 
 
 @dataclass
@@ -502,19 +484,13 @@ FD_BLOCK = 16
 def _phi_columns(oracle: QuadraticBilevelOracle, xs: np.ndarray) -> np.ndarray:
     """phi at each column of a (p, k) block, each from its own y* = -H^-1 (J x + b).
 
-    One block solve on the cached factor (or the cached affine map) serves
-    every column; the outer values are taken column-wise.
+    One block solve on the cached factor serves every column; the outer values
+    are taken column-wise.
     """
-    factor = oracle._inner_factor()
-    if factor is None:
-        s, t = oracle._affine_map()
-        ys = s @ xs + t[:, None]
-    else:
-        rhs = np.repeat(oracle.b[:, None], xs.shape[1], axis=1)
-        if oracle.j_op is not None:
-            rhs += oracle.j_op.apply_block(xs)
-        ys = -factor.solve(rhs)
-    return oracle.outer.values(xs, ys)
+    rhs = np.repeat(oracle.b[:, None], xs.shape[1], axis=1)
+    if oracle.j_op is not None:
+        rhs += oracle.j_op.apply_block(xs)
+    return oracle.outer.values(xs, -oracle._inner_factor().solve(rhs))
 
 
 def finite_difference_gradient(oracle: QuadraticBilevelOracle, x: np.ndarray, h: float) -> np.ndarray:

@@ -166,8 +166,12 @@ class _TraceBuilder:
         self.initial_gap: float | None = None
 
     def record(self, k: int, point: np.ndarray, G: np.ndarray | None, x_eval: np.ndarray | None):
-        """Row k at `point`; G is the estimate made at x_eval (both None on row 0)."""
-        phi_gap = float(self.oracle.phi(point) - self.oracle.phi_star)
+        """Row k at `point`; G is the estimate made at x_eval (both None on row 0).
+
+        phi_star is the minimum of phi, so a difference below zero is rounding
+        and the gap is recorded as 0.0.
+        """
+        phi_gap = max(float(self.oracle.phi(point) - self.oracle.phi_star), 0.0)
         grad_norm = float(np.linalg.norm(self.oracle.grad_phi(point)))
         hypergrad_error = None
         if G is not None:

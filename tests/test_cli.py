@@ -329,6 +329,58 @@ class TestConfigKeys:
         check_config_keys(json.loads((SHIPPED_CONFIGS / config).read_text()))
 
 
+class TestNumericFields:
+    """A malformed real-valued field exits 1 before any solve: no traceback, no exit 2."""
+
+    @pytest.mark.parametrize(
+        "verb,config,path,key,value",
+        [
+            ("run", "benchmark_run.json", ("solver",), "eps", "x"),
+            ("run", "benchmark_run.json", ("solver",), "eps", -1.0),
+            ("run", "benchmark_run.json", ("solver",), "eps", float("nan")),
+            ("run", "benchmark_run.json", ("solver",), "tau_cost", "x"),
+            ("run", "benchmark_run.json", ("solver",), "tau_cost", float("inf")),
+            ("run", "benchmark_run.json", ("solver",), "L_phi", "x"),
+            ("run", "benchmark_run.json", ("solver",), "L_phi", -3),
+            ("run", "benchmark_run.json", ("solver", "regularize"), "eps", "x"),
+            ("run", "benchmark_run.json", ("solver", "regularize"), "eps", -1),
+            ("run", "benchmark_run.json", ("solver", "regularize"), "R", True),
+            ("run", "benchmark_run.json", ("instance",), "Lbar_xy", "x"),
+            ("run", "benchmark_run.json", ("instance",), "kappa_y", float("nan")),
+            ("verify-lb", "lower_bound_battery.json", ("lower_bound",), "csc_B", "x"),
+            ("verify-lb", "lower_bound_battery.json", ("lower_bound",), "csc_B", -1.0),
+            ("verify-lb", "lower_bound_battery.json", ("lower_bound",), "rstar_eps", "x"),
+            ("verify-lb", "lower_bound_battery.json", ("lower_bound",), "rstar_eps", -1),
+        ],
+    )
+    def test_bad_number_is_config_error(self, tmp_path, capsys, verb, config, path, key, value):
+        doc = json.loads((SHIPPED_CONFIGS / config).read_text())
+        doc["output_dir"] = str(tmp_path / "out")
+        if path == ("solver", "regularize"):
+            doc["solver"]["regularize"] = {"eps": 0.01, "R": 2.0}
+        block = doc
+        for name in path:
+            block = block[name]
+        block[key] = value
+        assert main([verb, write_config(tmp_path / "c.json", doc)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["L_phi", "stepsize"])
+    def test_falsy_auto_fields_keep_the_derived_default(self, tmp_path, key):
+        resolved = []
+        for name, value in (("absent", None), ("zero", 0)):
+            doc = minimal_run_config(tmp_path / name, K=2)
+            doc["solver"]["algorithm"] = "baseline-gd"
+            if value is not None:
+                doc["solver"][key] = value
+            assert main(["run", write_config(tmp_path / f"{name}.json", doc)]) == 0
+            text = (tmp_path / name / "resolved_config.json").read_text()
+            resolved.append(json.loads(text)["solver_resolved"][key])
+        assert resolved[0] == resolved[1] > 0
+
+
 class TestSweepVerb:
     def test_single_point_matches_run(self, tmp_path):
         base = {
@@ -394,6 +446,21 @@ class TestSweepVerb:
         rel_dev = np.max(np.abs(fitted - comps) / np.abs(comps))
         assert coeffs[0] > 0.0
         assert rel_dev <= 0.25
+
+    def test_shipped_sweep_records_no_negative_gap(self, tmp_path):
+        # phi_star is the minimum of phi: a gap below zero is rounding, recorded as 0.0
+        doc = json.loads((SHIPPED_CONFIGS / "kappa_sweep.json").read_text())
+        doc["output_dir"] = str(tmp_path / "out")
+        assert main(["sweep", write_config(tmp_path / "c.json", doc)]) == 0
+        with open(tmp_path / "out" / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(doc["sweep"]["values"])
+        assert all(float(row["final_gap"]) >= 0.0 for row in rows)
+        for i in range(len(rows)):
+            with open(tmp_path / "out" / f"point_{i:02d}" / "trace.csv", newline="") as fh:
+                gaps = [float(rec["phi_gap"]) for rec in csv.DictReader(fh)]
+            assert len(gaps) == doc["solver"]["K"] + 1
+            assert min(gaps) >= 0.0
 
     def test_empty_grid_is_config_error(self, tmp_path):
         doc = {

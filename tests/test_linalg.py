@@ -339,9 +339,15 @@ class TestBandedLDL:
     def test_wide_band_solve_matches_dense(self, flavor, d, coeffs, shift):
         op = linalg.z_power_sum(flavor, d, coeffs, shift)
         rhs = np.random.default_rng(d).standard_normal(d)
-        x = linalg.banded_ldl(op).solve(rhs)
+        factor = linalg.banded_ldl(op)
+        x = factor.solve(rhs)
         ref = np.linalg.solve(op.to_dense(), rhs)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        block = np.random.default_rng(d + 1).standard_normal((d, 3))
+        xs = factor.solve(block)
+        assert xs.shape == (d, 3)
+        for k in range(3):
+            assert np.array_equal(xs[:, k], factor.solve(block[:, k]))
 
     def test_pivots_are_those_of_the_dense_factorization(self):
         op = linalg.tridiagonal(np.array([2.0, 3.0, 4.0]), np.array([1.0, -1.0]))
@@ -353,16 +359,24 @@ class TestBandedLDL:
         with pytest.raises(SingularOperatorError):
             linalg.banded_ldl(op)
 
-    @pytest.mark.parametrize("op", [
-        linalg.anti_banded_z("scsc", 6),
-        linalg.z_power_sum("csc", 6, {3: 1.0, 1: 2.0}),
-        linalg.dense(np.eye(5)),
-        linalg.shifted_scaled(linalg.identity(4), 2.0, 1.0),
+    @pytest.mark.parametrize("op,definite", [
+        (linalg.anti_banded_z("scsc", 6), False),
+        (linalg.z_power_sum("csc", 6, {3: 1.0, 1: 2.0}), False),
+        (linalg.dense(np.eye(5) + 0.1 * np.ones((5, 5))), True),
+        (linalg.shifted_scaled(linalg.anti_banded_z("scsc", 6), 1.0, 2.5), True),
     ], ids=["z", "odd-sum", "dense", "shifted-scaled"])
-    def test_only_banded_stencils_have_a_band_form(self, op):
+    def test_only_banded_stencils_have_a_band_form(self, op, definite):
+        """Any other stencil is factored as one full band read off its dense form."""
         assert linalg.band_form(op) is None
-        with pytest.raises(ValueError):
-            linalg.banded_ldl(op)
+        if not definite:
+            with pytest.raises(SingularOperatorError):
+                linalg.banded_ldl(op)
+            return
+        factor = linalg.banded_ldl(op)
+        assert factor.width == op.dim - 1
+        rhs = np.random.default_rng(op.dim).standard_normal((op.dim, 2))
+        ref = np.linalg.solve(op.to_dense(), rhs)
+        assert np.linalg.norm(factor.solve(rhs) - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("op,width", [
         (linalg.identity(5), 0),
@@ -393,7 +407,7 @@ class TestBandedLDL:
         assert linalg.spectrum_within(h, lo - 1e-9, hi + 1e-9)
         assert not linalg.spectrum_within(h, lo + 1e-9, hi + 1e-9)
         assert not linalg.spectrum_within(h, lo - 1e-9, hi - 1e-9)
-        dense = linalg.dense(h.to_dense())  # the eigendecomposition path
+        dense = linalg.dense(h.to_dense())  # factored as one full band
         assert linalg.spectrum_within(dense, lo - 1e-9, hi + 1e-9)
         assert not linalg.spectrum_within(dense, lo + 1e-9, hi + 1e-9)
 

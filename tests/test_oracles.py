@@ -21,6 +21,7 @@ from bilevel_lab.errors import (
     DimensionMismatchError,
     InvariantViolationError,
 )
+from test_hypergrad import quadratic_oracle
 
 
 def _plain_constants(**overrides):
@@ -59,11 +60,26 @@ class TestQuadraticConstructor:
         assert oracle.phi(x) == pytest.approx(float(x @ x))
         assert np.allclose(oracle.x_star, np.zeros(4), atol=1e-12)
 
-    def test_spectrum_invariant_enforced(self):
+    @pytest.mark.parametrize(
+        "evals,rotated",
+        [([0.5, 1.0, 3.0], False), ([1.0, 1.5, 2.0 + 1e-6], True), ([1.0 - 1e-6, 1.5, 2.0], True)],
+        ids=["diagonal", "dense-above", "dense-below"],
+    )
+    def test_spectrum_invariant_enforced(self, evals, rotated):
         outer = QuadraticOuter(a_xx=linalg.identity(3), a_yy=linalg.identity(3))
-        bad_h = linalg.diagonal(np.array([0.5, 1.0, 3.0]))  # above Ltil_y = 1
+        constants = _plain_constants(Ltil_y=2.0)  # H must lie in [1, 2]
+        q = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
+
+        def h_op(e):
+            if not rotated:
+                return linalg.diagonal(np.asarray(e))
+            m = (q * e) @ q.T
+            return linalg.dense(0.5 * (m + m.T))
+
         with pytest.raises(InvariantViolationError):
-            QuadraticBilevelOracle(bad_h, None, np.zeros(3), outer, _plain_constants())
+            QuadraticBilevelOracle(h_op(evals), None, np.zeros(3), outer, constants)
+        # the same H with its spectrum clipped into the bounds is accepted
+        QuadraticBilevelOracle(h_op(np.clip(evals, 1.0, 2.0)), None, np.zeros(3), outer, constants)
 
     def test_dimension_mismatch(self):
         outer = QuadraticOuter(a_xx=linalg.identity(4), a_yy=linalg.identity(4))
@@ -124,7 +140,7 @@ class TestFiniteDifferenceCheck:
 
     @staticmethod
     def _dense_oracle(d):
-        """Dense H, J and A_xy with both linear terms: served by the affine map."""
+        """Dense H, J and A_xy with both linear terms: H is factored as one full band."""
         gen = np.random.default_rng(d)
         q, _ = np.linalg.qr(gen.standard_normal((d, d)))
         h = (q * gen.uniform(1.0, 2.0, d)) @ q.T
@@ -227,6 +243,39 @@ class TestAffineMap:
         assert finite_difference_check(oracle, x, 1e-5) <= 1e-6
         assert factor_calls == []
         assert solve_calls == []
+
+
+class TestOneInnerFactor:
+    """Every oracle's exact surface is served by the LDL' factor of H, with no dense solve."""
+
+    @pytest.mark.parametrize("which", ["decoupled", "dense6", "quadratic16"])
+    def test_exact_surface_without_dense_solve_or_eigendecomposition(self, which, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the exact surface must not call a dense solve or eigensolver")
+
+        monkeypatch.setattr(linalg, "solve_dense", forbidden)
+        monkeypatch.setattr(linalg, "symmetric_eig_extremes", forbidden)
+        if which == "decoupled":
+            oracle = decoupled_oracle()
+        elif which == "dense6":
+            oracle = TestFiniteDifferenceCheck._dense_oracle(6)
+        else:
+            oracle = quadratic_oracle(16, 4.0, np.random.default_rng(2))
+        x = np.random.default_rng(3).standard_normal(oracle.p)
+        h = oracle.h_op.to_dense()
+        j = np.zeros((oracle.q, oracle.p)) if oracle.j_op is None else oracle.j_op.to_dense()
+        ys_ref = np.linalg.solve(h, -(j @ x + oracle.b))
+        ys = oracle.y_star(x)
+        assert np.linalg.norm(ys - ys_ref) <= 1e-12 * (1.0 + np.linalg.norm(ys_ref))
+        assert oracle.phi(x) == pytest.approx(oracle.outer.value(x, ys_ref), rel=1e-12)
+        g_ref = oracle.grad_x_f(x, ys_ref) - j.T @ np.linalg.solve(h, oracle.grad_y_f(x, ys_ref))
+        g = oracle.grad_phi(x)
+        assert np.linalg.norm(g - g_ref) <= 1e-12 * (1.0 + np.linalg.norm(g_ref))
+        h_phi, c_phi = oracle.phi_quadratic_reduction()
+        assert np.linalg.norm(h_phi @ x + c_phi - g) <= 1e-12 * (1.0 + np.linalg.norm(g))
+        assert np.linalg.norm(oracle.grad_phi(oracle.x_star)) <= 1e-10
+        assert oracle.phi_star == oracle.phi(oracle.x_star) <= oracle.phi(x)
+        assert finite_difference_check(oracle, x, 1e-5) <= 1e-6
 
 
 class TestCounters:
