@@ -191,7 +191,8 @@ def build_instance(inst_cfg: dict):
     """Return (oracle, hard_instance_or_None, info dict) for a config block.
 
     A builder's ConstraintError (a dimension below 4, constants outside a
-    family's range) is invalid input, so it surfaces as a ConfigError.
+    family's range) is invalid input, so it surfaces as a ConfigError caused
+    by it.
     """
     kind = _require(inst_cfg, "kind", "instance")
     d = _as_int(inst_cfg.get("d", 16), "instance.d")
@@ -225,7 +226,7 @@ def build_instance(inst_cfg: dict):
             )
             return oracle, None, {"kind": kind, "d": d, "initial_gap": initial_gap}
     except ConstraintError as exc:
-        raise ConfigError(f"invalid instance: {exc}") from None
+        raise ConfigError(f"invalid instance: {exc}") from exc
     raise ConfigError(f"unknown instance kind {kind!r}")
 
 
@@ -350,7 +351,7 @@ def run_experiment(cfg: dict, out_dir: Path, tau_cost_override: float | None = N
     if tau_cost_override is None:
         tau_cost = _as_float(solver_cfg.get("tau_cost", 2.0), "solver.tau_cost", positive=True)
     else:
-        tau_cost = float(tau_cost_override)
+        tau_cost = _as_float(tau_cost_override, "--tau-cost", positive=True)
     oracle, instance, info = build_instance(inst_cfg)
     trace = None
     try:
@@ -405,11 +406,19 @@ def _sweep_point_config(cfg: dict, axis: str, value) -> dict:
 
 
 def _run_point(args):
+    """One sweep point's result, failed when its run raises.
+
+    A ConfigError propagates: a malformed field fails the whole sweep as
+    invalid input.  The one exception is a builder's ConstraintError, which
+    marks only this point's instance as infeasible (say, a swept d below 4).
+    """
     point_cfg, out_dir, tau_override = args
     try:
         result = run_experiment(point_cfg, Path(out_dir), tau_override)
         return {"ok": True, **result}
     except BilevelLabError as exc:
+        if isinstance(exc, ConfigError) and not isinstance(exc.__cause__, ConstraintError):
+            raise
         return {"ok": False, "error": str(exc)}
 
 
@@ -482,7 +491,11 @@ def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = No
     inst_cfg = cfg.get("instance", {"kind": "scsc", "preset": "mild"})
     constants = resolve_constants({**inst_cfg, "preset": inst_cfg.get("preset", "mild")})
     corruption = inst_cfg.get("corruption")
-    tau_cost = 2.0 if tau_cost_override is None else tau_cost_override
+    tau_cost = (
+        2.0
+        if tau_cost_override is None
+        else _as_float(tau_cost_override, "--tau-cost", positive=True)
+    )
     scsc_dims = lb_cfg.get("scsc_dims", [16, 32])
     if not isinstance(scsc_dims, list) or not scsc_dims:
         raise ConfigError(f"lower_bound.scsc_dims must be a non-empty list, got {scsc_dims!r}")
@@ -500,6 +513,10 @@ def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = No
 
     def record(name: str, passed: bool, **measured):
         items[name] = {"passed": bool(passed), **measured}
+
+    def ratio(measured: float, floor: float) -> float | None:
+        """How far a floor is from binding: measured / floor (None for a floor of 0)."""
+        return measured / floor if floor else None
 
     # --- strongly-convex family ------------------------------------------------
     def build_scsc_at(d: int):
@@ -550,6 +567,7 @@ def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = No
             gap_report.passed,
             gap=gap_report.gap,
             floor=gap_report.gap_floor,
+            ratio=ratio(gap_report.gap, gap_report.gap_floor),
         )
 
     # spot check: hypergradient consistency at seeded random points
@@ -569,7 +587,13 @@ def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = No
         grad_norm_at_xstar=grad_at_star,
     )
     measured, floor = hard_instances.csc_grad_floor_verify(csc_inst)
-    record("csc_grad_floor_static", measured >= floor, measured_min=measured, floor=floor)
+    record(
+        "csc_grad_floor_static",
+        measured >= floor,
+        measured_min=measured,
+        floor=floor,
+        ratio=ratio(measured, floor),
+    )
 
     x_final, profile = span_lab.simulate_on_instance(
         csc_inst, "baseline_aid_gd", csc_budgets, tau_cost
@@ -590,6 +614,7 @@ def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = No
         grad_report.passed,
         grad_norm=grad_report.grad_norm,
         floor=grad_report.grad_floor,
+        ratio=ratio(grad_report.grad_norm, grad_report.grad_floor),
     )
 
     rstar = hard_instances.csc_rstar(csc_constants, csc_B, eps_budget)

@@ -394,26 +394,31 @@ def build_csc(
 def csc_grad_floor_verify(instance: CscInstance) -> tuple[float, float]:
     """Constrained minimum of ||grad phi|| over {x : last three coords zero}.
 
-    Densifies grad phi(x) = H_phi x - c and solves the reduced normal
-    equations over the first d-3 coordinates.  Returns (measured_min, floor);
-    measured_min >= floor is the certified relation.
+    grad phi(x) = A (x - x*) with A = H_phi = H^-2 P, so with E the last
+    three unit vectors, W = A^-1 E = P^-1 H^2 E and f = x*_E the minimum over
+    {E'x = 0} is sqrt(f' (W'W)^-1 f): two block applies of H, one block solve
+    on the cached factor of the cleared system's P, and a 3 x 3 solve, O(d).
+    W'W is taken as R'R from the QR of W, so its condition number (about d^3)
+    is never formed.  x* is the oracle's own minimizer, so a shifted b_tilde
+    is measured as built.  Returns (measured_min, floor); measured_min >=
+    floor is the certified relation.
     """
+    oracle = instance.oracle
+    factor = oracle._cleared_factor()
+    if factor is None:
+        raise SingularOperatorError("the oracle has no cleared stationarity system")
     d = instance.d
-    h_phi, c_phi = instance.oracle.phi_quadratic_reduction()
-    c_vec = -c_phi
-    reduced = h_phi[:, : d - 3]
-    gram = reduced.T @ reduced
+    e_block = np.zeros((d, 3))
+    e_block[np.arange(d - 3, d), np.arange(3)] = 1.0
+    w = factor.solve(oracle.h_op.apply_block(oracle.h_op.apply_block(e_block)))
     try:
-        coeffs = np.linalg.solve(gram, reduced.T @ c_vec)
+        # f' (R'R)^-1 f = ||R'^-1 f||^2
+        coeffs = np.linalg.solve(np.linalg.qr(w, mode="r").T, oracle.x_star[d - 3 :])
     except np.linalg.LinAlgError:
-        raise SingularOperatorError("reduced normal equations are singular") from None
+        raise SingularOperatorError("W'W of the constrained minimum is singular") from None
     if not np.all(np.isfinite(coeffs)):
-        raise SingularOperatorError(
-            "reduced normal equations are singular to tolerance",
-            cond=float(np.linalg.cond(gram)),
-        )
-    measured_min = float(np.linalg.norm(reduced @ coeffs - c_vec))
-    return measured_min, instance.grad_floor
+        raise SingularOperatorError("W'W of the constrained minimum is singular to tolerance")
+    return float(np.linalg.norm(coeffs)), instance.grad_floor
 
 
 @dataclass(frozen=True)

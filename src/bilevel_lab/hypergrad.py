@@ -192,7 +192,7 @@ def aid_estimate(
     # cfg by keyword: perfbench/layers.py reads it from args[3] or kwargs["cfg"]
     y_n = agd_inner(oracle.grad_y_g_at(x), y0, cfg=agd, on_iterate=on_iterate)
     rhs = oracle.grad_y_f(x, y_n)
-    v = heavy_ball_solve(lambda u: oracle.hess_y_g_vec(x, y_n, u), rhs, hb)
+    v = heavy_ball_solve(oracle.hess_y_g_at(x, y_n), rhs, hb)
     g = oracle.grad_x_f(x, y_n) - oracle.jac_xy_g_vec(x, y_n, v)
     return HypergradientEstimate(G=g, y=y_n)
 

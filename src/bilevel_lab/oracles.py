@@ -18,10 +18,12 @@ and an inertia test, both from LDL' factors (`linalg.banded_ldl`):
   their `regularize_convex` wraps), all of them commute, and the stationarity
   equation of phi cleared by H^2 is an even power sum of degree at most 6,
   i.e. banded (pentadiagonal in the scsc family, whose Z^6 terms cancel):
-  x* comes from one banded LDL' solve.  No d x d array is formed.
+  x* comes from one banded LDL' solve.  No d x d array is formed.  The
+  factor of that system is cached and also serves the convex family's
+  gradient floor (`hard_instances.csc_grad_floor_verify`).
 - Any other oracle takes x* from the dense quadratic reduction of phi, built
   on y*(x) = S x + t (S = -H^-1 J, t = -H^-1 b) from one block solve on the
-  factor.  The reduction also serves `csc_grad_floor_verify` on every oracle.
+  factor.
 The spectrum check is an inertia test on H.  Algorithms see only the counted
 surface from `counted`, which carries the five queries and no exact surface;
 verification observers read the exact surface of the base oracle, uncounted.
@@ -131,7 +133,8 @@ class QuadraticBilevelOracle:
 
     The five query methods (grad_x_f, grad_y_f, grad_y_g, hess_y_g_vec,
     jac_xy_g_vec) are what algorithms may call; `grad_y_g_at` binds the
-    inner gradient to one x.  Everything else is the exact surface, for
+    inner gradient to one x and `hess_y_g_at` the Hessian-vector product to
+    one (x, y).  Everything else is the exact surface, for
     verification only, computed lazily and cached (see the module docstring):
     phi is evaluated through y*, grad_phi is the exact hypergradient, and
     phi_star is phi at the cached minimizer x_star.
@@ -192,6 +195,10 @@ class QuadraticBilevelOracle:
 
     def hess_y_g_vec(self, x, y, v):
         return self.h_op.apply(v)
+
+    def hess_y_g_at(self, x, y) -> Callable[[np.ndarray], np.ndarray]:
+        """hess_y_g_vec(x, y, .) for one fixed (x, y); g is quadratic in y, so it is H's apply."""
+        return self.h_op.apply
 
     def jac_xy_g_vec(self, x, y, v):
         if self.j_op is None:
@@ -298,17 +305,23 @@ class QuadraticBilevelOracle:
             rhs = rhs + o.a_yy.apply(self.j_op.apply(self.b))
         return rhs
 
+    def _cleared_factor(self) -> linalg.BandedLDL | None:
+        """The LDL' factor of the cleared system's P (cached), or None without one."""
+        if "p_ldl" not in self._cache:
+            cleared = self._cleared_system()
+            self._cache["p_ldl"] = None if cleared is None else linalg.banded_ldl(cleared[0])
+        return self._cache["p_ldl"]
+
     @property
     def x_star(self) -> np.ndarray:
         """Minimizer of phi, solved once: a banded solve of the cleared system, else dense."""
         if "x_star" not in self._cache:
-            cleared = self._cleared_system()
-            if cleared is None:
+            factor = self._cleared_factor()
+            if factor is None:
                 h_phi, c_phi = self.phi_quadratic_reduction()
                 xs = np.linalg.solve(h_phi, -c_phi)
             else:
-                p_op, rhs = cleared
-                xs = -linalg.banded_ldl(p_op).solve(rhs)
+                xs = -factor.solve(self._cleared_system()[1])
             self._cache["x_star"] = xs
         return self._cache["x_star"]
 
@@ -337,8 +350,9 @@ class QuadraticBilevelOracle:
         """This oracle with b and the outer linear terms multiplied by `scale`.
 
         y*, x* and every gradient scale by `scale` and phi by its square, so
-        the copy shares the cached H factor, takes x* rescaled instead of
-        solving again, and skips the spectrum check of the same H.
+        the copy shares the cached factors of H and of the cleared system's P
+        (neither depends on the scale), takes x* rescaled instead of solving
+        again, and skips the spectrum check of the same H.
         """
         o = self.outer
         outer = dataclasses.replace(
@@ -349,8 +363,9 @@ class QuadraticBilevelOracle:
         copy = QuadraticBilevelOracle(
             self.h_op, self.j_op, scale * self.b, outer, self.constants, validate_spectrum=False
         )
-        if "h_ldl" in self._cache:
-            copy._cache["h_ldl"] = self._cache["h_ldl"]
+        for key in ("h_ldl", "p_ldl"):
+            if key in self._cache:
+                copy._cache[key] = self._cache[key]
         if "x_star" in self._cache:
             copy._cache["x_star"] = scale * self._cache["x_star"]
         return copy
@@ -461,6 +476,16 @@ class _CountedOracle:
     def hess_y_g_vec(self, x, y, v):
         self._counters.n_H += 1
         return self._base.hess_y_g_vec(x, y, v)
+
+    def hess_y_g_at(self, x, y) -> Callable[[np.ndarray], np.ndarray]:
+        """hess_y_g_vec(x, y, .) bound to one (x, y); each call counts one Hessian-vector product."""
+        counters, h_apply = self._counters, self._base.hess_y_g_at(x, y)
+
+        def counted_hess(v):
+            counters.n_H += 1
+            return h_apply(v)
+
+        return counted_hess
 
     def jac_xy_g_vec(self, x, y, v):
         self._counters.n_J += 1

@@ -7,7 +7,8 @@ Hessian-vector products inside every hypergradient; the mapping is logged into
 the profile so a report is self-describing.  A span-respecting x stays within
 the first M coordinates and in the zero chain span{Z^(2j) Z b}; the first
 fact is read off the profile's running maximum of the active index, the second
-by projecting the final x onto a full-rank QR of the normalized chain basis.
+by projecting the final x onto a full-rank QR of the normalized chain basis,
+restricted to the rows the chain is supported on.
 
 The built-in algorithms drive the solvers' `outer_loop` with their own rules;
 `SupportProfile` is its observer, recording every x-update and inner
@@ -195,15 +196,26 @@ class LowerBoundReport:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def span_basis(instance: ScscInstance | CscInstance, M: int) -> np.ndarray:
-    """Columns Z^(2j) (Z b) for j = 0..M: the reachable x-subspace."""
+def span_head(instance: ScscInstance | CscInstance, M: int) -> np.ndarray:
+    """Columns Z^(2j) (Z b) for j = 0..M on the rows they are supported on.
+
+    The columns are generated one at a time and each keeps only its entries
+    up to its last nonzero one, read off the column itself; the result has
+    1 + the largest such index rows, and every column is exactly zero below
+    them.  Memory is O(d + M * rows), where the full basis takes O(d M).
+    """
     z = instance.z
     col = z.apply(instance.b)
-    cols = [col]
-    for _ in range(M):
-        col = z.apply_power(col, 2)
-        cols.append(col)
-    return np.column_stack(cols)
+    heads = []
+    for j in range(M + 1):
+        if j:
+            col = z.apply_power(col, 2)
+        nonzero = np.flatnonzero(col)
+        heads.append(col[: nonzero[-1] + 1 if nonzero.size else 0].copy())  # not a view of col
+    basis = np.zeros((max(h.shape[0] for h in heads), M + 1))
+    for j, head in enumerate(heads):
+        basis[: head.shape[0], j] = head
+    return basis
 
 
 def span_projection_residual(
@@ -211,16 +223,20 @@ def span_projection_residual(
 ) -> float:
     """Relative least-squares distance of x to the reachable subspace.
 
-    Basis columns are normalized (their norms grow like 4^j) and the
+    The chain's columns vanish below their head (`span_head`), so only x's
+    head is projected: the residual is sqrt(||x_h - QQ'x_h||^2 + ||x_tail||^2)
+    / ||x||.  Head columns are normalized (their norms grow like 4^j) and the
     projector is the full Q of their QR factorization: every chain direction
     is kept, however small its share of the basis's spectrum.
     """
     norm = float(np.linalg.norm(x))
     if norm == 0.0:
         return 0.0
-    basis = span_basis(instance, M)
+    basis = span_head(instance, M)
     q, _ = np.linalg.qr(basis / np.linalg.norm(basis, axis=0, keepdims=True))
-    return float(np.linalg.norm(x - q @ (q.T @ x))) / norm
+    head, tail = x[: basis.shape[0]], x[basis.shape[0] :]
+    off_span = float(np.linalg.norm(head - q @ (q.T @ head)))
+    return math.hypot(off_span, float(np.linalg.norm(tail))) / norm
 
 
 def verify_support_cap(

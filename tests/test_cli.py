@@ -367,6 +367,25 @@ class TestNumericFields:
         assert err.startswith("config error:") and key in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-5"])
+    @pytest.mark.parametrize(
+        "verb,config",
+        [
+            ("run", "benchmark_run.json"),
+            ("sweep", "kappa_sweep.json"),
+            ("verify-lb", "lower_bound_battery.json"),
+        ],
+    )
+    def test_bad_tau_cost_flag_is_config_error(self, tmp_path, capsys, verb, config, value):
+        doc = json.loads((SHIPPED_CONFIGS / config).read_text())
+        doc["output_dir"] = str(tmp_path / "out")
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main([verb, cfg, "--tau-cost", value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "--tau-cost" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", ["L_phi", "stepsize"])
     def test_falsy_auto_fields_keep_the_derived_default(self, tmp_path, key):
         resolved = []
@@ -499,6 +518,20 @@ class TestSweepVerb:
         lines = (tmp_path / "out" / "summary.csv").read_text().strip().splitlines()
         assert lines[1].split(",")[1] == ""  # failed point: no complexity
         assert lines[2].split(",")[1] != ""
+
+    @pytest.mark.parametrize("block,key,jobs", [("solver", "eps", 1), ("instance", "initial_gap", 2)])
+    def test_bad_shared_field_exits_one(self, tmp_path, capsys, block, key, jobs):
+        # a malformed field shared by every point is invalid input, not a
+        # numeric failure of each point
+        doc = json.loads((SHIPPED_CONFIGS / "kappa_sweep.json").read_text())
+        doc["output_dir"] = str(tmp_path / "out")
+        doc[block][key] = "x"
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["sweep", cfg, "--jobs", str(jobs)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{block}.{key}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "summary.csv").exists()
 
     def test_all_points_failing_exits_nonzero(self, tmp_path):
         doc = {
@@ -636,6 +669,68 @@ class TestVerifyLbVerb:
         main(["verify-lb", cfg, "--tau-cost", "3"])
         assert len(tau_costs) == 3  # two scsc algorithms and the csc run
         assert all(t == 3.0 for t in tau_costs)
+
+    def test_floor_items_carry_their_ratio(self, tmp_path):
+        doc = battery_config(tmp_path / "out", algorithms=("baseline_aid_gd", "accbio"))
+        assert main(["verify-lb", write_config(tmp_path / "c.json", doc)]) == 0
+        items = json.loads((tmp_path / "out" / "lower_bound_report.json").read_text())["items"]
+        measured = {
+            "scsc_gap_floor_baseline_aid_gd": "gap",
+            "scsc_gap_floor_accbio": "gap",
+            "csc_grad_floor_static": "measured_min",
+            "csc_grad_floor_run": "grad_norm",
+        }
+        assert {name for name, item in items.items() if "ratio" in item} == set(measured)
+        for name, key in measured.items():
+            item = items[name]
+            assert item["ratio"] == item[key] / item["floor"] >= 1.0
+
+    # the scaled battery of the benchmark's battery-lb-d1024 workload
+    SCALED_BATTERY = {
+        "seed": 0,
+        "instance": {"kind": "scsc", "preset": "mild"},
+        "lower_bound": {
+            "budgets": {"K": 60, "Q": 10, "T": 5},
+            "scsc_dims": [256, 1024],
+            "csc_d": 512,
+            "csc_B": 1.0,
+            "csc_budgets": {"K": 40, "Q": 10, "T": 3},
+            "algorithms": ["baseline_aid_gd", "accbio", "accbio_bg"],
+            "rstar_eps": 1e-2,
+        },
+    }
+
+    @pytest.mark.parametrize("which", ["shipped", "scaled"])
+    def test_battery_densifies_nothing_above_small_dim(self, tmp_path, monkeypatch, capsys, which):
+        to_dense, qr = linalg.StructuredOperator.to_dense, np.linalg.qr
+        qr_shapes = []
+
+        def guarded_to_dense(self):
+            if self.dim > linalg.SMALL_DIM:
+                raise AssertionError(f"verify-lb densified an operator of dim {self.dim}")
+            return to_dense(self)
+
+        def spy_qr(a, *args, **kwargs):
+            qr_shapes.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg.StructuredOperator, "to_dense", guarded_to_dense)
+        monkeypatch.setattr(np.linalg, "qr", spy_qr)
+        if which == "shipped":
+            doc = json.loads((SHIPPED_CONFIGS / "lower_bound_battery.json").read_text())
+        else:
+            doc = json.loads(json.dumps(self.SCALED_BATTERY))
+        doc["output_dir"] = str(tmp_path / "out")
+        code = main(["verify-lb", write_config(tmp_path / "c.json", doc)])
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "lower_bound_report.json").read_text())
+        # the scaled battery's geometric-minimizer items fail at the float64
+        # rounding floor; every other item passes
+        assert all(name.startswith("scsc_geometric_minimizer_") for name in report["failed_items"])
+        assert code == (3 if report["failed_items"] else 0)
+        assert len(report["items"]) == 15
+        # the csc floor's (d, 3) block, and span heads at most two rows taller than wide
+        assert qr_shapes and all(cols <= 3 or rows <= cols + 2 for rows, cols in qr_shapes)
 
     def test_support_cap_items_carry_oracle_counts(self, tmp_path):
         items = {}

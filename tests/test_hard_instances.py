@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bilevel_lab import (
+    QuadraticBilevelOracle,
     SmoothnessConstants,
     build_csc,
     build_scsc,
@@ -20,13 +21,28 @@ from bilevel_lab.errors import (
     ConstraintError,
     InfeasibleDimensionError,
     InvariantViolationError,
+    SingularOperatorError,
 )
 from bilevel_lab.hard_instances import (
     csc_grad_floor_value,
     scsc_bracket_low,
     scsc_quartic,
 )
+from bilevel_lab.linalg import SMALL_DIM, dense
 from bilevel_lab.presets import mild_csc_constants, mild_scsc_constants
+
+
+def dense_grad_floor(instance) -> float:
+    """Reference constrained minimum of ||grad phi|| over {x : last three coords zero}.
+
+    Densifies grad phi(x) = H_phi x + c_phi and solves the normal equations
+    over the first d-3 coordinates, O(d^3).
+    """
+    d = instance.d
+    h_phi, c_phi = instance.oracle.phi_quadratic_reduction()
+    reduced = h_phi[:, : d - 3]
+    coeffs = np.linalg.solve(reduced.T @ reduced, -reduced.T @ c_phi)
+    return float(np.linalg.norm(reduced @ coeffs + c_phi))
 
 
 class TestScscConstruction:
@@ -180,6 +196,29 @@ class TestCscConstruction:
         inst = build_csc(d, csc_constants, B=1.0)
         measured, floor = csc_grad_floor_verify(inst)
         assert measured >= floor
+
+    @pytest.mark.parametrize("shifted", [False, True], ids=["clean", "btilde3"])
+    @pytest.mark.parametrize("d", [8, 20, SMALL_DIM, SMALL_DIM + 1, 512])
+    def test_closed_form_matches_dense_normal_equations(self, csc_constants, d, shifted):
+        shift = 0.1 * (np.arange(d) == 2) if shifted else None
+        measured, floor = csc_grad_floor_verify(build_csc(d, csc_constants, 1.0, shift))
+        reference = dense_grad_floor(build_csc(d, csc_constants, 1.0, shift))
+        assert measured == pytest.approx(reference, rel=1e-9)
+        assert floor == csc_grad_floor_value(csc_constants, 1.0, d)
+
+    def test_closed_form_needs_the_cleared_system(self, csc20):
+        # the same oracle with a dense H carries no Z polynomial, so no cleared system
+        o = csc20.oracle
+        oracle = QuadraticBilevelOracle(dense(o.h_op.to_dense()), o.j_op, o.b, o.outer, o.constants)
+        with pytest.raises(SingularOperatorError):
+            csc_grad_floor_verify(dataclasses.replace(csc20, oracle=oracle))
+
+    def test_closed_form_factors_the_cleared_system_once(self, csc_constants, factor_calls):
+        inst = build_csc(32, csc_constants, B=1.0)
+        _ = inst.oracle.x_star
+        factor_calls.clear()
+        csc_grad_floor_verify(inst)
+        assert factor_calls == []  # the floor reuses the factor x* was solved with
 
     def test_floor_not_vacuous_at_d20(self, csc20):
         measured, floor = csc_grad_floor_verify(csc20)

@@ -302,6 +302,16 @@ class TestCounters:
         _ = base.phi_star
         assert (counters.n_G, counters.n_H, counters.n_J) == (0, 0, 0)
 
+    def test_bound_hessian_counts_one_product_per_call(self):
+        base = coupled_oracle()
+        oracle, counters = counted(base)
+        x, y, v = np.zeros(4), np.zeros(4), np.arange(4.0)
+        hess = oracle.hess_y_g_at(x, y)
+        assert counters.n_H == 0  # binding is not a query
+        for k in range(1, 4):
+            assert np.array_equal(hess(v), base.hess_y_g_vec(x, y, v))
+            assert (counters.n_G, counters.n_H, counters.n_J) == (0, k, 0)
+
     def test_zero_calls_zero_complexity(self):
         _, counters = counted(decoupled_oracle())
         assert counters.complexity() == 0.0
@@ -423,6 +433,16 @@ class TestBandedSurface:
         assert scaled.phi_star == pytest.approx(fresh.phi_star, rel=1e-12)
         assert scaled.phi(x) == pytest.approx(fresh.phi(x), rel=1e-12)
         assert np.allclose(scaled.grad_phi(x), fresh.grad_phi(x), rtol=1e-12, atol=1e-14)
+
+    def test_rescaled_oracle_shares_both_factors(self, benchmark_constants, factor_calls):
+        base = build_scsc_benchmark(32, benchmark_constants)
+        _ = base.phi_star  # factors H and the cleared system's P
+        factor_calls.clear()
+        scaled = base.rescaled(2.5)
+        assert scaled._inner_factor() is base._inner_factor()
+        assert scaled._cleared_factor() is base._cleared_factor()
+        _ = scaled.phi_star
+        assert factor_calls == []
 
 
 class TestSpectrumCheck:

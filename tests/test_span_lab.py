@@ -3,13 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from bilevel_lab import build_scsc, scsc_feasible_dimension
+from bilevel_lab import build_csc, build_scsc, scsc_feasible_dimension
 from bilevel_lab.errors import InfeasibleDimensionError, InvariantViolationError
 from bilevel_lab.span_lab import (
     SIMULATOR_ALGORITHMS,
     SupportProfile,
     active_index,
     simulate_on_instance,
+    span_head,
     span_projection_residual,
     support_cap,
     verify_gap_floor,
@@ -36,6 +37,22 @@ def scsc_run_instance(mild_constants):
 @pytest.fixture(scope="module")
 def battery_run_instance(mild_constants):
     return feasible_instance(mild_constants, BATTERY_BUDGETS)
+
+
+def chain_basis(instance, M):
+    """Reference: the full d x (M+1) basis Z^(2j) Z b, j = 0..M."""
+    z = instance.z
+    cols = [z.apply(instance.b)]
+    for _ in range(M):
+        cols.append(z.apply_power(cols[-1], 2))
+    return np.column_stack(cols)
+
+
+def full_basis_residual(instance, x, M):
+    """Reference: relative distance of x to the span, by a QR of the full basis."""
+    basis = chain_basis(instance, M)
+    q, _ = np.linalg.qr(basis / np.linalg.norm(basis, axis=0, keepdims=True))
+    return float(np.linalg.norm(x - q @ (q.T @ x))) / float(np.linalg.norm(x))
 
 
 class TestSupportBookkeeping:
@@ -138,6 +155,56 @@ class TestSupportCap:
         e = np.zeros(battery_run_instance.d)
         e[m // 2] = 1.0
         assert span_projection_residual(battery_run_instance, e, m) <= 1e-8
+
+
+class TestSpanHead:
+    """The span check on the chain's support agrees with the full-basis QR."""
+
+    CSC_BUDGETS = {"K": 40, "Q": 10, "T": 3}  # the scaled battery's csc budgets
+
+    @pytest.fixture(scope="class")
+    def csc_run_instance(self, csc_constants):
+        return build_csc(512, csc_constants, B=1.0)
+
+    def _cases(self, request, kind):
+        if kind == "scsc":
+            return request.getfixturevalue("battery_run_instance"), BATTERY_BUDGETS
+        return request.getfixturevalue("csc_run_instance"), self.CSC_BUDGETS
+
+    @pytest.mark.parametrize("kind", ["scsc", "csc"])
+    def test_head_is_read_off_the_columns(self, request, kind):
+        instance, budgets = self._cases(request, kind)
+        m = support_cap(kind, **budgets)
+        full = chain_basis(instance, m)
+        rows = 1 + int(np.flatnonzero(np.any(full != 0.0, axis=1))[-1])
+        head = span_head(instance, m)
+        assert head.shape == (rows, m + 1) and rows < instance.d
+        assert rows == m + (2 if kind == "scsc" else 3)
+        assert np.array_equal(head, full[:rows])
+
+    def test_head_follows_a_shifted_b_tilde(self, mild_constants):
+        # the btilde3 shift puts mass on b_tilde's third entry, so every
+        # column reaches one coordinate further than in the clean build
+        clean = feasible_instance(mild_constants, BUDGETS)
+        d = clean.d
+        shifted = build_scsc(d, mild_constants, btilde_shift=0.1 * (np.arange(d) == 2))
+        m = support_cap("scsc", **BUDGETS)
+        assert span_head(shifted, m).shape[0] == span_head(clean, m).shape[0] + 1
+        x = chain_basis(shifted, m) @ np.full(m + 1, 1e-3)
+        assert span_projection_residual(shifted, x, m) <= 1e-8
+
+    @pytest.mark.parametrize("kind", ["scsc", "csc"])
+    def test_residual_matches_full_basis_qr(self, request, kind):
+        instance, budgets = self._cases(request, kind)
+        m = support_cap(kind, **budgets)
+        x_final, _ = simulate_on_instance(instance, "accbio", budgets)
+        chain = chain_basis(instance, m)[:, m // 2]
+        tail = np.zeros(instance.d)
+        tail[3], tail[m + 5] = 1.0, 1.0
+        for x in (x_final, chain, tail):
+            fast, ref = span_projection_residual(instance, x, m), full_basis_residual(instance, x, m)
+            assert fast == pytest.approx(ref, rel=1e-9, abs=1e-15)
+        assert span_projection_residual(instance, tail, m) == pytest.approx(np.sqrt(0.5))
 
 
 class TestFloors:
