@@ -426,8 +426,8 @@ def run_sweep(cfg: dict, out_dir: Path, jobs: int, tau_cost_override: float | No
     sweep_cfg = _require(cfg, "sweep", "config")
     axis = _require(sweep_cfg, "axis", "sweep")
     values = _require(sweep_cfg, "values", "sweep")
-    if not values:
-        raise ConfigError("sweep grid is empty")
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"sweep.values must be a non-empty list, got {values!r}")
     tasks = []
     for i, value in enumerate(values):
         point_cfg = _sweep_point_config(cfg, axis, value)
@@ -503,8 +503,10 @@ def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = No
     budgets = _lb_budgets(lb_cfg, "budgets", {"K": 10, "Q": 5, "T": 3})
     algorithms = lb_cfg.get("algorithms", ["baseline_aid_gd"])
     known = span_lab.SIMULATOR_ALGORITHMS
-    if not isinstance(algorithms, list) or any(a not in known for a in algorithms):
-        raise ConfigError(f"lower_bound.algorithms must be a list of {known}, got {algorithms!r}")
+    if not (isinstance(algorithms, list) and algorithms and all(a in known for a in algorithms)):
+        raise ConfigError(
+            f"lower_bound.algorithms must be a non-empty list of {known}, got {algorithms!r}"
+        )
     csc_d = _as_int(lb_cfg.get("csc_d", 20), "lower_bound.csc_d", minimum=4)
     csc_budgets = _lb_budgets(lb_cfg, "csc_budgets", {"K": 4, "Q": 2, "T": 3})
     csc_B = _as_float(lb_cfg.get("csc_B", 1.0), "lower_bound.csc_B", positive=True)

@@ -108,18 +108,41 @@ def agd_inner(
     as `grad_y_g_at(x)` of an oracle or its counted surface returns it;
     each step calls it once.  `on_iterate` (if given) sees each new iterate;
     it only observes and must not query the counted surface.
+
+    The first step is y_1 = y0 - step*grad(y0).  After it, rows 0 and 1 of
+    a (3, q) workspace hold y_(t-1) and y_(t-2) (their roles swap with the
+    parity of t, so no iterate is copied to rotate) and row 2 holds
+    g = grad(s_t).  One (2, 3) coefficient product gives both
+    y_t = c_e y_(t-1) - c_m y_(t-2) - step*g and the next query point
+    s_(t+1) = c_e y_t - c_m y_(t-1), expanded over the same three rows.
+    Each iterate handed to `on_iterate`, returned, or carried as the
+    `last_good` of a divergence is a fresh array that no later step writes
+    to, and y0 is never written.
     """
-    c_extra = cfg.extrapolation
-    c_mom = cfg.momentum
-    y_prev = y0
-    s = y0
-    y = y0
-    for t in range(1, cfg.N + 1):
-        y = s - cfg.step * grad(s)
+    c_e, c_m, step = cfg.extrapolation, cfg.momentum, cfg.step
+    y = y0 - step * grad(y0)
+    if not _finite(y):
+        raise DivergenceError("inner accelerated descent diverged", step=1, last_good=y0)
+    if on_iterate is not None:
+        on_iterate(y)
+    if cfg.N == 1:
+        return y
+    s = c_e * y - c_m * y0
+    work = np.empty((3, y.shape[0]))
+    work[0] = y
+    work[1] = y0
+    # by parity of t: (coefficients, row that receives y_t); rows 0/1 are
+    # (y_(t-1), y_(t-2)) for even t and (y_(t-2), y_(t-1)) for odd t
+    coef = np.array([[c_e, -c_m, -step], [c_e * c_e - c_m, -c_e * c_m, -c_e * step]])
+    schedule = ((coef, 1), (coef[:, [1, 0, 2]], 0))
+    for t in range(2, cfg.N + 1):
+        work[2] = grad(s)
+        c, row = schedule[t & 1]
+        out = c.dot(work)
+        y_prev, y, s = y, out[0], out[1]
         if not _finite(y):
             raise DivergenceError("inner accelerated descent diverged", step=t, last_good=y_prev)
-        s = c_extra * y - c_mom * y_prev
-        y_prev = y
+        work[row] = y
         if on_iterate is not None:
             on_iterate(y)
     return y
@@ -132,15 +155,29 @@ def heavy_ball_solve(
 ) -> np.ndarray:
     """Approximate H^-1 rhs with M heavy-ball updates from v0 = v1 = 0.
 
-    Each update costs exactly one Hessian-vector product.
+    Each update costs exactly one Hessian-vector product.  The rows of a
+    (4, q) workspace hold v_t, v_(t-1), H v_t and rhs (rows 0 and 1 swap
+    roles with the parity of t, so no iterate is copied to rotate), and
+    v_(t+1) = [1+beta, -beta, -alpha, alpha] . work is one product.  Each
+    iterate handed to `hess_apply`, returned, or carried as the `last_good`
+    of a divergence is a fresh array that no later step writes to, and rhs
+    is never written.
     """
-    v_prev = np.zeros_like(rhs)
+    alpha, beta = cfg.hb_step, cfg.hb_momentum
     v = np.zeros_like(rhs)
+    work = np.zeros((4, v.shape[0]))
+    work[3] = rhs
+    # by parity of t: (coefficients, row that receives v_(t+1)); rows 0/1
+    # are (v_t, v_(t-1)) for odd t and (v_(t-1), v_t) for even t
+    coef = np.array([1.0 + beta, -beta, -alpha, alpha])
+    schedule = ((coef[[1, 0, 2, 3]], 0), (coef, 1))
     for t in range(1, cfg.M + 1):
-        v_next = v - cfg.hb_step * (hess_apply(v) - rhs) + cfg.hb_momentum * (v - v_prev)
+        work[2] = hess_apply(v)
+        c, row = schedule[t & 1]
+        v_next = c.dot(work)
         if not _finite(v_next):
             raise DivergenceError("heavy-ball iteration diverged", step=t, last_good=v)
-        v_prev, v = v, v_next
+        work[row] = v = v_next
     return v
 
 

@@ -491,6 +491,18 @@ class TestSweepVerb:
         cfg = write_config(tmp_path / "c.json", doc)
         assert main(["sweep", cfg]) == 1
 
+    @pytest.mark.parametrize("values", [5, "abc", {"a": 1.0}], ids=["number", "string", "object"])
+    def test_values_not_a_list_is_config_error(self, tmp_path, capsys, values):
+        doc = json.loads((SHIPPED_CONFIGS / "kappa_sweep.json").read_text())
+        doc["output_dir"] = str(tmp_path / "out")
+        doc["sweep"]["values"] = values
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["sweep", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sweep.values must be a non-empty list")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_non_integer_d_value_is_config_error(self, tmp_path, capsys):
         doc = {
             "seed": 0,
@@ -584,6 +596,7 @@ class TestVerifyLbVerb:
             ("algorithms", ["acbio"]),
             ("algorithms", "accbio"),
             ("csc_budgets", {"K": 4.5, "Q": 2, "T": 2}),
+            ("algorithms", []),
         ],
     )
     def test_bad_dimension_is_config_error(self, tmp_path, capsys, key, value):

@@ -9,6 +9,7 @@ from bilevel_lab import (
     SmoothnessConstants,
     agd_inner,
     aid_estimate,
+    build_scsc_benchmark,
     counted,
     exact_hypergradient,
     heavy_ball_solve,
@@ -17,7 +18,8 @@ from bilevel_lab import (
     linalg,
     tail_log_slope,
 )
-from bilevel_lab.errors import InvariantViolationError
+from bilevel_lab.errors import DivergenceError, InvariantViolationError
+from bilevel_lab.presets import benchmark_scsc_constants
 
 
 def _constants(**overrides):
@@ -120,6 +122,148 @@ class TestHeavyBall:
                 heavy_ball_solve(h_apply, rhs, HeavyBallConfig.from_constants(c, m + 50)) - v_star
             )
             assert e_m50 <= e_m
+
+
+REFERENCE_DIMS = (8, 32, linalg.SMALL_DIM + 1, 1024)
+REFERENCE_BUDGETS = (1, 2, 245)
+
+
+def _reference_agd(grad, y0, cfg):
+    """The textbook accelerated recurrence, one vector expression per update."""
+    y_prev = s = y = y0
+    iterates = []
+    for _ in range(cfg.N):
+        y = s - cfg.step * grad(s)
+        s = cfg.extrapolation * y - cfg.momentum * y_prev
+        y_prev = y
+        iterates.append(y)
+    return iterates
+
+
+def _reference_heavy_ball(hess_apply, rhs, cfg):
+    """The textbook heavy-ball recurrence from v0 = v1 = 0."""
+    v_prev = v = np.zeros_like(rhs)
+    for _ in range(cfg.M):
+        v_next = v - cfg.hb_step * (hess_apply(v) - rhs) + cfg.hb_momentum * (v - v_prev)
+        v_prev, v = v, v_next
+    return v
+
+
+def _rel(a, b):
+    return float(np.linalg.norm(a - b)) / max(float(np.linalg.norm(b)), 1e-300)
+
+
+class TestInnerLoopsMatchReference:
+    @pytest.mark.parametrize("kappa_y", (1.0, 64.0))
+    @pytest.mark.parametrize("d", REFERENCE_DIMS)
+    def test_agd_matches_textbook_recurrence(self, d, kappa_y):
+        c = benchmark_scsc_constants(kappa_y)
+        oracle = build_scsc_benchmark(d, c)
+        rng = np.random.default_rng(d)
+        grad = oracle.grad_y_g_at(rng.standard_normal(d))
+        y0 = rng.standard_normal(d)
+        for n in REFERENCE_BUDGETS:
+            cfg = AgdConfig.from_constants(c, n)
+            seen = []
+            y = agd_inner(grad, y0, cfg, on_iterate=seen.append)
+            expected = _reference_agd(grad, y0, cfg)
+            assert len(seen) == n and seen[-1] is y
+            for got, want in zip(seen, expected):
+                assert _rel(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("kappa_y", (1.0, 64.0))
+    @pytest.mark.parametrize("d", REFERENCE_DIMS)
+    def test_heavy_ball_matches_textbook_recurrence(self, d, kappa_y):
+        c = benchmark_scsc_constants(kappa_y)
+        oracle = build_scsc_benchmark(d, c)
+        rhs = np.random.default_rng(d).standard_normal(d)
+        hess = oracle.hess_y_g_at(None, None)
+        for m in REFERENCE_BUDGETS:
+            cfg = HeavyBallConfig.from_constants(c, m)
+            v = heavy_ball_solve(hess, rhs, cfg)
+            assert _rel(v, _reference_heavy_ball(hess, rhs, cfg)) <= 1e-12
+
+
+def _poisoned(fn, bad_call):
+    """fn, except that its `bad_call`-th call returns a vector of inf."""
+    calls = [0]
+
+    def wrapped(v):
+        calls[0] += 1
+        out = fn(v)
+        return np.full_like(out, np.inf) if calls[0] == bad_call else out
+
+    return wrapped
+
+
+class TestInnerLoopGuardsAndAliasing:
+    def test_agd_divergence_reports_step_and_last_good(self, scsc_bench32, rng):
+        oracle = scsc_bench32.oracle
+        grad = oracle.grad_y_g_at(rng.standard_normal(32))
+        y0 = rng.standard_normal(32)
+        cfg = AgdConfig.from_constants(oracle.constants, 8)
+        clean = []
+        agd_inner(grad, y0, cfg, on_iterate=clean.append)
+        for t in (1, 2, 3, 8):
+            with pytest.raises(DivergenceError) as info:
+                agd_inner(_poisoned(grad, t), y0, cfg)
+            assert info.value.step == t
+            assert np.array_equal(info.value.last_good, y0 if t == 1 else clean[t - 2])
+
+    def test_heavy_ball_divergence_reports_step_and_last_good(self, scsc_bench32, rng):
+        oracle = scsc_bench32.oracle
+        hess = oracle.hess_y_g_at(None, None)
+        rhs = rng.standard_normal(32)
+        c = oracle.constants
+        for t in (1, 2, 3, 8):
+            with pytest.raises(DivergenceError) as info:
+                heavy_ball_solve(_poisoned(hess, t), rhs, HeavyBallConfig.from_constants(c, 8))
+            assert info.value.step == t
+            previous = (
+                np.zeros(32)
+                if t == 1
+                else heavy_ball_solve(hess, rhs, HeavyBallConfig.from_constants(c, t - 1))
+            )
+            assert np.array_equal(info.value.last_good, previous)
+
+    def test_observed_iterates_are_never_overwritten(self, scsc_bench32, rng):
+        oracle = scsc_bench32.oracle
+        grad = oracle.grad_y_g_at(rng.standard_normal(32))
+        y0 = rng.standard_normal(32)
+        stored, snapshots = [], []
+
+        def observe(y):
+            stored.append(y)
+            snapshots.append(y.copy())
+
+        y = agd_inner(grad, y0, AgdConfig.from_constants(oracle.constants, 9), on_iterate=observe)
+        assert stored[-1] is y
+        hess = oracle.hess_y_g_at(None, None)
+
+        def observed_hess(v):
+            observe(v)
+            return hess(v)
+
+        rhs = rng.standard_normal(32)
+        heavy_ball_solve(observed_hess, rhs, HeavyBallConfig.from_constants(oracle.constants, 9))
+        assert len(stored) == 18
+        for kept, snapshot in zip(stored, snapshots):
+            assert np.array_equal(kept, snapshot)
+
+    def test_inputs_are_never_written(self, scsc_bench32, rng):
+        oracle = scsc_bench32.oracle
+        c = oracle.constants
+        y0 = rng.standard_normal(32)
+        rhs = rng.standard_normal(32)
+        y0_copy, rhs_copy = y0.copy(), rhs.copy()
+        y0.flags.writeable = False
+        rhs.flags.writeable = False
+        grad = oracle.grad_y_g_at(rng.standard_normal(32))
+        hess = oracle.hess_y_g_at(None, None)
+        for budget in (1, 2, 7):
+            agd_inner(grad, y0, AgdConfig.from_constants(c, budget))
+            heavy_ball_solve(hess, rhs, HeavyBallConfig.from_constants(c, budget))
+        assert np.array_equal(y0, y0_copy) and np.array_equal(rhs, rhs_copy)
 
 
 class TestAidEstimate:
