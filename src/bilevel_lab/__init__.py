@@ -64,7 +64,6 @@ from .oracles import (
 from .solvers import (
     AccBiOBGConfig,
     AccBiOConfig,
-    DeltaStarInputs,
     RunTrace,
     TraceRecord,
     accbio,

@@ -43,7 +43,7 @@ EXIT_VERIFY = 3
 
 
 # ---------------------------------------------------------------------------
-# config handling
+# config schema
 # ---------------------------------------------------------------------------
 
 
@@ -57,95 +57,209 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config does not parse: {path}: {exc}") from None
 
 
-# the keys each config block may hold; `regularize` sits inside `solver`
-CONFIG_KEYS = {
-    "config": {"seed", "output_dir", "instance", "solver", "sweep", "lower_bound"},
+def _int(minimum: int | None = None):
+    """An integer (an int, or a float with an integral value), at least `minimum`."""
+
+    def check(value, name: str) -> int:
+        if isinstance(value, bool) or not (
+            isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+        ):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
+        return int(value)
+
+    return check
+
+
+def _float(positive: bool = False):
+    """A finite real (an int or a float, not a bool), above 0 if `positive`."""
+
+    def check(value, name: str) -> float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+        if positive and number <= 0:
+            raise ConfigError(f"{name} must be positive, got {value!r}")
+        return number
+
+    return check
+
+
+_positive = _float(positive=True)
+
+
+def _str(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _or(check, *literals):
+    """`literals` (same type and value) pass as is; anything else goes to `check`, if any."""
+
+    def either(value, name: str):
+        if any(type(value) is type(literal) and value == literal for literal in literals):
+            return value
+        if check is None:
+            raise ConfigError(f"{name} must be one of {literals}, got {value!r}")
+        return check(value, name)
+
+    return either
+
+
+def _one_of(*choices):
+    return _or(None, *choices)
+
+
+def _list_of(check, unique: bool = False):
+    """A non-empty list of entries that pass `check`; with `unique`, none twice."""
+
+    def check_list(value, name: str) -> list:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{name} must be a non-empty list, got {value!r}")
+        items = [check(item, f"{name}[{i}]") for i, item in enumerate(value)]
+        if unique and len(set(items)) < len(items):
+            raise ConfigError(f"{name} repeats an entry: {value!r}")
+        return items
+
+    return check_list
+
+
+def _block(schema: str):
+    """An object resolved against SCHEMA[schema]."""
+    return lambda value, name: resolve(value, schema, name)
+
+
+def _budgets(value, name: str) -> dict:
+    """A simulator budget block on the uniform schedule: K divisible by Q and K >= 2Q."""
+    budgets = resolve(value, "budgets", name)
+    if budgets["K"] % budgets["Q"] or budgets["K"] < 2 * budgets["Q"]:
+        raise ConfigError(f"{name} breaks the uniform schedule: needs K divisible by Q and K >= 2Q")
+    return budgets
+
+
+def _solver(value, name: str) -> dict:
+    """A solver block; accbio-bg needs a declared outer-gradient bound U."""
+    solver = resolve(value, "solver", name)
+    if solver["algorithm"] == "accbio-bg" and solver["U"] is None:
+        raise ConfigError(f"accbio-bg requires a declared outer-gradient bound: set {name}.U")
+    return solver
+
+
+def _sweep(value, name: str) -> dict:
+    """A sweep block whose values each pass the check of the key that its axis sets."""
+    sweep = resolve(value, "sweep", name)
+    axis = sweep["axis"]
+    check = SCHEMA[SWEEP_AXES[axis]][axis][1]
+    for i, item in enumerate(sweep["values"]):
+        check(item, f"{name}.values[{i}]")
+    return sweep
+
+
+REQUIRED = object()  # the default of a key that has none and must be given
+
+# the block of the key that a sweep axis sets in each point's config
+SWEEP_AXES = {"kappa_y": "instance", "eps": "solver", "d": "instance"}
+
+# One row per key, `key: (default, check)`, for each block.  A check takes
+# (value, name) and returns the resolved value, or raises a ConfigError naming
+# the key as `block.key`.  A default of None stays None; any other is checked.
+SCHEMA = {
+    "config": {
+        "seed": (0, _int(minimum=0)),
+        "output_dir": ("out", _str),
+        "instance": (None, _block("instance")),
+        "solver": (None, _solver),
+        "sweep": (None, _sweep),
+        "lower_bound": ({}, _block("lower_bound")),
+    },
     "instance": {
-        "kind", "d", "preset", "kappa_y", "constants", "corruption", "Lbar_xy", "B",
-        "initial_gap", "b_scale",
+        "kind": (REQUIRED, _one_of("scsc", "csc", "scsc-benchmark", "decoupled")),
+        "d": (16, _int(minimum=1)),  # the builders of the hard families need d >= 4
+        "preset": (None, _one_of(None, "mild", "mild-csc", "benchmark")),
+        "kappa_y": (4.0, _float()),  # read by the benchmark preset
+        "constants": (None, _or(_block("constants"), None)),
+        "corruption": (None, _one_of(None, "btilde3")),
+        "Lbar_xy": (None, _or(_float(), None)),
+        "B": (1.0, _float()),
+        "initial_gap": (None, _or(_float(), None)),
+        "b_scale": (1.0, _float()),
     },
+    # overrides of the preset's constants; an absent one keeps the preset's value
+    "constants": {f.name: (None, _float()) for f in dataclasses.fields(SmoothnessConstants)},
     "solver": {
-        "algorithm", "K", "N", "M", "eps", "U", "alpha", "stepsize", "L_phi", "tau_cost",
-        "regularize",
+        "algorithm": (REQUIRED, _one_of("accbio", "accbio-bg", "baseline-gd")),
+        "K": (REQUIRED, _int(minimum=1)),
+        "N": ("auto", _or(_int(minimum=1), "auto")),
+        "M": ("auto", _or(_int(minimum=1), "auto")),
+        "eps": (1e-6, _positive),
+        "tau_cost": (2.0, _positive),
+        # null or 0 means derived: L_phi from the constants, alpha and stepsize from L_phi
+        "L_phi": (None, _or(_positive, None, 0, 0.0)),
+        "alpha": (None, _or(_positive, None, 0, 0.0)),
+        "stepsize": (None, _or(_positive, None, 0, 0.0)),
+        "U": (None, _or(_positive, None)),  # required by accbio-bg, see _solver
+        "regularize": (None, _or(_block("regularize"), None)),
     },
-    "regularize": {"eps", "R"},
-    "sweep": {"axis", "values"},
+    "regularize": {"eps": (REQUIRED, _positive), "R": (REQUIRED, _positive)},
+    "sweep": {
+        "axis": (REQUIRED, _one_of(*SWEEP_AXES)),
+        "values": (REQUIRED, _list_of(lambda value, name: value)),  # see _sweep
+    },
     "lower_bound": {
-        "budgets", "scsc_dims", "csc_d", "csc_B", "csc_budgets", "algorithms", "rstar_eps",
+        "budgets": ({"K": 10, "Q": 5, "T": 3}, _budgets),
+        "scsc_dims": ([16, 32], _list_of(_int(minimum=4))),
+        "csc_d": (20, _int(minimum=4)),
+        "csc_B": (1.0, _positive),
+        "csc_budgets": ({"K": 4, "Q": 2, "T": 3}, _budgets),
+        "algorithms": (
+            ["baseline_aid_gd"],
+            _list_of(_one_of(*span_lab.SIMULATOR_ALGORITHMS), unique=True),
+        ),
+        "rstar_eps": (1e-2, _positive),
     },
+    "budgets": {key: (REQUIRED, _int(minimum=1)) for key in ("K", "Q", "T")},
 }
 
+# the blocks that a verb needs and that have no default
+VERB_BLOCKS = {"run": ("instance", "solver"), "sweep": ("instance", "solver", "sweep")}
 
-def _check_keys(block, name: str) -> None:
+
+def resolve(block, schema: str = "config", where: str = "") -> dict:
+    """`block` checked against SCHEMA[schema] (nested blocks in turn), defaults filled in.
+
+    Pure and cheap: each entry point resolves the raw block that it takes.
+    """
+    rows, place = SCHEMA[schema], where or "config"
     if not isinstance(block, dict):
-        raise ConfigError(f"{name} must be an object, got {block!r}")
-    unknown = sorted(set(block) - CONFIG_KEYS[name])
+        raise ConfigError(f"{place} must be an object, got {block!r}")
+    unknown = sorted(set(block) - set(rows))
     if unknown:
         raise ConfigError(
-            f"unknown key(s) {', '.join(map(repr, unknown))} in {name}; "
-            f"allowed: {', '.join(sorted(CONFIG_KEYS[name]))}"
+            f"unknown key(s) {', '.join(map(repr, unknown))} in {place}; "
+            f"allowed: {', '.join(sorted(rows))}"
         )
+    resolved = {}
+    for key, (default, check) in rows.items():
+        name = f"{where}.{key}" if where else key
+        if key in block:
+            resolved[key] = check(block[key], name)
+        elif default is REQUIRED:
+            raise ConfigError(f"missing field {key!r} in {place}")
+        else:
+            resolved[key] = None if default is None else check(default, name)
+    return resolved
 
 
-def check_config_keys(cfg) -> None:
-    """Reject a config holding a key outside its block's allowed set (before any build)."""
-    _check_keys(cfg, "config")
-    for name in ("instance", "solver", "sweep", "lower_bound"):
-        if name in cfg:
-            _check_keys(cfg[name], name)
-    if cfg.get("solver", {}).get("regularize") is not None:
-        _check_keys(cfg["solver"]["regularize"], "regularize")
-
-
-def _require(cfg: dict, key: str, where: str):
-    if key not in cfg:
-        raise ConfigError(f"missing field {key!r} in {where}")
-    return cfg[key]
-
-
-def _as_int(value, name: str, minimum: int | None = None) -> int:
-    """An integer config value (an int, or a float with an integral value).
-
-    Raises ConfigError for anything else, and for a value below `minimum`.
-    """
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    ):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
-    return int(value)
-
-
-def _as_float(value, name: str, positive: bool = False) -> float:
-    """A finite real config value (an int or a float, not a bool).
-
-    Raises ConfigError for anything else, and for a value <= 0 if `positive`.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    if positive and number <= 0:
-        raise ConfigError(f"{name} must be positive, got {value!r}")
-    return number
-
-
-def _optional_float(block: dict, key: str, where: str) -> float | None:
-    """`_as_float` of block[key], or None when the key is absent or null."""
-    value = block.get(key)
-    return None if value is None else _as_float(value, f"{where}.{key}")
-
-
-def resolve_constants(inst_cfg: dict) -> SmoothnessConstants:
-    preset = inst_cfg.get("preset")
-    overrides = inst_cfg.get("constants")
-    if preset not in (None, "mild", "mild-csc", "benchmark"):
-        raise ConfigError(f"unknown preset {preset!r}")
+def resolve_constants(inst: dict) -> SmoothnessConstants:
+    """A resolved instance block's constants: its preset's, then its overrides."""
+    preset, overrides = inst["preset"], inst["constants"]
     if preset is None and overrides is None:
         raise ConfigError("instance needs a preset or explicit constants")
     try:
@@ -154,14 +268,13 @@ def resolve_constants(inst_cfg: dict) -> SmoothnessConstants:
         elif preset == "mild-csc":
             base = presets.mild_csc_constants()
         elif preset == "benchmark":
-            kappa_y = _as_float(inst_cfg.get("kappa_y", 4.0), "instance.kappa_y")
-            base = presets.benchmark_scsc_constants(kappa_y)
+            base = presets.benchmark_scsc_constants(inst["kappa_y"])
         else:
             base = None
         if overrides is None:
             return base
         fields = {} if base is None else dataclasses.asdict(base)
-        fields.update(overrides)
+        fields.update((name, value) for name, value in overrides.items() if value is not None)
         return SmoothnessConstants(**fields)
     except (TypeError, ValueError, BilevelLabError) as exc:
         raise ConfigError(f"invalid constants: {exc}") from None
@@ -176,86 +289,51 @@ def _decoupled_oracle(d: int) -> QuadraticBilevelOracle:
 
 
 def _btilde_shift(corruption, d: int):
-    """The `btilde3` negative control: 0.1 added to b_tilde's third entry.
-
-    Returns None for a clean build.
-    """
-    if corruption is None:
-        return None
-    if corruption != "btilde3":
-        raise ConfigError(f"unknown corruption {corruption!r}")
-    return 0.1 * (np.arange(d) == 2)
+    """The `btilde3` negative control: 0.1 added to b_tilde's third entry (None if clean)."""
+    return None if corruption is None else 0.1 * (np.arange(d) == 2)
 
 
 def build_instance(inst_cfg: dict):
-    """Return (oracle, hard_instance_or_None, info dict) for a config block.
+    """Return (oracle, hard_instance_or_None, info dict) for a raw instance block.
 
     A builder's ConstraintError (a dimension below 4, constants outside a
     family's range) is invalid input, so it surfaces as a ConfigError caused
     by it.
     """
-    kind = _require(inst_cfg, "kind", "instance")
-    d = _as_int(inst_cfg.get("d", 16), "instance.d")
+    inst = resolve(inst_cfg, "instance", "instance")
+    kind, d, corruption = inst["kind"], inst["d"], inst["corruption"]
     if kind == "decoupled":
-        oracle = _decoupled_oracle(d)
-        return oracle, None, {"kind": kind, "d": d}
-    constants = resolve_constants(inst_cfg)
-    corruption = inst_cfg.get("corruption")
+        return _decoupled_oracle(d), None, {"kind": kind, "d": d}
+    constants = resolve_constants(inst)
     try:
         if kind == "scsc":
-            inst = hard_instances.build_scsc(
-                d,
-                constants,
-                _optional_float(inst_cfg, "Lbar_xy", "instance"),
-                btilde_shift=_btilde_shift(corruption, d),
+            built = hard_instances.build_scsc(
+                d, constants, inst["Lbar_xy"], btilde_shift=_btilde_shift(corruption, d)
             )
-            return inst.oracle, inst, {"kind": kind, "d": d, "corruption": corruption}
+            return built.oracle, built, {"kind": kind, "d": d, "corruption": corruption}
         if kind == "csc":
-            B = _as_float(inst_cfg.get("B", 1.0), "instance.B")
-            inst = hard_instances.build_csc(
-                d, constants, B, btilde_shift=_btilde_shift(corruption, d)
+            built = hard_instances.build_csc(
+                d, constants, inst["B"], btilde_shift=_btilde_shift(corruption, d)
             )
-            return inst.oracle, inst, {"kind": kind, "d": d, "B": B, "corruption": corruption}
-        if kind == "scsc-benchmark":
-            initial_gap = inst_cfg.get("initial_gap")
-            oracle = hard_instances.build_scsc_benchmark(
-                d,
-                constants,
-                b_scale=_as_float(inst_cfg.get("b_scale", 1.0), "instance.b_scale"),
-                initial_gap=_optional_float(inst_cfg, "initial_gap", "instance"),
-            )
-            return oracle, None, {"kind": kind, "d": d, "initial_gap": initial_gap}
+            info = {"kind": kind, "d": d, "B": inst["B"], "corruption": corruption}
+            return built.oracle, built, info
+        oracle = hard_instances.build_scsc_benchmark(
+            d, constants, b_scale=inst["b_scale"], initial_gap=inst["initial_gap"]
+        )
+        # initial_gap is echoed as given
+        return oracle, None, {"kind": kind, "d": d, "initial_gap": inst_cfg.get("initial_gap")}
     except ConstraintError as exc:
         raise ConfigError(f"invalid instance: {exc}") from exc
-    raise ConfigError(f"unknown instance kind {kind!r}")
-
-
-def _resolve_budgets(solver_cfg: dict, constants: SmoothnessConstants, kappa_x: float, eps: float):
-    n_cfg, m_cfg = solver_cfg.get("N", "auto"), solver_cfg.get("M", "auto")
-    n_auto, m_auto = solvers.default_inner_budgets(constants, kappa_x, eps)
-    n = n_auto if n_cfg == "auto" else _as_int(n_cfg, "solver.N", minimum=1)
-    m = m_auto if m_cfg == "auto" else _as_int(m_cfg, "solver.M", minimum=1)
-    return n, m
 
 
 def run_solver(oracle, solver_cfg: dict, tau_cost: float):
-    """Run the configured solver; returns (trace, resolved-params dict)."""
-    algorithm = _require(solver_cfg, "algorithm", "solver")
-    eps = _as_float(solver_cfg.get("eps", 1e-6), "solver.eps", positive=True)
-    reg = solver_cfg.get("regularize")
+    """Run the solver of a raw solver block; returns (trace, resolved-params dict)."""
+    s = _solver(solver_cfg, "solver")
+    algorithm, K, eps, reg = s["algorithm"], s["K"], s["eps"], s["regularize"]
     if reg is not None:
-        oracle = solvers.regularize_convex(
-            oracle,
-            _as_float(_require(reg, "eps", "regularize"), "regularize.eps", positive=True),
-            _as_float(_require(reg, "R", "regularize"), "regularize.R", positive=True),
-        )
+        oracle = solvers.regularize_convex(oracle, reg["eps"], reg["R"])
     constants = oracle.constants
-    # L_phi, alpha and stepsize: a falsy value (absent, null, 0) means the derived default
-    l_phi = _as_float(
-        solver_cfg.get("L_phi") or solvers.l_phi_estimate(constants, "quadratic-g"),
-        "solver.L_phi",
-        positive=True,
-    )
+    l_phi = s["L_phi"] or _positive(solvers.l_phi_estimate(constants), "solver.L_phi")
     mu_x = constants.mu_x
     if mu_x <= 0:
         raise ConfigError(
@@ -263,10 +341,11 @@ def run_solver(oracle, solver_cfg: dict, tau_cost: float):
             "use the regularize block for convex instances"
         )
     kappa_x = l_phi / mu_x
-    n, m = _resolve_budgets(solver_cfg, constants, kappa_x, eps)
+    n_auto, m_auto = solvers.default_inner_budgets(constants, kappa_x, eps)
+    n = n_auto if s["N"] == "auto" else s["N"]
+    m = m_auto if s["M"] == "auto" else s["M"]
     agd = AgdConfig.from_constants(constants, n)
     hb = HeavyBallConfig.from_constants(constants, m)
-    K = _as_int(_require(solver_cfg, "K", "solver"), "solver.K", minimum=1)
     resolved = {
         "algorithm": algorithm,
         "K": K,
@@ -277,36 +356,19 @@ def run_solver(oracle, solver_cfg: dict, tau_cost: float):
         "mu_x": mu_x,
         "kappa_x": kappa_x,
         "tau_cost": tau_cost,
-        "regularize": reg,
+        "regularize": solver_cfg.get("regularize"),  # echoed as given
     }
     if algorithm == "accbio":
         cfg = solvers.AccBiOConfig(K=K, L_phi=l_phi, mu_x=mu_x, agd=agd, hb=hb, eps=eps)
         return solvers.accbio(oracle, cfg, tau_cost), resolved
     if algorithm == "accbio-bg":
-        alpha = _as_float(
-            solver_cfg.get("alpha") or 1.0 / (2.0 * l_phi), "solver.alpha", positive=True
-        )
-        u_bound = solver_cfg.get("U")
-        if u_bound is None:
-            raise ConfigError(
-                "accbio-bg requires a declared outer-gradient bound: set solver.U"
-            )
-        u_bound = _as_float(u_bound, "solver.U", positive=True)
-        cfg = solvers.AccBiOBGConfig(
-            K=K, alpha=alpha, mu_x=mu_x, agd=agd, hb=hb, U=u_bound
-        )
-        resolved.update(alpha=alpha, U=u_bound)
+        alpha = s["alpha"] or _positive(1.0 / (2.0 * l_phi), "solver.alpha")
+        cfg = solvers.AccBiOBGConfig(K=K, alpha=alpha, mu_x=mu_x, agd=agd, hb=hb, U=s["U"])
+        resolved.update(alpha=alpha, U=s["U"])
         return solvers.accbio_bg(oracle, cfg, tau_cost), resolved
-    if algorithm == "baseline-gd":
-        stepsize = _as_float(
-            solver_cfg.get("stepsize") or 1.0 / l_phi, "solver.stepsize", positive=True
-        )
-        resolved.update(stepsize=stepsize)
-        return (
-            solvers.baseline_aid_gd(oracle, stepsize, K, agd, hb, tau_cost),
-            resolved,
-        )
-    raise ConfigError(f"unknown solver algorithm {algorithm!r}")
+    stepsize = s["stepsize"] or _positive(1.0 / l_phi, "solver.stepsize")
+    resolved.update(stepsize=stepsize)
+    return solvers.baseline_aid_gd(oracle, stepsize, K, agd, hb, tau_cost), resolved
 
 
 # ---------------------------------------------------------------------------
@@ -344,18 +406,13 @@ def _summary_csv(trace, eps: float) -> str:
 
 
 def run_experiment(cfg: dict, out_dir: Path, tau_cost_override: float | None = None) -> dict:
-    """Execute one run; write trace, instance, resolved config, and summary."""
-    inst_cfg = _require(cfg, "instance", "config")
-    solver_cfg = _require(cfg, "solver", "config")
-    seed = _as_int(cfg.get("seed", 0), "seed")
-    if tau_cost_override is None:
-        tau_cost = _as_float(solver_cfg.get("tau_cost", 2.0), "solver.tau_cost", positive=True)
-    else:
-        tau_cost = _as_float(tau_cost_override, "--tau-cost", positive=True)
+    """Execute one run of a raw config; write trace, instance, resolved config, and summary."""
+    config = resolve(cfg)
+    inst_cfg = cfg["instance"]
+    tau_cost = config["solver"]["tau_cost"] if tau_cost_override is None else tau_cost_override
     oracle, instance, info = build_instance(inst_cfg)
-    trace = None
     try:
-        trace, resolved = run_solver(oracle, solver_cfg, tau_cost)
+        trace, resolved = run_solver(oracle, cfg["solver"], tau_cost)
     except DivergenceError as exc:
         if exc.trace is not None:
             _atomic_write(out_dir / "trace.csv", solvers.trace_to_csv(exc.trace))
@@ -368,7 +425,7 @@ def run_experiment(cfg: dict, out_dir: Path, tau_cost_override: float | None = N
         doc = {"kind": info["kind"], "d": info["d"], "constants": dataclasses.asdict(oracle.constants)}
         _atomic_write(out_dir / "instance.json", json.dumps(doc, indent=2, sort_keys=True))
     resolved_doc = {
-        "seed": seed,
+        "seed": config["seed"],
         "instance": {**inst_cfg, **info},
         "solver_resolved": resolved,
         "trace_meta": trace.meta,
@@ -391,17 +448,8 @@ def run_experiment(cfg: dict, out_dir: Path, tau_cost_override: float | None = N
 
 def _sweep_point_config(cfg: dict, axis: str, value) -> dict:
     point = json.loads(json.dumps(cfg))  # deep copy
-    point.pop("sweep", None)
-    if axis == "kappa_y":
-        point["instance"]["kappa_y"] = value
-    elif axis == "eps":
-        point["solver"]["eps"] = value
-        point["solver"].setdefault("N", "auto")
-        point["solver"].setdefault("M", "auto")
-    elif axis == "d":
-        point["instance"]["d"] = _as_int(value, "sweep value for d")
-    else:
-        raise ConfigError(f"unknown sweep axis {axis!r}")
+    del point["sweep"]
+    point[SWEEP_AXES[axis]][axis] = value
     return point
 
 
@@ -423,11 +471,9 @@ def _run_point(args):
 
 
 def run_sweep(cfg: dict, out_dir: Path, jobs: int, tau_cost_override: float | None = None) -> int:
-    sweep_cfg = _require(cfg, "sweep", "config")
-    axis = _require(sweep_cfg, "axis", "sweep")
-    values = _require(sweep_cfg, "values", "sweep")
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"sweep.values must be a non-empty list, got {values!r}")
+    """Run each point of a raw sweep config (all checked by `resolve` before the first)."""
+    sweep = resolve(cfg)["sweep"]
+    axis, values = sweep["axis"], sweep["values"]
     tasks = []
     for i, value in enumerate(values):
         point_cfg = _sweep_point_config(cfg, axis, value)
@@ -465,52 +511,19 @@ def run_sweep(cfg: dict, out_dir: Path, jobs: int, tau_cost_override: float | No
 # ---------------------------------------------------------------------------
 
 
-def _lb_budgets(lb_cfg: dict, key: str, default: dict) -> dict:
-    """A `verify-lb` budget block: exactly the keys K, Q and T, each an integer >= 1.
-
-    The simulator's uniform schedule also needs K divisible by Q and K >= 2Q.
-    """
-    block, name = lb_cfg.get(key, default), f"lower_bound.{key}"
-    if not isinstance(block, dict) or set(block) != {"K", "Q", "T"}:
-        raise ConfigError(f"{name} needs exactly the keys K, Q and T, got {block!r}")
-    budgets = {k: _as_int(block[k], f"{name}.{k}", minimum=1) for k in ("K", "Q", "T")}
-    if budgets["K"] % budgets["Q"] or budgets["K"] < 2 * budgets["Q"]:
-        raise ConfigError(
-            f"{name} breaks the uniform schedule: needs K divisible by Q and K >= 2Q"
-        )
-    return budgets
-
-
 def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = None) -> int:
-    """Run the lower-bound battery and emit one pass/fail JSON report."""
-    lb_cfg = cfg.get("lower_bound", {})
-    if not isinstance(lb_cfg, dict):
-        raise ConfigError(f"lower_bound must be an object, got {lb_cfg!r}")
-    seed = _as_int(cfg.get("seed", 0), "seed")
-    rng = np.random.default_rng(seed)
-    inst_cfg = cfg.get("instance", {"kind": "scsc", "preset": "mild"})
-    constants = resolve_constants({**inst_cfg, "preset": inst_cfg.get("preset", "mild")})
-    corruption = inst_cfg.get("corruption")
-    tau_cost = (
-        2.0
-        if tau_cost_override is None
-        else _as_float(tau_cost_override, "--tau-cost", positive=True)
-    )
-    scsc_dims = lb_cfg.get("scsc_dims", [16, 32])
-    if not isinstance(scsc_dims, list) or not scsc_dims:
-        raise ConfigError(f"lower_bound.scsc_dims must be a non-empty list, got {scsc_dims!r}")
-    scsc_dims = [_as_int(d, "lower_bound.scsc_dims entry", minimum=4) for d in scsc_dims]
-    budgets = _lb_budgets(lb_cfg, "budgets", {"K": 10, "Q": 5, "T": 3})
-    algorithms = lb_cfg.get("algorithms", ["baseline_aid_gd"])
-    known = span_lab.SIMULATOR_ALGORITHMS
-    if not (isinstance(algorithms, list) and algorithms and all(a in known for a in algorithms)):
-        raise ConfigError(
-            f"lower_bound.algorithms must be a non-empty list of {known}, got {algorithms!r}"
-        )
-    csc_d = _as_int(lb_cfg.get("csc_d", 20), "lower_bound.csc_d", minimum=4)
-    csc_budgets = _lb_budgets(lb_cfg, "csc_budgets", {"K": 4, "Q": 2, "T": 3})
-    csc_B = _as_float(lb_cfg.get("csc_B", 1.0), "lower_bound.csc_B", positive=True)
-    eps_budget = _as_float(lb_cfg.get("rstar_eps", 1e-2), "lower_bound.rstar_eps", positive=True)
+    """Run the lower-bound battery of a raw config and emit one pass/fail JSON report.
+
+    The instance block gives the constants, from preset `mild` unless it names one.
+    """
+    config = resolve(cfg)
+    lb = config["lower_bound"]
+    rng = np.random.default_rng(config["seed"])
+    inst_cfg = {"preset": "mild", **cfg.get("instance", {"kind": "scsc"})}
+    inst = resolve(inst_cfg, "instance", "instance")
+    constants, corruption = resolve_constants(inst), inst["corruption"]
+    tau_cost = 2.0 if tau_cost_override is None else tau_cost_override
+    budgets, csc_budgets = lb["budgets"], lb["csc_budgets"]
     items: dict[str, dict] = {}
 
     def record(name: str, passed: bool, **measured):
@@ -524,7 +537,7 @@ def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = No
     def build_scsc_at(d: int):
         return hard_instances.build_scsc(d, constants, btilde_shift=_btilde_shift(corruption, d))
 
-    first = build_scsc_at(scsc_dims[0])
+    first = build_scsc_at(lb["scsc_dims"][0])
     quartic = hard_instances.scsc_quartic(first.lam_coef, first.tau_coef)
     residual = abs(quartic(first.r))
     lo = hard_instances.scsc_bracket_low(first.lam_coef, first.tau_coef)
@@ -536,7 +549,7 @@ def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = No
         r=first.r,
     )
 
-    for d in scsc_dims:
+    for d in lb["scsc_dims"]:
         inst = first if d == first.d else build_scsc_at(d)
         err = float(np.linalg.norm(inst.x_hat - inst.x_star_dense))
         bound = (7.0 + inst.lam_coef) / inst.tau_coef * inst.r ** inst.d
@@ -552,7 +565,7 @@ def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = No
         M, first.r, first.lam_coef, first.tau_coef
     )
     run_inst = build_scsc_at(d_run)
-    for algorithm in algorithms:
+    for algorithm in lb["algorithms"]:
         x_final, profile = span_lab.simulate_on_instance(run_inst, algorithm, budgets, tau_cost)
         support = span_lab.verify_support_cap(profile, run_inst)
         record(
@@ -581,7 +594,7 @@ def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = No
 
     # --- convex family -----------------------------------------------------------
     csc_constants = dataclasses.replace(constants, mu_x=0.0)
-    csc_inst = hard_instances.build_csc(csc_d, csc_constants, csc_B)
+    csc_inst = hard_instances.build_csc(lb["csc_d"], csc_constants, lb["csc_B"])
     grad_at_star = float(np.linalg.norm(exact_hypergradient(csc_inst.oracle, csc_inst.x_star)))
     record(
         "csc_minimizer",
@@ -619,7 +632,7 @@ def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = No
         ratio=ratio(grad_report.grad_norm, grad_report.grad_floor),
     )
 
-    rstar = hard_instances.csc_rstar(csc_constants, csc_B, eps_budget)
+    rstar = hard_instances.csc_rstar(csc_constants, lb["csc_B"], lb["rstar_eps"])
     record(
         "csc_rstar_root",
         rstar.residual <= 1e-8 * max(rstar.rhs, 1.0),
@@ -654,37 +667,19 @@ def run_report(directory: str) -> int:
     if not root.is_dir():
         print(f"not a directory: {directory}", file=sys.stderr)
         return EXIT_CONFIG
-    rows = []
+    lines = ["artifact,rows,final_phi_gap,complexity"]
     for trace_path in sorted(root.rglob("trace.csv")):
         with open(trace_path, encoding="utf-8", newline="") as fh:
             records = list(csv.DictReader(fh, restval=""))
         last = records[-1] if records else {}
-        rows.append(
-            {
-                "artifact": str(trace_path.relative_to(root)),
-                "rows": len(records),
-                "final_phi_gap": last.get("phi_gap", ""),
-                "complexity": last.get("complexity", ""),
-            }
-        )
+        gap, complexity = last.get("phi_gap", ""), last.get("complexity", "")
+        lines.append(f"{trace_path.relative_to(root)},{len(records)},{gap},{complexity}")
     for report_path in sorted(root.rglob("lower_bound_report.json")):
         doc = json.loads(report_path.read_text(encoding="utf-8"))
-        rows.append(
-            {
-                "artifact": str(report_path.relative_to(root)),
-                "rows": len(doc.get("items", {})),
-                "final_phi_gap": "",
-                "complexity": "PASS" if doc.get("passed") else "FAIL",
-            }
-        )
-    header = "artifact,rows,final_phi_gap,complexity"
-    body = [
-        f"{r['artifact']},{r['rows']},{r['final_phi_gap']},{r['complexity']}" for r in rows
-    ]
-    print(header)
-    for line in body:
-        print(line)
-    _atomic_write(root / "report.csv", "\n".join([header] + body) + "\n")
+        verdict = "PASS" if doc.get("passed") else "FAIL"
+        lines.append(f"{report_path.relative_to(root)},{len(doc.get('items', {}))},,{verdict}")
+    print("\n".join(lines))
+    _atomic_write(root / "report.csv", "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -714,21 +709,24 @@ def main(argv=None) -> int:
         return run_report(args.directory)
     try:
         cfg = load_config(args.config)
-        check_config_keys(cfg)
+        config = resolve(cfg)  # the whole config, before any build
         if args.seed is not None:
-            cfg["seed"] = args.seed
-        out_dir = Path(args.out or cfg.get("output_dir", "out"))
+            cfg["seed"] = SCHEMA["config"]["seed"][1](args.seed, "--seed")
+        for block in VERB_BLOCKS.get(args.verb, ()):
+            if config[block] is None:
+                raise ConfigError(f"missing field {block!r} in config")
+        tau_cost = None if args.tau_cost is None else _positive(args.tau_cost, "--tau-cost")
+        out_dir = Path(args.out or config["output_dir"])
         if args.verb == "run":
-            result = run_experiment(cfg, out_dir, args.tau_cost)
+            result = run_experiment(cfg, out_dir, tau_cost)
             print(
                 f"run complete: status={result['status']} final_gap={result['final_gap']} "
                 f"reached_eps={result['reached_eps']}"
             )
             return EXIT_OK
         if args.verb == "sweep":
-            return run_sweep(cfg, out_dir, max(1, args.jobs), args.tau_cost)
-        if args.verb == "verify-lb":
-            return run_verify_lb(cfg, out_dir, args.tau_cost)
+            return run_sweep(cfg, out_dir, max(1, args.jobs), tau_cost)
+        return run_verify_lb(cfg, out_dir, tau_cost)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -738,7 +736,6 @@ def main(argv=None) -> int:
     except BilevelLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    return EXIT_OK
 
 
 if __name__ == "__main__":

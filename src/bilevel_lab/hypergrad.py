@@ -199,9 +199,7 @@ def hypergradient_error_bound(
     m_k = norm_y_star_at_xstar + (c.Ltil_xy / c.mu_y) * dist_to_xstar
     n_k = norm_grad_y_f_at_xstar + (c.L_xy + c.L_y * c.Ltil_xy / c.mu_y) * dist_to_xstar
     rho = (np.sqrt(c.kappa_y) - 1.0) / (np.sqrt(c.kappa_y) + 1.0)
-    agd_coef = c.L_y + 2.0 * c.Ltil_xy * c.L_y / c.mu_y + (
-        c.rho_xy / c.mu_y + c.Ltil_xy * c.rho_yy / c.mu_y**2
-    ) * n_k
+    agd_coef = c.L_y + 2.0 * c.Ltil_xy * c.L_y / c.mu_y
     agd_term = (
         np.sqrt((c.Ltil_y + c.mu_y) / c.mu_y)
         * agd_coef

@@ -62,15 +62,13 @@ class SmoothnessConstants:
     L_xy: float
     Ltil_xy: float
     Ltil_y: float
-    rho_xy: float = 0.0
-    rho_yy: float = 0.0
 
     def __post_init__(self):
         if self.mu_y <= 0:
             raise InvariantViolationError("mu_y must be positive")
         if self.Ltil_y < self.mu_y:
             raise InvariantViolationError("Ltil_y must be >= mu_y")
-        for name in ("mu_x", "L_x", "L_y", "L_xy", "Ltil_xy", "rho_xy", "rho_yy"):
+        for name in ("mu_x", "L_x", "L_y", "L_xy", "Ltil_xy"):
             if getattr(self, name) < 0:
                 raise InvariantViolationError(f"{name} must be nonnegative")
 

@@ -331,55 +331,10 @@ def baseline_aid_gd(
     return trace
 
 
-@dataclass(frozen=True)
-class DeltaStarInputs:
-    """Optimum-anchored quantities needed by the general smoothness formula."""
-
-    norm_grad_y_f_star: float
-    norm_x_star: float
-    phi0_minus_phistar: float
-
-
-def l_phi_estimate(
-    constants: SmoothnessConstants,
-    regime: str,
-    delta_star: DeltaStarInputs | None = None,
-    U: float | None = None,
-    eps: float | None = None,
-) -> float:
-    """Explicit smoothness constant of the outer objective for a given regime.
-
-    `quadratic-g` needs nothing extra; `bounded-gradient` needs U;
-    `general-scsc` needs the optimum-anchored DeltaStarInputs plus eps.
-    """
+def l_phi_estimate(constants: SmoothnessConstants) -> float:
+    """Explicit smoothness constant of the outer objective phi for a quadratic inner problem."""
     c = constants
-    base = c.L_x + 2.0 * c.L_xy * c.Ltil_xy / c.mu_y + c.L_y * c.Ltil_xy**2 / c.mu_y**2
-    if regime == "quadratic-g":
-        return base
-    curvature = (c.Ltil_xy * c.rho_yy / c.mu_y**2 + c.rho_xy / c.mu_y) * (
-        1.0 + c.Ltil_xy / c.mu_y
-    )
-    if regime == "bounded-gradient":
-        if U is None:
-            raise CapabilityError("bounded-gradient regime requires the gradient bound U")
-        return base + curvature * U
-    if regime == "general-scsc":
-        if delta_star is None or eps is None:
-            raise CapabilityError(
-                "general regime requires optimum-anchored inputs and a target eps"
-            )
-        if c.mu_x <= 0:
-            raise CapabilityError("general regime requires mu_x > 0")
-        radius = np.sqrt(
-            (2.0 / c.mu_x) * delta_star.phi0_minus_phistar
-            + delta_star.norm_x_star**2
-            + eps / c.mu_x
-        )
-        n_star = delta_star.norm_grad_y_f_star + 3.0 * (
-            c.L_xy + c.L_y * c.Ltil_xy / c.mu_y
-        ) * radius
-        return base + curvature * n_star
-    raise ValueError(f"unknown regime {regime!r}")
+    return c.L_x + 2.0 * c.L_xy * c.Ltil_xy / c.mu_y + c.L_y * c.Ltil_xy**2 / c.mu_y**2
 
 
 def default_inner_budgets(

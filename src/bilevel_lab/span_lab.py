@@ -110,8 +110,8 @@ def _check_budgets(instance, K: int, Q: int, T: int) -> int:
 
 
 def _simulator_rule(algorithm: str, constants):
-    """(query, update) of a built-in algorithm, at the quadratic-g smoothness constant."""
-    l_phi = l_phi_estimate(constants, "quadratic-g")
+    """(query, update) of a built-in algorithm, at the smoothness constant of phi."""
+    l_phi = l_phi_estimate(constants)
     mu_x = max(constants.mu_x, 1e-12)
     if algorithm == "baseline_aid_gd":
         return gd_rule(1.0 / l_phi)

@@ -230,7 +230,7 @@ def test_c09_accelerated_rate():
     oracle = inst.oracle
     c = oracle.constants
     eps = 1e-6
-    l_phi = l_phi_estimate(c, "quadratic-g")
+    l_phi = l_phi_estimate(c)
     kappa_x = l_phi / c.mu_x
     cfg = AccBiOConfig(
         K=60,
@@ -270,7 +270,7 @@ def test_c10_warm_start_scaling():
     for kappa_y in kappas:
         c = benchmark_scsc_constants(kappa_y)
         oracle = build_scsc_benchmark(32, c, initial_gap=1.0)
-        l_phi = l_phi_estimate(c, "quadratic-g")
+        l_phi = l_phi_estimate(c)
         n = int(np.ceil(2.0 * np.sqrt(c.kappa_y) * np.log(100.0 * np.sqrt(l_phi / c.mu_x) / eps)))
         cfg = AccBiOBGConfig(
             K=600,
@@ -300,7 +300,7 @@ def test_c11_convex_wrappers():
     def run_wrapped(R, eps_thm):
         wrapped = regularize_convex(base, eps, R)
         c = wrapped.constants
-        l_phi = l_phi_estimate(c, "quadratic-g")
+        l_phi = l_phi_estimate(c)
         kappa_x = l_phi / c.mu_x
         gap0 = wrapped.phi(np.zeros(20)) - wrapped.phi_star
         scale = gap0 + 0.5 * c.mu_x * np.linalg.norm(wrapped.x_star) ** 2
@@ -321,7 +321,7 @@ def test_c11_convex_wrappers():
     final_gap = base.phi(trace.final_point) - phi_star
     ok = ok and final_gap <= eps
     # gradient-norm clause: ridge eps/B, tighter inner target
-    l_phi_grad = l_phi_estimate(regularize_convex(base, eps, B).constants, "quadratic-g")
+    l_phi_grad = l_phi_estimate(regularize_convex(base, eps, B).constants)
     eps_thm = eps**2 / (4.0 * l_phi_grad + 8.0 * eps / B)
     trace, _ = run_wrapped(B, eps_thm)
     grad_norm = np.linalg.norm(exact_hypergradient(base, trace.final_point))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bilevel_lab import hard_instances, linalg, span_lab
-from bilevel_lab.cli import check_config_keys, main
+from bilevel_lab.cli import main, resolve
 
 
 def write_config(path, doc):
@@ -126,6 +126,8 @@ class TestRunVerb:
             ("instance", "d", "six"),
             ("instance", "d", 6.5),
             (None, "seed", "x"),
+            ("instance", "d", 0),
+            (None, "seed", -1),
         ],
     )
     def test_bad_integer_field_is_config_error(self, tmp_path, capsys, block, key, value):
@@ -290,6 +292,7 @@ class TestConfigKeys:
             ("sweep", "kappa_sweep.json", ("solver",), "NN"),
             ("verify-lb", "lower_bound_battery.json", ("lower_bound",), "budget"),
             ("verify-lb", "lower_bound_battery.json", (), "lowerbound"),
+            ("run", "benchmark_run.json", ("instance", "constants"), "rho_xy"),
         ],
     )
     def test_unknown_key_is_config_error(
@@ -306,7 +309,7 @@ class TestConfigKeys:
             doc["solver"]["regularize"] = {"eps": 0.01, "R": 2.0}
         block = doc
         for name in path:
-            block = block[name]
+            block = block.setdefault(name, {})
         block[key] = 3
         assert main([verb, write_config(tmp_path / "c.json", doc)]) == 1
         err = capsys.readouterr().err
@@ -326,11 +329,11 @@ class TestConfigKeys:
 
     @pytest.mark.parametrize("config", sorted(p.name for p in SHIPPED_CONFIGS.glob("*.json")))
     def test_shipped_configs_hold_only_known_keys(self, config):
-        check_config_keys(json.loads((SHIPPED_CONFIGS / config).read_text()))
+        resolve(json.loads((SHIPPED_CONFIGS / config).read_text()))
 
 
 class TestNumericFields:
-    """A malformed real-valued field exits 1 before any solve: no traceback, no exit 2."""
+    """A malformed real-valued field exits 1 before any build: no traceback, no exit 2."""
 
     @pytest.mark.parametrize(
         "verb,config,path,key,value",
@@ -351,16 +354,30 @@ class TestNumericFields:
             ("verify-lb", "lower_bound_battery.json", ("lower_bound",), "csc_B", -1.0),
             ("verify-lb", "lower_bound_battery.json", ("lower_bound",), "rstar_eps", "x"),
             ("verify-lb", "lower_bound_battery.json", ("lower_bound",), "rstar_eps", -1),
+            ("run", "benchmark_run.json", (), "output_dir", 5),
+            ("verify-lb", "lower_bound_battery.json", (), "seed", -1),
+            ("sweep", "kappa_sweep.json", ("instance",), "d", -3),
+            ("run", "benchmark_run.json", ("instance", "constants"), "mu_y", float("nan")),
+            ("run", "benchmark_run.json", ("instance", "constants"), "L_x", True),
+            ("run", "benchmark_run.json", ("solver",), "L_phi", []),
+            ("sweep", "kappa_sweep.json", ("solver",), "U", None),
         ],
     )
-    def test_bad_number_is_config_error(self, tmp_path, capsys, verb, config, path, key, value):
+    def test_bad_number_is_config_error(
+        self, tmp_path, capsys, monkeypatch, verb, config, path, key, value
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a malformed field must be rejected before any build")
+
+        for builder in ("build_scsc", "build_csc", "build_scsc_benchmark"):
+            monkeypatch.setattr(hard_instances, builder, forbidden)
         doc = json.loads((SHIPPED_CONFIGS / config).read_text())
         doc["output_dir"] = str(tmp_path / "out")
         if path == ("solver", "regularize"):
             doc["solver"]["regularize"] = {"eps": 0.01, "R": 2.0}
         block = doc
         for name in path:
-            block = block[name]
+            block = block.setdefault(name, {})
         block[key] = value
         assert main([verb, write_config(tmp_path / "c.json", doc)]) == 1
         err = capsys.readouterr().err
@@ -545,6 +562,16 @@ class TestSweepVerb:
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "summary.csv").exists()
 
+    def test_bad_value_fails_before_any_point_runs(self, tmp_path, capsys):
+        doc = json.loads((SHIPPED_CONFIGS / "kappa_sweep.json").read_text())
+        doc["output_dir"] = str(tmp_path / "out")
+        doc["sweep"]["values"] = [4.0, 16.0, "x"]
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["sweep", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sweep.values[2]") and "Traceback" not in err
+        assert not list(tmp_path.glob("out/point_*"))
+
     def test_all_points_failing_exits_nonzero(self, tmp_path):
         doc = {
             "seed": 0,
@@ -597,6 +624,7 @@ class TestVerifyLbVerb:
             ("algorithms", "accbio"),
             ("csc_budgets", {"K": 4.5, "Q": 2, "T": 2}),
             ("algorithms", []),
+            ("algorithms", ["accbio", "accbio"]),
         ],
     )
     def test_bad_dimension_is_config_error(self, tmp_path, capsys, key, value):

@@ -5,7 +5,6 @@ from bilevel_lab import (
     AccBiOBGConfig,
     AccBiOConfig,
     AgdConfig,
-    DeltaStarInputs,
     HeavyBallConfig,
     QuadraticBilevelOracle,
     QuadraticOuter,
@@ -74,7 +73,7 @@ class TestAccBiO:
         c = scsc_bench32.constants
         agd, hb = small_budgets(c, 6, 4)
         cfg = AccBiOConfig(
-            K=5, L_phi=l_phi_estimate(c, "quadratic-g"), mu_x=c.mu_x, agd=agd, hb=hb, eps=1e-6
+            K=5, L_phi=l_phi_estimate(c), mu_x=c.mu_x, agd=agd, hb=hb, eps=1e-6
         )
         trace = accbio(scsc_bench32.oracle, cfg)
         assert len(trace.records) == 6
@@ -86,7 +85,7 @@ class TestAccBiO:
         c = scsc_bench32.constants
         agd, hb = small_budgets(c, 4, 4)
         cfg = AccBiOConfig(
-            K=6, L_phi=l_phi_estimate(c, "quadratic-g"), mu_x=c.mu_x, agd=agd, hb=hb, eps=1e-6
+            K=6, L_phi=l_phi_estimate(c), mu_x=c.mu_x, agd=agd, hb=hb, eps=1e-6
         )
         trace = accbio(scsc_bench32.oracle, cfg)
         for before, after in zip(trace.records, trace.records[1:]):
@@ -104,7 +103,7 @@ class TestAccBiO:
             c = oracle.constants
             agd, hb = small_budgets(c, 4, 4)
             cfg = AccBiOConfig(
-                K=K, L_phi=l_phi_estimate(c, "quadratic-g"), mu_x=c.mu_x, agd=agd, hb=hb, eps=1e-6
+                K=K, L_phi=l_phi_estimate(c), mu_x=c.mu_x, agd=agd, hb=hb, eps=1e-6
             )
             solve_calls.clear()
             factor_calls.clear()
@@ -157,7 +156,7 @@ class TestAccBiOBG:
         c = oracle.constants
         agd = AgdConfig.from_constants(c, 200)
         hb = HeavyBallConfig.from_constants(c, 10)
-        alpha = 1.0 / (2.0 * l_phi_estimate(c, "quadratic-g"))
+        alpha = 1.0 / (2.0 * l_phi_estimate(c))
         totals = {}
         for warm in (True, False):
             cfg = AccBiOBGConfig(
@@ -242,7 +241,7 @@ class TestBaseline:
     def test_accelerated_beats_baseline_on_conditioned_instance(self, scsc_bench32):
         # kappa_x = 18 here; both solvers to the same gap target
         c = scsc_bench32.constants
-        l_phi = l_phi_estimate(c, "quadratic-g")
+        l_phi = l_phi_estimate(c)
         eps = 1e-3
         agd, hb = small_budgets(c, 40, 40)
         acc = accbio(
@@ -261,65 +260,7 @@ class TestLPhiEstimate:
         c = SmoothnessConstants(
             mu_x=0.5, mu_y=0.5, L_x=1.0, L_y=1.0, L_xy=1.0, Ltil_xy=1.0, Ltil_y=1.0
         )
-        assert l_phi_estimate(c, "quadratic-g") == pytest.approx(9.0)
-
-    def test_vanishing_curvature_collapses_general_to_quadratic(self):
-        c = SmoothnessConstants(
-            mu_x=0.5, mu_y=0.5, L_x=1.0, L_y=1.0, L_xy=1.0, Ltil_xy=1.0, Ltil_y=1.0
-        )
-        delta = DeltaStarInputs(
-            norm_grad_y_f_star=2.0, norm_x_star=1.0, phi0_minus_phistar=0.3
-        )
-        general = l_phi_estimate(c, "general-scsc", delta_star=delta, eps=1e-3)
-        assert general == pytest.approx(l_phi_estimate(c, "quadratic-g"))
-
-    def test_bounded_gradient_with_zero_bound_matches_quadratic(self):
-        c = SmoothnessConstants(
-            mu_x=0.5,
-            mu_y=0.5,
-            L_x=1.0,
-            L_y=1.0,
-            L_xy=1.0,
-            Ltil_xy=1.0,
-            Ltil_y=1.0,
-            rho_xy=0.5,
-            rho_yy=0.5,
-        )
-        assert l_phi_estimate(c, "bounded-gradient", U=0.0) == pytest.approx(
-            l_phi_estimate(c, "quadratic-g")
-        )
-
-    def test_general_formula_with_curvature(self):
-        c = SmoothnessConstants(
-            mu_x=0.5,
-            mu_y=0.5,
-            L_x=1.0,
-            L_y=1.0,
-            L_xy=1.0,
-            Ltil_xy=1.0,
-            Ltil_y=1.0,
-            rho_xy=0.25,
-            rho_yy=0.125,
-        )
-        delta = DeltaStarInputs(
-            norm_grad_y_f_star=2.0, norm_x_star=1.0, phi0_minus_phistar=0.3
-        )
-        eps = 1e-2
-        radius = np.sqrt((2.0 / 0.5) * 0.3 + 1.0 + eps / 0.5)
-        n_star = 2.0 + 3.0 * (1.0 + 1.0 / 0.5 * 1.0) * radius
-        curvature = (1.0 * 0.125 / 0.25 + 0.25 / 0.5) * (1.0 + 1.0 / 0.5)
-        assert l_phi_estimate(c, "general-scsc", delta_star=delta, eps=eps) == pytest.approx(
-            9.0 + curvature * n_star
-        )
-
-    def test_general_requires_inputs(self):
-        c = SmoothnessConstants(
-            mu_x=0.5, mu_y=0.5, L_x=1.0, L_y=1.0, L_xy=1.0, Ltil_xy=1.0, Ltil_y=1.0
-        )
-        with pytest.raises(CapabilityError):
-            l_phi_estimate(c, "general-scsc")
-        with pytest.raises(CapabilityError):
-            l_phi_estimate(c, "bounded-gradient")
+        assert l_phi_estimate(c) == pytest.approx(9.0)
 
 
 class TestRegularizeConvex:
