@@ -10,7 +10,6 @@ from .errors import (
     BilevelLabError,
     BracketError,
     CapabilityError,
-    CapacityError,
     ConfigError,
     ConstraintError,
     DimensionMismatchError,

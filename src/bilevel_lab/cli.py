@@ -27,7 +27,7 @@ import numpy as np
 from . import hard_instances, presets, solvers, span_lab
 from .errors import BilevelLabError, ConfigError, ConstraintError, DivergenceError
 from .hypergrad import AgdConfig, HeavyBallConfig
-from .linalg import identity
+from .linalg import z_power_sum
 from .oracles import (
     QuadraticBilevelOracle,
     QuadraticOuter,
@@ -214,7 +214,7 @@ SCHEMA = {
     },
     "lower_bound": {
         "budgets": ({"K": 10, "Q": 5, "T": 3}, _budgets),
-        "scsc_dims": ([16, 32], _list_of(_int(minimum=4))),
+        "scsc_dims": ([16, 32], _list_of(_int(minimum=4), unique=True)),
         "csc_d": (20, _int(minimum=4)),
         "csc_B": (1.0, _positive),
         "csc_budgets": ({"K": 4, "Q": 2, "T": 3}, _budgets),
@@ -281,11 +281,17 @@ def resolve_constants(inst: dict) -> SmoothnessConstants:
 
 
 def _decoupled_oracle(d: int) -> QuadraticBilevelOracle:
+    """The sanity instance H = A_xx = A_yy = I, J = 0, b = 0, so x* = 0 and phi_star = 0.
+
+    I is the shift-only power sum in Z, so the oracle has the cleared system
+    and x* is one banded solve at any d.
+    """
     constants = SmoothnessConstants(
         mu_x=1.0, mu_y=1.0, L_x=1.0, L_y=1.0, L_xy=0.0, Ltil_xy=0.0, Ltil_y=1.0
     )
-    outer = QuadraticOuter(a_xx=identity(d), a_yy=identity(d))
-    return QuadraticBilevelOracle(identity(d), None, np.zeros(d), outer, constants)
+    eye = z_power_sum("scsc", d, {}, shift=1.0)
+    outer = QuadraticOuter(a_xx=eye, a_yy=eye)
+    return QuadraticBilevelOracle(eye, None, np.zeros(d), outer, constants)
 
 
 def _btilde_shift(corruption, d: int):
@@ -496,7 +502,8 @@ def run_sweep(cfg: dict, out_dir: Path, jobs: int, tau_cost_override: float | No
     _atomic_write(out_dir / "summary.csv", "\n".join(lines) + "\n")
 
     meta = {"axis": axis, "values": values, "failures": sum(1 for r in results if not r.get("ok"))}
-    if all(c is not None for c in complexities) and all(float(v) > 0 for v in values):
+    # a point that reaches eps at complexity 0 has log -inf: no slope is fitted
+    if all(c is not None and c > 0 for c in complexities) and all(float(v) > 0 for v in values):
         logs_x = np.log(np.asarray(values, dtype=float))
         logs_y = np.log(np.asarray(complexities, dtype=float))
         if len(values) >= 2 and np.ptp(logs_x) > 0:
@@ -662,22 +669,40 @@ def run_verify_lb(cfg: dict, out_dir: Path, tau_cost_override: float | None = No
 # ---------------------------------------------------------------------------
 
 
+def _report_fields(path: Path) -> str:
+    """The rows,final_phi_gap,complexity fields of one trace.csv or lower_bound_report.json.
+
+    A malformed artifact raises OSError, csv.Error or ValueError (not UTF-8,
+    not JSON, or a report that is not an object with an object of items).
+    """
+    if path.name == "trace.csv":
+        with open(path, encoding="utf-8", newline="") as fh:
+            records = list(csv.DictReader(fh, restval=""))
+        last = records[-1] if records else {}
+        return f"{len(records)},{last.get('phi_gap', '')},{last.get('complexity', '')}"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    items = doc.get("items", {}) if isinstance(doc, dict) else None
+    if not isinstance(items, dict):
+        raise ValueError("not a lower-bound report object")
+    return f"{len(items)},,{'PASS' if doc.get('passed') else 'FAIL'}"
+
+
 def run_report(directory: str) -> int:
+    """Summarize every trace.csv, then every lower_bound_report.json, under a directory.
+
+    A malformed artifact exits 1, naming the file, and no report.csv is written.
+    """
     root = Path(directory)
     if not root.is_dir():
         print(f"not a directory: {directory}", file=sys.stderr)
         return EXIT_CONFIG
     lines = ["artifact,rows,final_phi_gap,complexity"]
-    for trace_path in sorted(root.rglob("trace.csv")):
-        with open(trace_path, encoding="utf-8", newline="") as fh:
-            records = list(csv.DictReader(fh, restval=""))
-        last = records[-1] if records else {}
-        gap, complexity = last.get("phi_gap", ""), last.get("complexity", "")
-        lines.append(f"{trace_path.relative_to(root)},{len(records)},{gap},{complexity}")
-    for report_path in sorted(root.rglob("lower_bound_report.json")):
-        doc = json.loads(report_path.read_text(encoding="utf-8"))
-        verdict = "PASS" if doc.get("passed") else "FAIL"
-        lines.append(f"{report_path.relative_to(root)},{len(doc.get('items', {}))},,{verdict}")
+    for path in sorted(root.rglob("trace.csv")) + sorted(root.rglob("lower_bound_report.json")):
+        try:
+            lines.append(f"{path.relative_to(root)},{_report_fields(path)}")
+        except (OSError, csv.Error, ValueError) as exc:
+            print(f"unreadable artifact {path}: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     print("\n".join(lines))
     _atomic_write(root / "report.csv", "\n".join(lines) + "\n")
     return EXIT_OK

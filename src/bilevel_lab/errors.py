@@ -17,10 +17,6 @@ class SingularOperatorError(BilevelLabError):
         self.cond = cond
 
 
-class CapacityError(BilevelLabError):
-    """Requested dense operation exceeds the configured size cap."""
-
-
 class BracketError(BilevelLabError):
     """Root bracket does not contain a sign change."""
 

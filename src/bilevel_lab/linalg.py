@@ -43,13 +43,11 @@ import numpy as np
 
 from .errors import (
     BracketError,
-    CapacityError,
     DimensionMismatchError,
     DomainError,
     SingularOperatorError,
 )
 
-DENSE_EIG_CAP = 2048
 # largest dimension served by the small-dimension kernels (dense matvec apply,
 # scalar tridiagonal solve).  Measured on x86-64, numpy 2.4 with one OpenBLAS
 # thread: a dense matvec beats the stencil gather up to d~128 and the Thomas
@@ -610,11 +608,7 @@ def bisect_root(
     return 0.5 * (a + b)
 
 
-def symmetric_eig_extremes(
-    op: StructuredOperator, dense_cap: int = DENSE_EIG_CAP
-) -> tuple[float, float]:
+def symmetric_eig_extremes(op: StructuredOperator) -> tuple[float, float]:
     """Smallest and largest eigenvalues via dense symmetric eigendecomposition."""
-    if op.dim > dense_cap:
-        raise CapacityError(f"dim {op.dim} exceeds dense eigendecomposition cap {dense_cap}")
     eigs = np.linalg.eigvalsh(op.to_dense())
     return float(eigs[0]), float(eigs[-1])

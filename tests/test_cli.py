@@ -1,6 +1,7 @@
 import csv
 import json
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,13 +16,15 @@ def write_config(path, doc):
     return str(path)
 
 
-# one run per Z family; the dimension is set by each test
+# one run per instance kind, each built from polynomials in Z; the dimension
+# is set by each test
 Z_FAMILY_RUNS = [
     ({"kind": "scsc", "preset": "benchmark"}, {}),
     ({"kind": "scsc-benchmark", "preset": "benchmark", "initial_gap": 1.0}, {}),
     ({"kind": "csc", "preset": "mild-csc"}, {"regularize": {"eps": 0.01, "R": 2.0}}),
+    ({"kind": "decoupled"}, {}),
 ]
-Z_FAMILY_IDS = ["scsc", "scsc-benchmark", "csc-regularized"]
+Z_FAMILY_IDS = ["scsc", "scsc-benchmark", "csc-regularized", "decoupled"]
 
 
 def minimal_run_config(out_dir, K=10):
@@ -212,12 +215,17 @@ class TestRunVerb:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
 
-    @pytest.mark.parametrize("d", [5000, 16384])
-    def test_large_dimension_runs(self, tmp_path, capsys, d):
-        # above the dense eigenvalue cap (2048); a d x d float64 array at
-        # d=16384 would take 2 GB
+    @pytest.mark.parametrize(
+        "kind,d",
+        [("scsc", 5000), ("scsc", 16384), ("decoupled", 16384)],
+        ids=["5000", "16384", "decoupled-16384"],
+    )
+    def test_large_dimension_runs(self, tmp_path, capsys, kind, d):
+        # a d x d float64 array at d=16384 would take 2 GB
         doc = minimal_run_config(tmp_path / "out", K=2)
-        doc["instance"] = {"kind": "scsc", "preset": "benchmark", "kappa_y": 4.0, "d": d}
+        doc["instance"] = {"kind": kind, "d": d}
+        if kind == "scsc":
+            doc["instance"].update(preset="benchmark", kappa_y=4.0)
         cfg = write_config(tmp_path / "c.json", doc)
         start = time.perf_counter()
         assert main(["run", cfg]) == 0
@@ -498,6 +506,26 @@ class TestSweepVerb:
             assert len(gaps) == doc["solver"]["K"] + 1
             assert min(gaps) >= 0.0
 
+    def test_point_at_zero_complexity_writes_strict_json(self, tmp_path):
+        # decoupled starts at its minimizer, so each point reaches eps at complexity 0
+        doc = {
+            "output_dir": str(tmp_path / "out"),
+            "instance": {"kind": "decoupled", "d": 8},
+            "solver": {"algorithm": "accbio", "K": 3, "eps": 1e-4},
+            "sweep": {"axis": "d", "values": [4, 8]},
+        }
+        cfg = write_config(tmp_path / "c.json", doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", cfg]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        text = (tmp_path / "out" / "sweep_meta.json").read_text()
+        meta = json.loads(text, parse_constant=reject)
+        assert "loglog_slope" not in meta
+
     def test_empty_grid_is_config_error(self, tmp_path):
         doc = {
             "output_dir": str(tmp_path / "out"),
@@ -625,6 +653,7 @@ class TestVerifyLbVerb:
             ("csc_budgets", {"K": 4.5, "Q": 2, "T": 2}),
             ("algorithms", []),
             ("algorithms", ["accbio", "accbio"]),
+            ("scsc_dims", [16, 32, 32]),
         ],
     )
     def test_bad_dimension_is_config_error(self, tmp_path, capsys, key, value):
@@ -816,6 +845,29 @@ class TestReportVerb:
             "extra/trace.csv,2,0.25,8.0",
             f"out/trace.csv,11,{last['phi_gap']},{last['complexity']}",
         ]
+
+    @pytest.mark.parametrize(
+        "name,content",
+        [
+            ("lower_bound_report.json", b"{not json"),
+            ("lower_bound_report.json", b"[1, 2]"),
+            ("lower_bound_report.json", b'{"passed": "\xff"}'),
+            ("trace.csv", b"k,phi_gap\n0,\xff\n"),
+            ("trace.csv", None),  # a directory
+        ],
+        ids=["report-not-json", "report-a-list", "report-not-utf8", "trace-not-utf8", "trace-a-dir"],
+    )
+    def test_malformed_artifact_is_config_error(self, tmp_path, capsys, name, content):
+        path = tmp_path / "bad" / name
+        if content is None:
+            path.mkdir(parents=True)
+        else:
+            path.parent.mkdir()
+            path.write_bytes(content)
+        assert main(["report", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+        assert not (tmp_path / "report.csv").exists()
 
     def test_missing_directory_is_config_error(self, tmp_path):
         assert main(["report", str(tmp_path / "nope")]) == 1

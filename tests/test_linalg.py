@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from bilevel_lab import linalg
 from bilevel_lab.errors import (
     BracketError,
-    CapacityError,
     DimensionMismatchError,
     DomainError,
     SingularOperatorError,
@@ -451,10 +450,6 @@ class TestEigExtremes:
         lo, hi = linalg.symmetric_eig_extremes(op)
         assert lo >= 0.1 - 1e-12
         assert hi <= 4 * 0.225 + 0.1 + 1e-12
-
-    def test_capacity_cap(self):
-        with pytest.raises(CapacityError):
-            linalg.symmetric_eig_extremes(linalg.identity(10), dense_cap=8)
 
 
 class TestVector:

@@ -273,6 +273,17 @@ class TestOneInnerFactor:
         assert np.linalg.norm(g - g_ref) <= 1e-12 * (1.0 + np.linalg.norm(g_ref))
         h_phi, c_phi = oracle.phi_quadratic_reduction()
         assert np.linalg.norm(h_phi @ x + c_phi - g) <= 1e-12 * (1.0 + np.linalg.norm(g))
+        # the reduction through the affine map y*(x) = S x + t, S = -H^-1 J, t = -H^-1 b
+        o = oracle.outer
+        s, t = -np.linalg.solve(h, j), -np.linalg.solve(h, oracle.b)
+        a_xx, a_yy = o.a_xx.to_dense(), o.a_yy.to_dense()
+        a_xy = np.zeros((oracle.p, oracle.q)) if o.a_xy is None else o.a_xy.to_dense()
+        lin_x = np.zeros(oracle.p) if o.lin_x is None else o.lin_x
+        lin_y = np.zeros(oracle.q) if o.lin_y is None else o.lin_y
+        h_ref = a_xx + s.T @ a_yy @ s + a_xy @ s + s.T @ a_xy.T
+        c_ref = s.T @ (a_yy @ t + lin_y) + a_xy @ t + lin_x
+        assert np.linalg.norm(h_phi - 0.5 * (h_ref + h_ref.T)) <= 1e-12 * np.linalg.norm(h_ref)
+        assert np.linalg.norm(c_phi - c_ref) <= 1e-12 * (1.0 + np.linalg.norm(c_ref))
         assert np.linalg.norm(oracle.grad_phi(oracle.x_star)) <= 1e-10
         assert oracle.phi_star == oracle.phi(oracle.x_star) <= oracle.phi(x)
         assert finite_difference_check(oracle, x, 1e-5) <= 1e-6
