@@ -673,7 +673,8 @@ def _report_fields(path: Path) -> str:
     """The rows,final_phi_gap,complexity fields of one trace.csv or lower_bound_report.json.
 
     A malformed artifact raises OSError, csv.Error or ValueError (not UTF-8,
-    not JSON, or a report that is not an object with an object of items).
+    not JSON, or a report that is not an object with an object of items and
+    a bool `passed`).
     """
     if path.name == "trace.csv":
         with open(path, encoding="utf-8", newline="") as fh:
@@ -684,7 +685,10 @@ def _report_fields(path: Path) -> str:
     items = doc.get("items", {}) if isinstance(doc, dict) else None
     if not isinstance(items, dict):
         raise ValueError("not a lower-bound report object")
-    return f"{len(items)},,{'PASS' if doc.get('passed') else 'FAIL'}"
+    passed = doc.get("passed")
+    if not isinstance(passed, bool):
+        raise ValueError(f"'passed' must be true or false, got {passed!r}")
+    return f"{len(items)},,{'PASS' if passed else 'FAIL'}"
 
 
 def run_report(directory: str) -> int:

@@ -9,7 +9,7 @@ Below SMALL_DIM the kernels switch to ones that carry less interpreter and
 indexing overhead, chosen by the dimension alone.  An operator with
 dim <= SMALL_DIM scatters its stencil once, at construction, into a private
 read-only dense form, and `apply` is then one dense matvec; a tridiagonal
-`BandedLDL` of that size solves by a scalar Thomas loop instead of scans.
+`BandedLDL` of that size solves by its scalar kernel instead of scans.
 The stencil stays the only representation: the dense form is derived from
 it, and `to_dense` still scatters a fresh array.
 
@@ -27,16 +27,23 @@ A power sum of even powers, like `diagonal`, `tridiagonal` and `banded`, has
 a banded stencil (`band_form`), read in place; any other stencil is read as
 one full band (w = d-1) off its dense form.  `BandedLDL` factors either once,
 O(d w^2); a tridiagonal factor above SMALL_DIM solves by recursive-doubling
-scans, O(d log d) in about 2 log2(d) vectorized steps.  The same
-factorization decides spectrum bounds by inertia (`spectrum_within`), and
-`solve_z` inverts Z by a cumulative sum, so the anti-banded families never
-need a dense form above SMALL_DIM.  `solve_dense` and
-`symmetric_eig_extremes` remain as dense references.
+scans, O(d log d) in about 2 log2(d) vectorized steps.  The scalar factor
+and solve loops run as straight-line kernels, one per band width, whose
+source is generated and compiled once per width (`_ldl_kernel`) the way
+`collections.namedtuple` builds its methods: each keeps the last w pivots
+and entries in locals instead of indexing the band rows, and performs the
+operations of the generic per-row loop in the same order, so pivots, L and
+solves are those of the generic loop to the bit.  The same factorization decides spectrum
+bounds by inertia (`spectrum_within`), and `solve_z` inverts Z by a
+cumulative sum, so the anti-banded families never need a dense form above
+SMALL_DIM.  `solve_dense` and `symmetric_eig_extremes` remain as dense
+references.
 """
 
 from __future__ import annotations
 
 import functools
+import linecache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -50,9 +57,10 @@ from .errors import (
 
 # largest dimension served by the small-dimension kernels (dense matvec apply,
 # scalar tridiagonal solve).  Measured on x86-64, numpy 2.4 with one OpenBLAS
-# thread: a dense matvec beats the stencil gather up to d~128 and the Thomas
-# loop beats the scans up to about the same size (table in CHANGES.md); 64
-# keeps both clear of the crossover.
+# thread: a dense matvec beats the stencil gather up to d~128 and a scalar
+# tridiagonal solve beats the scans up to about the same size (table in
+# CHANGES.md, taken on a Thomas loop that the w=1 kernel matches or beats);
+# 64 keeps both clear of the crossover.
 SMALL_DIM = 64
 SOLVE_RESIDUAL_TOL = 1e-10
 # scan coefficients below this are flushed to zero: each term dropped is under
@@ -411,18 +419,124 @@ def _scan(z: np.ndarray, levels: list[np.ndarray], backward: bool = False) -> No
         s *= 2
 
 
+def _pivot_error(i: int, s: float) -> SingularOperatorError:
+    return SingularOperatorError(
+        f"LDL' pivot {i} is {s:.3e}: the matrix is not positive definite"
+    )
+
+
+def _factor_source(w: int) -> list[str]:
+    """Rows w.. of the LDL' factor of band width w, each one straight-line body.
+
+    Row i reads A[i, i-m] as t{m} and A[i, i] as p0, and carries the previous
+    rows in locals: p{m} = D[i-m] and l{m}_{n} = L[i-m, i-m-n], the latter
+    kept for n <= w-m, the ones that row i reads; row i's own entries become
+    l0_{m} = L[i, i-m] and p0 = D[i].  The operations and their order are
+    those of the generic loop in `BandedLDL.__init__`: the entries L[i, i-m]
+    for m descending, each reduced over k ascending, then the pivot reduced
+    over m ascending.
+    """
+    ms = range(1, w + 1)
+    rows = ", ".join(["i", "p0"] + [f"t{m}" for m in ms])
+    columns = ", ".join([f"range({w}, len(piv))"] + [f"a{m}[{w}:]" for m in range(w + 1)])
+    lines = [
+        "def factor(a, low, piv):",
+        f"    [{', '.join(f'a{m}' for m in range(w + 1))}] = a",
+        f"    [{', '.join(f'low{m}' for m in ms)}] = low[1:]",
+        *(f"    p{m} = piv[{w - m}]" for m in ms),
+        *(f"    l{m}_{n} = low{n}[{w - m}]" for m in ms for n in range(1, w - m + 1)),
+        f"    for {rows} in zip({columns}):",
+    ]
+    for m in range(w, 0, -1):
+        lines += [f"        t{m} -= l0_{q} * p{q} * l{m}_{q - m}" for q in range(w, m, -1)]
+        lines.append(f"        l0_{m} = t{m} / p{m}")
+    if w == 1:  # the tridiagonal recurrence: L[i, i-1] A[i, i-1], not L[i, i-1]^2 D[i-1]
+        lines.append("        p0 -= l0_1 * t1")
+    else:
+        lines += [f"        p0 -= l0_{m} * l0_{m} * p{m}" for m in ms]
+    return lines + [
+        "        if not p0 > 0.0:",
+        "            raise _pivot_error(i, p0)",
+        "        piv[i] = p0",
+        *(f"        low{m}[i] = l0_{m}" for m in ms),
+        *(f"        p{m} = p{m - 1}" for m in range(w, 0, -1)),
+        *(
+            f"        l{m}_{n} = l{m - 1}_{n}"
+            for m in range(w - 1, 0, -1)
+            for n in range(1, w - m + 1)
+        ),
+    ]
+
+
+def _solve_source(w: int) -> list[str]:
+    """Forward and back substitution in place on a factor of band width w >= 1.
+
+    Each pass carries the last w values in x1..x{w}, starting from 0.0, and
+    reads the bands that `BandedLDL._solve_kernel` pads with 0.0, so a row near
+    either end subtracts +0.0 products, which leave every value, signed zeros
+    included, as the shorter sums of a generic loop would.  Forward:
+    z_i = r_i - sum_m L[i, i-m] z_(i-m), m ascending.  Back, with the pivot
+    division folded in: x_i = z_i / D_i - sum_m L[i+m, i] x_(i+m), m ascending.
+    """
+    ms = range(1, w + 1)
+    carry = ", ".join(f"x{m}" for m in ms)
+    older = "".join(f", x{m}" for m in range(1, w))
+    zeros = ", ".join(["0.0"] * w)
+
+    def step(first: str, band: str) -> str:
+        terms = "".join(f" - {band}{m}[i] * x{m}" for m in ms)
+        return f"        {carry} = {first}{terms}{older}"
+
+    return [
+        "def solve(piv, lows, ups, z):",
+        f"    [{', '.join(f'l{m}' for m in ms)}] = lows",
+        f"    [{', '.join(f'u{m}' for m in ms)}] = ups",
+        f"    {carry} = {zeros}",
+        "    for i in range(len(z)):",
+        step("z[i]", "l"),
+        "        z[i] = x1",
+        f"    {carry} = {zeros}",
+        "    for i in range(len(z) - 1, -1, -1):",
+        step("z[i] / piv[i]", "u"),
+        "        z[i] = x1",
+        "    return z",
+    ]
+
+
+_KERNEL_SOURCES = {"factor": _factor_source, "solve": _solve_source}
+
+
+@functools.lru_cache(maxsize=32)
+def _ldl_kernel(kind: str, w: int) -> Callable:
+    """The `kind` kernel ("factor" or "solve") for band width w, compiled once.
+
+    Its source is generated for this width and compiled under a filename of
+    its own, registered with `linecache`, so tracebacks, `inspect` and
+    profiles show each width's kernel on its own lines.
+    """
+    source = "\n".join(_KERNEL_SOURCES[kind](w)) + "\n"
+    filename = f"<{__name__} ldl-{kind} w={w}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"__name__": __name__, "_pivot_error": _pivot_error}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[kind]
+
+
 class BandedLDL:
     """LDL' factorization of a symmetric positive definite banded matrix, no pivoting.
 
     `lower` holds the bands as `band_form` returns them.  The factorization is
-    a scalar loop over the rows, O(d w^2), made once.  A tridiagonal factor
-    (w <= 1) with dim <= SMALL_DIM solves by a scalar Thomas loop; a larger
-    one by recursive doubling: forward and back substitution are first-order
-    recurrences, each run as about log2(d) vectorized scans over coefficients
-    precomputed on first solve.  Wider bands solve by a scalar loop.
-    Raises SingularOperatorError at the first pivot that is not positive, so
-    a successful factorization certifies positive definiteness (Sylvester's
-    law of inertia).
+    made once, O(d w^2): the first w rows, which have fewer than w entries
+    left of the diagonal, by a generic scalar loop, and the rest by a
+    straight-line kernel generated for the width w (`_ldl_kernel`).  A full
+    band (w >= d-1) runs in the generic loop alone.  A tridiagonal factor
+    (w <= 1) above SMALL_DIM solves by recursive doubling: forward and back
+    substitution are first-order recurrences, each run as about log2(d)
+    vectorized scans over coefficients precomputed on first solve.  Any other
+    factor solves by the generated scalar kernel of its width (w = 1 for a
+    diagonal one).  Raises SingularOperatorError at the first pivot that is
+    not positive, so a successful factorization certifies positive
+    definiteness (Sylvester's law of inertia).
     """
 
     def __init__(self, lower: np.ndarray):
@@ -430,7 +544,12 @@ class BandedLDL:
         a = lower.tolist()
         low = [[0.0] * d for _ in range(w + 1)]  # low[m][i] = L[i, i-m]
         piv = [0.0] * d
-        for i in range(d):
+        # the first w rows hold fewer than w entries left of the diagonal and
+        # run in the generic loop; a full band (w >= d-1) has at most one row
+        # more, so it runs there whole rather than compile an O(w^2)-line
+        # kernel for that row
+        head = w if w < d - 1 else d
+        for i in range(head):
             top = i if i < w else w
             s = a[0][i]
             if w == 1 and i:  # the tridiagonal recurrence, unrolled
@@ -446,10 +565,10 @@ class BandedLDL:
                 for m in range(1, top + 1):
                     s -= low[m][i] * low[m][i] * piv[i - m]
             if not s > 0.0:
-                raise SingularOperatorError(
-                    f"LDL' pivot {i} is {s:.3e}: the matrix is not positive definite"
-                )
+                raise _pivot_error(i, s)
             piv[i] = s
+        if head < d:
+            _ldl_kernel("factor", w)(a, low, piv)
         self.dim = d
         self.width = w
         self.pivots = np.array(piv)
@@ -465,6 +584,19 @@ class BandedLDL:
         back = _scan_levels(np.append(sub[1:], 0.0)[::-1])
         return _scan_levels(sub), [coef[::-1].copy() for coef in back]
 
+    @functools.cached_property
+    def _solve_kernel(self) -> Callable[[list[float]], list[float]]:
+        """The scalar solve kernel of this width, bound to the factor on first solve.
+
+        It reads L[i, i-m] and L[i+m, i] per row i, the second padded with 0.0
+        past the last row.  A diagonal factor solves as a tridiagonal one with
+        L = 0, so every w <= 1 takes the one w = 1 kernel.
+        """
+        d = self.dim
+        lows = self._low[1:] or [[0.0] * d]
+        ups = [(low[m:] + [0.0] * m)[:d] for m, low in enumerate(lows, 1)]
+        return functools.partial(_ldl_kernel("solve", len(lows)), self._piv, lows, ups)
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for a (dim,) rhs, or a (dim, k) block of them.
 
@@ -476,12 +608,12 @@ class BandedLDL:
                 f"factor dim {self.dim} incompatible with rhs shape {rhs.shape}"
             )
         if self.width > 1 or self.dim <= SMALL_DIM:
-            loop = self._solve_by_loop if self.width > 1 else self._solve_tridiagonal_by_loop
+            kernel = self._solve_kernel
             if rhs.ndim == 1:
-                return loop(rhs)
+                return np.array(kernel(rhs.tolist()))
             x = np.empty(rhs.shape)
-            for j in range(rhs.shape[1]):
-                x[:, j] = loop(rhs[:, j])
+            for j, column in enumerate(rhs.T.tolist()):
+                x[:, j] = kernel(column)
             return x
         forward, backward = self._scans
         x = np.array(rhs, dtype=np.float64)
@@ -489,34 +621,6 @@ class BandedLDL:
         x /= self.pivots if x.ndim == 1 else self.pivots[:, None]
         _scan(x, backward, backward=True)
         return x
-
-    def _solve_tridiagonal_by_loop(self, rhs: np.ndarray) -> np.ndarray:
-        """Thomas: forward substitution, then back substitution with the pivot division folded in."""
-        d, piv = self.dim, self._piv
-        sub = self._low[1] if self.width else [0.0] * d  # sub[i] = L[i, i-1]
-        z = rhs.tolist()
-        for i in range(1, d):
-            z[i] -= sub[i] * z[i - 1]
-        z[-1] /= piv[-1]
-        for i in range(d - 2, -1, -1):
-            z[i] = z[i] / piv[i] - sub[i + 1] * z[i + 1]
-        return np.array(z)
-
-    def _solve_by_loop(self, rhs: np.ndarray) -> np.ndarray:
-        low, piv, w, d = self._low, self.pivots.tolist(), self.width, self.dim
-        z = rhs.tolist()
-        for i in range(d):
-            s = z[i]
-            for m in range(1, min(w, i) + 1):
-                s -= low[m][i] * z[i - m]
-            z[i] = s
-        z = [zi / p for zi, p in zip(z, piv)]
-        for i in range(d - 1, -1, -1):
-            s = z[i]
-            for m in range(1, min(w, d - 1 - i) + 1):
-                s -= low[m][i + m] * z[i + m]
-            z[i] = s
-        return np.array(z)
 
 
 def _lower_bands(op: StructuredOperator) -> np.ndarray:

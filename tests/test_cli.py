@@ -852,10 +852,24 @@ class TestReportVerb:
             ("lower_bound_report.json", b"{not json"),
             ("lower_bound_report.json", b"[1, 2]"),
             ("lower_bound_report.json", b'{"passed": "\xff"}'),
+            ("lower_bound_report.json", b'{"passed": "no", "items": {}}'),
+            ("lower_bound_report.json", b'{"passed": 1, "items": {}}'),
+            ("lower_bound_report.json", b'{"passed": null, "items": {}}'),
+            ("lower_bound_report.json", b'{"items": {}}'),
             ("trace.csv", b"k,phi_gap\n0,\xff\n"),
             ("trace.csv", None),  # a directory
         ],
-        ids=["report-not-json", "report-a-list", "report-not-utf8", "trace-not-utf8", "trace-a-dir"],
+        ids=[
+            "report-not-json",
+            "report-a-list",
+            "report-not-utf8",
+            "report-passed-a-string",
+            "report-passed-a-number",
+            "report-passed-null",
+            "report-passed-missing",
+            "trace-not-utf8",
+            "trace-a-dir",
+        ],
     )
     def test_malformed_artifact_is_config_error(self, tmp_path, capsys, name, content):
         path = tmp_path / "bad" / name

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -242,6 +243,22 @@ class TestCscConstruction:
             build_csc(3, csc_constants, B=1.0)
         with pytest.raises(ConstraintError):
             build_csc(8, csc_constants, B=0.0)
+
+
+class TestTightScale:
+    def test_builds_and_certificates_at_the_tight_run_dimension(self):
+        """mu_x = 1e-6, mu_y = 0.1 (r = 0.99982) at its run dimension, d = 109 731, within 30 s."""
+        d = 109_731
+        tight = dataclasses.replace(mild_scsc_constants(), mu_x=1e-6, mu_y=0.1)
+        start = time.perf_counter()
+        scsc = build_scsc(d, tight)
+        x_star = scsc.oracle.x_star
+        csc = build_csc(d, dataclasses.replace(tight, mu_x=0.0), 1.0)
+        measured, floor = csc_grad_floor_verify(csc)
+        assert time.perf_counter() - start <= 30.0
+        assert scsc.r > 0.9998
+        assert np.linalg.norm(x_star - scsc.x_star_dense) <= 1e-6 * np.linalg.norm(x_star)
+        assert measured >= floor > 0.0
 
 
 class TestRstar:

@@ -1,3 +1,6 @@
+import inspect
+import traceback
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from bilevel_lab.errors import (
     SingularOperatorError,
 )
 
+import ldl_reference
 import stencils
 
 SMALL = linalg.SMALL_DIM
@@ -409,6 +413,117 @@ class TestBandedLDL:
         dense = linalg.dense(h.to_dense())  # factored as one full band
         assert linalg.spectrum_within(dense, lo - 1e-9, hi + 1e-9)
         assert not linalg.spectrum_within(dense, lo + 1e-9, hi + 1e-9)
+
+
+def _banded_lower(w, d, gen, zero_every=0):
+    """Lower bands of a strictly diagonally dominant banded matrix.
+
+    With zero_every > 0, every zero_every-th entry of each off-diagonal band
+    is +0.0 and the one after it -0.0, so signed zeros reach the factor.
+    """
+    lower = np.zeros((w + 1, d))
+    for m in range(1, w + 1):
+        band = gen.uniform(-1.0, 1.0, max(d - m, 0))
+        if zero_every:
+            band[::zero_every] = 0.0
+            band[1::zero_every] = -0.0
+        lower[m, m:] = band
+    lower[0] = 2 * w + 1 + gen.random(d)
+    return lower
+
+
+def _signed_zero_block(d, gen):
+    """Three right-hand sides: zeros of both signs ahead of random entries, and all -0.0."""
+    rhs = gen.standard_normal((d, 3))
+    rhs[: d // 2, 0] = 0.0
+    rhs[::2, 1] = -0.0
+    rhs[:, 2] = -0.0
+    return rhs
+
+
+def _bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    same_signs = np.array_equal(np.signbit(a), np.signbit(b))
+    return a.shape == b.shape and np.array_equal(a, b) and same_signs
+
+
+REFERENCE_CASES = [
+    (w, d)
+    for w in range(5)
+    for d in sorted({1, 2, w, w + 1, SMALL, SMALL + 1, 300} - {0})
+]
+
+
+class TestBandedLDLAgainstReference:
+    """The per-width kernels against the generic loops in tests/ldl_reference.py, bit for bit."""
+
+    @pytest.mark.parametrize("zero_every", [0, 3], ids=["dense-bands", "signed-zeros"])
+    @pytest.mark.parametrize("w,d", REFERENCE_CASES, ids=[f"w{w}-d{d}" for w, d in REFERENCE_CASES])
+    def test_pivots_factor_and_solves_are_bitwise_equal(self, w, d, zero_every):
+        gen = np.random.default_rng(100 * w + d)
+        lower = _banded_lower(w, d, gen, zero_every)
+        low, piv = ldl_reference.factor(lower)
+        factor = linalg.BandedLDL(lower)
+        assert _bitwise_equal(factor.pivots, piv)
+        assert len(factor._low) == w + 1
+        for got, want in zip(factor._low, low):
+            assert _bitwise_equal(got, want)
+        if w <= 1 and d > SMALL:
+            return  # the tridiagonal scans, which no kernel replaces
+        rhs = _signed_zero_block(d, gen)
+        assert _bitwise_equal(factor.solve(rhs), ldl_reference.solve(low, piv, rhs))
+        for j in range(rhs.shape[1]):
+            want = ldl_reference.solve(low, piv, rhs[:, j])
+            assert _bitwise_equal(factor.solve(rhs[:, j]), want)
+
+    @pytest.mark.parametrize(
+        "w,where",
+        [(w, where) for w in range(5) for where in ("head", "body", "last") if w or where != "head"],
+    )
+    def test_indefinite_matrix_fails_at_the_same_pivot(self, w, where):
+        """The first non-positive pivot in the generic head rows, in the kernel's rows, and last."""
+        d = 40
+        bad = {"head": w - 1, "body": w + 3, "last": d - 1}[where]
+        lower = _banded_lower(w, d, np.random.default_rng(w))
+        lower[0, bad] = -0.5
+        with pytest.raises(SingularOperatorError) as want:
+            ldl_reference.factor(lower)
+        with pytest.raises(SingularOperatorError) as got:
+            linalg.BandedLDL(lower)
+        assert str(got.value) == str(want.value)
+        assert f"pivot {bad} " in str(got.value)
+
+    def test_zero_pivot_is_rejected(self):
+        lower = _banded_lower(2, 10, np.random.default_rng(0))
+        lower[:, 6] = 0.0  # row 6 of A is zero, so D[6] is exactly 0
+        with pytest.raises(SingularOperatorError) as want:
+            ldl_reference.factor(lower)
+        with pytest.raises(SingularOperatorError, match="pivot 6 ") as got:
+            linalg.BandedLDL(lower)
+        assert str(got.value) == str(want.value)
+
+
+class TestLDLKernels:
+    @pytest.mark.parametrize(
+        "kind,w", [("factor", 0), ("factor", 2), ("factor", 3), ("solve", 1), ("solve", 3)]
+    )
+    def test_each_width_compiles_under_its_own_filename(self, kind, w):
+        kernel = linalg._ldl_kernel(kind, w)
+        filename = f"<bilevel_lab.linalg ldl-{kind} w={w}>"
+        assert kernel.__code__.co_filename == filename
+        assert inspect.getsourcefile(kernel) == filename
+        source = inspect.getsource(kernel)
+        assert source.startswith(f"def {kind}(")
+        assert source.splitlines() == linalg._KERNEL_SOURCES[kind](w)
+
+    def test_a_traceback_points_into_the_kernel_of_the_width(self):
+        lower = _banded_lower(3, 20, np.random.default_rng(3))
+        lower[0, 12] = -1.0
+        with pytest.raises(SingularOperatorError) as info:
+            linalg.BandedLDL(lower)
+        frame = traceback.extract_tb(info.value.__traceback__)[-1]
+        assert frame.filename == "<bilevel_lab.linalg ldl-factor w=3>"
+        assert frame.line == "raise _pivot_error(i, p0)"
 
 
 class TestBisect:
