@@ -64,6 +64,7 @@ from .solvers import (
     AccBiOBGConfig,
     AccBiOConfig,
     RunTrace,
+    SolverConfig,
     TraceRecord,
     accbio,
     accbio_bg,

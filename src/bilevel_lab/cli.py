@@ -26,7 +26,6 @@ import numpy as np
 
 from . import hard_instances, presets, solvers, span_lab
 from .errors import BilevelLabError, ConfigError, ConstraintError, DivergenceError
-from .hypergrad import AgdConfig, HeavyBallConfig
 from .linalg import z_power_sum
 from .oracles import (
     QuadraticBilevelOracle,
@@ -144,10 +143,20 @@ def _budgets(value, name: str) -> dict:
     return budgets
 
 
+# every algorithm's name in solvers.ALGORITHMS, and the hyphenated spellings
+ALGORITHM_SPELLINGS = {name: name for name in solvers.ALGORITHMS}
+ALGORITHM_SPELLINGS.update({"accbio-bg": "accbio_bg", "baseline-gd": "baseline_aid_gd"})
+
+
+def _algorithm(value, name: str) -> str:
+    """One spelling of an algorithm, resolved to its name in solvers.ALGORITHMS."""
+    return ALGORITHM_SPELLINGS[_one_of(*ALGORITHM_SPELLINGS)(value, name)]
+
+
 def _solver(value, name: str) -> dict:
-    """A solver block; accbio-bg needs a declared outer-gradient bound U."""
+    """A solver block; accbio_bg needs a declared outer-gradient bound U."""
     solver = resolve(value, "solver", name)
-    if solver["algorithm"] == "accbio-bg" and solver["U"] is None:
+    if solver["algorithm"] == "accbio_bg" and solver["U"] is None:
         raise ConfigError(f"accbio-bg requires a declared outer-gradient bound: set {name}.U")
     return solver
 
@@ -194,7 +203,7 @@ SCHEMA = {
     # overrides of the preset's constants; an absent one keeps the preset's value
     "constants": {f.name: (None, _float()) for f in dataclasses.fields(SmoothnessConstants)},
     "solver": {
-        "algorithm": (REQUIRED, _one_of("accbio", "accbio-bg", "baseline-gd")),
+        "algorithm": (REQUIRED, _algorithm),
         "K": (REQUIRED, _int(minimum=1)),
         "N": ("auto", _or(_int(minimum=1), "auto")),
         "M": ("auto", _or(_int(minimum=1), "auto")),
@@ -218,10 +227,7 @@ SCHEMA = {
         "csc_d": (20, _int(minimum=4)),
         "csc_B": (1.0, _positive),
         "csc_budgets": ({"K": 4, "Q": 2, "T": 3}, _budgets),
-        "algorithms": (
-            ["baseline_aid_gd"],
-            _list_of(_one_of(*span_lab.SIMULATOR_ALGORITHMS), unique=True),
-        ),
+        "algorithms": (["baseline_aid_gd"], _list_of(_algorithm, unique=True)),
         "rstar_eps": (1e-2, _positive),
     },
     "budgets": {key: (REQUIRED, _int(minimum=1)) for key in ("K", "Q", "T")},
@@ -335,7 +341,7 @@ def build_instance(inst_cfg: dict):
 def run_solver(oracle, solver_cfg: dict, tau_cost: float):
     """Run the solver of a raw solver block; returns (trace, resolved-params dict)."""
     s = _solver(solver_cfg, "solver")
-    algorithm, K, eps, reg = s["algorithm"], s["K"], s["eps"], s["regularize"]
+    K, eps, reg = s["K"], s["eps"], s["regularize"]
     if reg is not None:
         oracle = solvers.regularize_convex(oracle, reg["eps"], reg["R"])
     constants = oracle.constants
@@ -350,10 +356,12 @@ def run_solver(oracle, solver_cfg: dict, tau_cost: float):
     n_auto, m_auto = solvers.default_inner_budgets(constants, kappa_x, eps)
     n = n_auto if s["N"] == "auto" else s["N"]
     m = m_auto if s["M"] == "auto" else s["M"]
-    agd = AgdConfig.from_constants(constants, n)
-    hb = HeavyBallConfig.from_constants(constants, m)
+    cfg = solvers.SolverConfig.from_constants(
+        constants, K, n, m, L_phi=l_phi, alpha=s["alpha"], stepsize=s["stepsize"], eps=eps, U=s["U"]
+    )
+    trace = getattr(solvers, s["algorithm"])(oracle, cfg, tau_cost)
     resolved = {
-        "algorithm": algorithm,
+        "algorithm": solver_cfg["algorithm"],  # echoed as given
         "K": K,
         "N": n,
         "M": m,
@@ -363,18 +371,9 @@ def run_solver(oracle, solver_cfg: dict, tau_cost: float):
         "kappa_x": kappa_x,
         "tau_cost": tau_cost,
         "regularize": solver_cfg.get("regularize"),  # echoed as given
+        **{key: trace.meta[key] for key in ("alpha", "stepsize", "U") if key in trace.meta},
     }
-    if algorithm == "accbio":
-        cfg = solvers.AccBiOConfig(K=K, L_phi=l_phi, mu_x=mu_x, agd=agd, hb=hb, eps=eps)
-        return solvers.accbio(oracle, cfg, tau_cost), resolved
-    if algorithm == "accbio-bg":
-        alpha = s["alpha"] or _positive(1.0 / (2.0 * l_phi), "solver.alpha")
-        cfg = solvers.AccBiOBGConfig(K=K, alpha=alpha, mu_x=mu_x, agd=agd, hb=hb, U=s["U"])
-        resolved.update(alpha=alpha, U=s["U"])
-        return solvers.accbio_bg(oracle, cfg, tau_cost), resolved
-    stepsize = s["stepsize"] or _positive(1.0 / l_phi, "solver.stepsize")
-    resolved.update(stepsize=stepsize)
-    return solvers.baseline_aid_gd(oracle, stepsize, K, agd, hb, tau_cost), resolved
+    return trace, resolved
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +483,9 @@ def run_sweep(cfg: dict, out_dir: Path, jobs: int, tau_cost_override: float | No
     for i, value in enumerate(values):
         point_cfg = _sweep_point_config(cfg, axis, value)
         tasks.append((point_cfg, str(out_dir / f"point_{i:02d}"), tau_cost_override))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))  # a pool forks all its workers up front
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_point, tasks))
     else:
         results = [_run_point(t) for t in tasks]

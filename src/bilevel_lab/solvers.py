@@ -3,8 +3,12 @@
 Three solvers share one outer loop (`outer_loop`) over the counted five-query
 surface: a momentum-accelerated method with cold inner starts, its
 warm-started variant for bounded outer gradients, and a plain gradient-descent
-baseline.  Each supplies only its query point and update rule; the span
-simulator drives the same loop.  Verification is an observer: every oracle
+baseline.  Each is one row of `ALGORITHMS`, which maps the resolved constants
+(L_phi, mu_x and the alpha / stepsize overrides) to its query point, update
+rule and trace-meta parameters, and fixes its warm-start flag and the iterate
+it reports.  `run` (through `accbio`, `accbio_bg` and `baseline_aid_gd`) and
+the span simulator both read that table, so both drive each algorithm the same
+way.  Verification is an observer: every oracle
 carries the exact surface, which the trace builder reads after each iteration
 to record the exact gap, gradient norm and hypergradient error; it never
 steers the loop.  Every run owns a private counter handle; traces
@@ -17,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import io
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -35,66 +40,38 @@ GAP_BLOWUP_FACTOR = 1e6
 
 
 @dataclass(frozen=True)
-class AccBiOConfig:
-    """Budgets and constants for the accelerated solver with cold inner starts."""
+class SolverConfig:
+    """Budgets and resolved constants of one run; each algorithm reads what it needs.
+
+    alpha and stepsize are overrides (None or 0 for 1/(2 L_phi) and 1/L_phi);
+    U is accbio_bg's declared outer-gradient bound and eps accbio's target.
+    """
 
     K: int
-    L_phi: float
-    mu_x: float
     agd: AgdConfig
     hb: HeavyBallConfig
-    eps: float
+    L_phi: float | None = None
+    mu_x: float | None = None
+    alpha: float | None = None
+    stepsize: float | None = None
+    eps: float | None = None
+    U: float | None = None
 
     def __post_init__(self):
-        if self.K < 1:
-            raise InvariantViolationError("K must be >= 1")
-        if not (0 < self.mu_x <= self.L_phi):
-            raise InvariantViolationError("needs L_phi >= mu_x > 0")
-        if self.eps <= 0:
+        if self.K < 0:
+            raise InvariantViolationError("K must be >= 0")
+        if self.eps is not None and self.eps <= 0:
             raise InvariantViolationError("eps must be positive")
 
-    @property
-    def kappa_x(self) -> float:
-        return self.L_phi / self.mu_x
-
-    @property
-    def momentum(self) -> float:
-        rk = np.sqrt(self.kappa_x)
-        return (rk - 1.0) / (rk + 1.0)
+    @classmethod
+    def from_constants(cls, c: SmoothnessConstants, K: int, N: int, M: int, **fields):
+        """K iterations, N AGD and M heavy-ball steps at c; L_phi defaults to l_phi_estimate(c)."""
+        agd, hb = AgdConfig.from_constants(c, N), HeavyBallConfig.from_constants(c, M)
+        return cls(K=K, agd=agd, hb=hb, mu_x=c.mu_x, **{"L_phi": l_phi_estimate(c), **fields})
 
 
-@dataclass(frozen=True)
-class AccBiOBGConfig:
-    """Budgets and constants for the warm-started bounded-gradient solver."""
-
-    K: int
-    alpha: float
-    mu_x: float
-    agd: AgdConfig
-    hb: HeavyBallConfig
-    U: float | None = None
-    warm_start: bool = True
-
-    def __post_init__(self):
-        if self.K < 1:
-            raise InvariantViolationError("K must be >= 1")
-        if self.alpha <= 0 or self.mu_x <= 0:
-            raise InvariantViolationError("alpha and mu_x must be positive")
-        if self.alpha * self.mu_x > 1.0:
-            raise InvariantViolationError("needs alpha * mu_x <= 1")
-
-    @property
-    def eta_k(self) -> float:
-        s = np.sqrt(self.alpha * self.mu_x)
-        return s / (s + 2.0)
-
-    @property
-    def tau_k(self) -> float:
-        return np.sqrt(self.alpha * self.mu_x) / 2.0
-
-    @property
-    def beta_k(self) -> float:
-        return np.sqrt(self.alpha / self.mu_x)
+# the names that callers of the two accelerated solvers use
+AccBiOConfig = AccBiOBGConfig = SolverConfig
 
 
 @dataclass
@@ -261,74 +238,111 @@ def gd_rule(stepsize: float):
     return _query_at_x, update
 
 
-def _traced_run(oracle, algorithm, tau_cost, K, agd, hb, rule, warm_start) -> RunTrace:
-    """Drive `outer_loop` on a fresh counter handle, recording z every iteration."""
+def _accbio_setup(cfg: SolverConfig):
+    """AccBiO: the smoothness step 1/L_phi and the constant momentum of kappa_x."""
+    if not 0 < cfg.mu_x <= cfg.L_phi:
+        raise InvariantViolationError("accbio needs L_phi >= mu_x > 0")
+    kappa_x = cfg.L_phi / cfg.mu_x
+    rk = np.sqrt(kappa_x)
+    return accbio_rule(cfg.L_phi, (rk - 1.0) / (rk + 1.0)), {"L_phi": cfg.L_phi, "kappa_x": kappa_x}
+
+
+def _accbio_bg_setup(cfg: SolverConfig):
+    """AccBiO-BG: the coupling eta, the averaging tau and the step beta from alpha * mu_x."""
+    alpha = cfg.alpha or 1.0 / (2.0 * cfg.L_phi)
+    if not (alpha > 0 and cfg.mu_x > 0 and alpha * cfg.mu_x <= 1.0):
+        raise InvariantViolationError("accbio_bg needs alpha > 0, mu_x > 0 and alpha * mu_x <= 1")
+    s = np.sqrt(alpha * cfg.mu_x)
+    eta, tau, beta = s / (s + 2.0), s / 2.0, np.sqrt(alpha / cfg.mu_x)
+    rule = accbio_bg_rule(alpha, eta, tau, beta)
+    return rule, {"alpha": alpha, "eta_k": eta, "tau_k": tau, "beta_k": beta}
+
+
+def _gd_setup(cfg: SolverConfig):
+    """Gradient descent: one plain step of size `stepsize`."""
+    stepsize = cfg.stepsize or 1.0 / cfg.L_phi
+    if not 0 < stepsize < np.inf:
+        raise InvariantViolationError("stepsize must be positive and finite")
+    return gd_rule(stepsize), {"stepsize": stepsize}
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """One row of ALGORITHMS: how `run` and the span simulator drive one method.
+
+    `setup(cfg)` maps a SolverConfig to the (query, update) rule and the trace-meta
+    parameters; `warm_start` starts each inner solve from the previous inner
+    iterate, not zero; `output` ("x" or "z") names the iterate reported.
+    """
+
+    setup: Callable[[SolverConfig], tuple]
+    warm_start: bool
+    output: str
+
+    def reported(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return x if self.output == "x" else z
+
+    def drive(self, queries, cfg: SolverConfig, on_outer, on_inner=None):
+        """`outer_loop` under this row's rule; returns (reported iterate, meta parameters)."""
+        rule, params = self.setup(cfg)
+        x, z = outer_loop(
+            queries, cfg.K, cfg.agd, cfg.hb, *rule, self.warm_start, on_outer, on_inner
+        )
+        return self.reported(x, z), params
+
+
+# Warm starts: accbio restarts each inner solve from zero; the support cap
+# K + QT + Q + 2 counts inner steps across updates, so the simulator's
+# certificate needs the other two warm.  Output: z, the gradient-step
+# iterate; the query point x of the accelerated methods extrapolates past it.
+ALGORITHMS = {
+    "accbio": Algorithm(_accbio_setup, warm_start=False, output="z"),
+    "accbio_bg": Algorithm(_accbio_bg_setup, warm_start=True, output="z"),
+    "baseline_aid_gd": Algorithm(_gd_setup, warm_start=True, output="z"),
+}
+
+
+def _traced_run(oracle, name: str, cfg: SolverConfig, tau_cost: float, **meta) -> RunTrace:
+    """Drive ALGORITHMS[name] on a fresh counter handle, recording its output every iteration."""
+    algorithm = ALGORITHMS[name]
     metered, counters = counted(oracle, tau_cost)
-    builder = _TraceBuilder(oracle, counters, algorithm)
+    builder = _TraceBuilder(oracle, counters, name)
     builder.record(0, np.zeros(oracle.p), None, None)
-    _, z = outer_loop(
-        metered, K, agd, hb, *rule, warm_start, lambda k, x, z, G, xq: builder.record(k, z, G, xq)
+    final, params = algorithm.drive(
+        metered, cfg, lambda k, x, z, G, xq: builder.record(k, algorithm.reported(x, z), G, xq)
     )
-    builder.trace.final_point = z.copy()
+    builder.trace.final_point = final.copy()
+    builder.trace.meta.update(K=cfg.K, **params, N=cfg.agd.N, M=cfg.hb.M, **meta)
     return builder.trace
 
 
-def accbio(oracle: QuadraticBilevelOracle, cfg: AccBiOConfig, tau_cost: float = 2.0) -> RunTrace:
+def accbio(oracle: QuadraticBilevelOracle, cfg: SolverConfig, tau_cost: float = 2.0) -> RunTrace:
     """Accelerated outer loop with cold inner starts.
 
     Per iteration: fresh inner accelerated descent from y = 0, an implicit
     hypergradient estimate, the smoothness-step z-update, and the constant-
     momentum x-update.
     """
-    rule = accbio_rule(cfg.L_phi, cfg.momentum)
-    trace = _traced_run(oracle, "accbio", tau_cost, cfg.K, cfg.agd, cfg.hb, rule, False)
-    trace.meta.update(
-        K=cfg.K, L_phi=cfg.L_phi, kappa_x=cfg.kappa_x, N=cfg.agd.N, M=cfg.hb.M, eps=cfg.eps
-    )
-    return trace
+    return _traced_run(oracle, "accbio", cfg, tau_cost, eps=cfg.eps)
 
 
 def accbio_bg(
-    oracle: QuadraticBilevelOracle, cfg: AccBiOBGConfig, tau_cost: float = 2.0
+    oracle: QuadraticBilevelOracle, cfg: SolverConfig, tau_cost: float = 2.0
 ) -> RunTrace:
     """Warm-started accelerated outer loop for oracles with bounded outer gradient."""
     if cfg.U is None:
         raise CapabilityError(
             "the warm-started solver requires a declared outer-gradient bound U"
         )
-    eta, tau, beta = cfg.eta_k, cfg.tau_k, cfg.beta_k
-    rule = accbio_bg_rule(cfg.alpha, eta, tau, beta)
-    trace = _traced_run(
-        oracle, "accbio_bg", tau_cost, cfg.K, cfg.agd, cfg.hb, rule, cfg.warm_start
-    )
-    trace.meta.update(
-        K=cfg.K,
-        alpha=cfg.alpha,
-        eta_k=eta,
-        tau_k=tau,
-        beta_k=beta,
-        N=cfg.agd.N,
-        M=cfg.hb.M,
-        U=cfg.U,
-        warm_start=cfg.warm_start,
-    )
-    return trace
+    warm_start = ALGORITHMS["accbio_bg"].warm_start
+    return _traced_run(oracle, "accbio_bg", cfg, tau_cost, U=cfg.U, warm_start=warm_start)
 
 
 def baseline_aid_gd(
-    oracle: QuadraticBilevelOracle,
-    stepsize: float,
-    K: int,
-    agd: AgdConfig,
-    hb: HeavyBallConfig,
-    tau_cost: float = 2.0,
+    oracle: QuadraticBilevelOracle, cfg: SolverConfig, tau_cost: float = 2.0
 ) -> RunTrace:
     """Plain outer gradient descent on the implicit hypergradient estimate."""
-    if stepsize <= 0:
-        raise InvariantViolationError("stepsize must be positive")
-    trace = _traced_run(oracle, "baseline_aid_gd", tau_cost, K, agd, hb, gd_rule(stepsize), False)
-    trace.meta.update(K=K, stepsize=stepsize, N=agd.N, M=hb.M)
-    return trace
+    return _traced_run(oracle, "baseline_aid_gd", cfg, tau_cost)
 
 
 def l_phi_estimate(constants: SmoothnessConstants) -> float:

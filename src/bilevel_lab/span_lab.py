@@ -10,9 +10,10 @@ fact is read off the profile's running maximum of the active index, the second
 by projecting the final x onto a full-rank QR of the normalized chain basis,
 restricted to the rows the chain is supported on.
 
-The built-in algorithms drive the solvers' `outer_loop` with their own rules;
-`SupportProfile` is its observer, recording every x-update and inner
-y-step.  Custom scripts receive only the counted five-query surface.
+The built-in algorithms are the rows of `solvers.ALGORITHMS`, driven with the
+same rules, warm-start flags and output iterate as `run`, at the smoothness
+constant of phi; `SupportProfile` is their observer, recording every x-update
+and inner y-step.  Custom scripts receive only the counted five-query surface.
 """
 
 from __future__ import annotations
@@ -32,14 +33,13 @@ from .hard_instances import (
     scsc_feasible_dimension,
     scsc_gap_floor,
 )
-from .hypergrad import AgdConfig, HeavyBallConfig
 from .oracles import counted
-from .solvers import accbio_bg_rule, accbio_rule, gd_rule, l_phi_estimate, outer_loop
+from .solvers import ALGORITHMS, SolverConfig
 
 TOL_SUPPORT = 1e-10
 TOL_SPAN_RESIDUAL = 1e-8
 
-SIMULATOR_ALGORITHMS = ("baseline_aid_gd", "accbio", "accbio_bg")
+SIMULATOR_ALGORITHMS = tuple(ALGORITHMS)
 
 
 def active_index(v: np.ndarray, tol: float = TOL_SUPPORT) -> int:
@@ -109,20 +109,6 @@ def _check_budgets(instance, K: int, Q: int, T: int) -> int:
     return n_inner
 
 
-def _simulator_rule(algorithm: str, constants):
-    """(query, update) of a built-in algorithm, at the smoothness constant of phi."""
-    l_phi = l_phi_estimate(constants)
-    mu_x = max(constants.mu_x, 1e-12)
-    if algorithm == "baseline_aid_gd":
-        return gd_rule(1.0 / l_phi)
-    if algorithm == "accbio":
-        rk = math.sqrt(l_phi / mu_x)
-        return accbio_rule(l_phi, (rk - 1.0) / (rk + 1.0))
-    alpha = 1.0 / (2.0 * l_phi)
-    s = math.sqrt(alpha * mu_x)
-    return accbio_bg_rule(alpha, s / (s + 2.0), s / 2.0, math.sqrt(alpha / mu_x))
-
-
 def simulate_on_instance(
     instance: ScscInstance | CscInstance,
     algorithm,
@@ -131,11 +117,11 @@ def simulate_on_instance(
 ) -> tuple[np.ndarray, SupportProfile]:
     """Run a span-respecting algorithm under (K, Q, T) budgets and profile it.
 
-    `algorithm` is one of SIMULATOR_ALGORITHMS or a callable receiving the
-    counted query surface and returning the final x (for adversarial scripts).
-    The cold-started accbio restarts each inner solve from zero; the other
-    two carry the inner iterate forward, so inner steps accumulate across
-    updates as the support-cap budget counts them.
+    `algorithm` is one of SIMULATOR_ALGORITHMS, run for Q outer iterations
+    with n_inner AGD steps and T heavy-ball steps per estimate, or a callable
+    receiving the counted query surface and returning the final x (for
+    adversarial scripts).  The final iterate is the algorithm's output
+    iterate; the profile observes x at every update.
     """
     K, Q, T = budgets["K"], budgets["Q"], budgets["T"]
     n_inner = _check_budgets(instance, K, Q, T)
@@ -152,13 +138,10 @@ def simulate_on_instance(
         x = algorithm(metered, instance.d, budgets)
         profile.observe_x(x)
     elif algorithm in SIMULATOR_ALGORITHMS:
-        c = instance.constants
-        agd, hb = AgdConfig.from_constants(c, n_inner), HeavyBallConfig.from_constants(c, T)
-        rule = _simulator_rule(algorithm, c)
+        cfg = SolverConfig.from_constants(instance.constants, Q, n_inner, T)
         profile.observe_x(np.zeros(instance.d))
-        x, _ = outer_loop(
-            metered, Q, agd, hb, *rule, algorithm != "accbio",
-            lambda k, x, z, G, x_query: profile.observe_x(x), profile.observe_y,
+        x, _ = ALGORITHMS[algorithm].drive(
+            metered, cfg, lambda k, x, z, G, x_query: profile.observe_x(x), profile.observe_y
         )
     else:
         raise ValueError(f"unknown simulator algorithm {algorithm!r}")

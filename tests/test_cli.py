@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bilevel_lab import hard_instances, linalg, span_lab
+from bilevel_lab import cli, hard_instances, linalg, span_lab
 from bilevel_lab.cli import main, resolve
 
 
@@ -73,6 +73,20 @@ class TestRunVerb:
         assert isinstance(solver["M"], int) and solver["M"] >= 1
         assert solver["L_phi"] > 0
         assert resolved["seed"] == 5
+
+    @pytest.mark.parametrize(
+        "spellings", [("accbio-bg", "accbio_bg"), ("baseline-gd", "baseline_aid_gd")]
+    )
+    def test_each_spelling_runs_the_same_solver(self, tmp_path, spellings):
+        traces = []
+        for spelling in spellings:
+            doc = minimal_run_config(tmp_path / spelling, K=3)
+            doc["solver"].update(algorithm=spelling, U=1.0)
+            assert main(["run", write_config(tmp_path / f"{spelling}.json", doc)]) == 0
+            text = (tmp_path / spelling / "resolved_config.json").read_text()
+            assert json.loads(text)["solver_resolved"]["algorithm"] == spelling  # as given
+            traces.append((tmp_path / spelling / "trace.csv").read_bytes())
+        assert traces[0] == traces[1]
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg_doc = minimal_run_config(tmp_path / "out_a")
@@ -449,6 +463,38 @@ class TestSweepVerb:
         b = (tmp_path / "sweep_out" / "point_00" / "trace.csv").read_bytes()
         assert a == b
 
+    def test_pool_is_no_wider_than_the_point_count(self, tmp_path, monkeypatch):
+        widths = []
+
+        class InProcessPool:
+            """Stands in for ProcessPoolExecutor: records its width, starts no process."""
+
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        doc = {
+            "seed": 11,
+            "output_dir": str(tmp_path / "out"),
+            "instance": {"kind": "scsc-benchmark", "d": 12, "preset": "benchmark"},
+            "solver": {"algorithm": "accbio", "K": 40, "eps": 1e-4},
+            "sweep": {"axis": "kappa_y", "values": [1.0, 4.0]},
+        }
+        for values, pools in (([1.0, 4.0], [2]), ([4.0], [])):
+            widths.clear()
+            doc["sweep"]["values"] = values
+            assert main(["sweep", write_config(tmp_path / "c.json", doc), "--jobs", "8"]) == 0
+            assert widths == pools  # a single point runs in this process
+
     def test_summary_format_and_slope(self, tmp_path):
         doc = {
             "seed": 11,
@@ -653,6 +699,7 @@ class TestVerifyLbVerb:
             ("csc_budgets", {"K": 4.5, "Q": 2, "T": 2}),
             ("algorithms", []),
             ("algorithms", ["accbio", "accbio"]),
+            ("algorithms", ["accbio_bg", "accbio-bg"]),  # two spellings of one algorithm
             ("scsc_dims", [16, 32, 32]),
         ],
     )
@@ -739,6 +786,13 @@ class TestVerifyLbVerb:
         main(["verify-lb", cfg, "--tau-cost", "3"])
         assert len(tau_costs) == 3  # two scsc algorithms and the csc run
         assert all(t == 3.0 for t in tau_costs)
+
+    def test_items_are_named_by_table_name(self, tmp_path):
+        doc = battery_config(tmp_path / "out", algorithms=("baseline-gd", "accbio-bg"))
+        assert main(["verify-lb", write_config(tmp_path / "c.json", doc)]) == 0
+        items = json.loads((tmp_path / "out" / "lower_bound_report.json").read_text())["items"]
+        assert {"scsc_gap_floor_baseline_aid_gd", "scsc_gap_floor_accbio_bg"} <= set(items)
+        assert not any("-" in name for name in items)
 
     def test_floor_items_carry_their_ratio(self, tmp_path):
         doc = battery_config(tmp_path / "out", algorithms=("baseline_aid_gd", "accbio"))

@@ -35,7 +35,7 @@ VALID = {
     ("instance", "kappa_y"): [1.0, 4.0],
     ("instance", "initial_gap"): [1.0, None],
     ("instance", "constants"): [{"mu_y": 0.25}, {"L_x": 2.0}],
-    ("solver", "algorithm"): ["accbio", "accbio-bg", "baseline-gd"],
+    ("solver", "algorithm"): ["accbio", "accbio-bg", "accbio_bg", "baseline-gd", "baseline_aid_gd"],
     ("solver", "K"): [1, 5],
     ("solver", "N"): ["auto", 3],
     ("solver", "M"): ["auto", 3],
@@ -48,7 +48,9 @@ VALID = {
     ("lower_bound", "csc_d"): [8, 16],
     ("lower_bound", "csc_B"): [1.0],
     ("lower_bound", "csc_budgets"): [{"K": 4, "Q": 2, "T": 2}],
-    ("lower_bound", "algorithms"): [["accbio"], ["baseline_aid_gd", "accbio_bg"]],
+    ("lower_bound", "algorithms"): [
+        ["accbio"], ["baseline_aid_gd", "accbio_bg"], ["baseline-gd", "accbio-bg"]
+    ],
     ("lower_bound", "rstar_eps"): [1e-2],
 }
 JUNK = [

@@ -9,6 +9,7 @@ from bilevel_lab import (
     QuadraticBilevelOracle,
     QuadraticOuter,
     SmoothnessConstants,
+    SolverConfig,
     accbio,
     accbio_bg,
     baseline_aid_gd,
@@ -22,7 +23,7 @@ from bilevel_lab import (
     trace_to_csv,
 )
 from bilevel_lab.errors import CapabilityError, DivergenceError
-from bilevel_lab.solvers import accbio_bg_rule, accbio_rule, gd_rule, outer_loop
+from bilevel_lab.solvers import ALGORITHMS, accbio_bg_rule, accbio_rule, gd_rule, outer_loop
 
 
 def shifted_quadratic_oracle(d=4, curvatures=None, target=1.0):
@@ -49,20 +50,27 @@ def small_budgets(constants, n=5, m=5):
     return AgdConfig.from_constants(constants, n), HeavyBallConfig.from_constants(constants, m)
 
 
+def accbio_momentum(cfg):
+    """The momentum of accbio's update at cfg, read off x = z_next + momentum (z_next - z)."""
+    (_, update), _ = ALGORITHMS["accbio"].setup(cfg)
+    x_next, z_next = update(None, 0.0, 1.0, 0.0)  # z = 0, x_query = 1, G = 0: z_next = 1
+    return x_next - z_next
+
+
 class TestAccBiO:
     def test_momentum_formula(self):
         agd = AgdConfig(N=1, step=1.0, kappa_y=1.0)
         hb = HeavyBallConfig(M=1, hb_step=1.0, hb_momentum=0.0)
         cfg = AccBiOConfig(K=1, L_phi=4.0, mu_x=1.0, agd=agd, hb=hb, eps=1e-6)
-        assert cfg.kappa_x == pytest.approx(4.0)
-        assert cfg.momentum == pytest.approx(1.0 / 3.0)
+        assert ALGORITHMS["accbio"].setup(cfg)[1]["kappa_x"] == pytest.approx(4.0)
+        assert accbio_momentum(cfg) == pytest.approx(1.0 / 3.0)
 
     def test_unit_condition_number_is_plain_gradient_descent(self):
         # kappa_x = 1 kills the momentum: iterates match hand-rolled descent
         oracle = shifted_quadratic_oracle(d=3, target=2.0)
         agd, hb = small_budgets(oracle.constants, 3, 3)
         cfg = AccBiOConfig(K=4, L_phi=1.0, mu_x=1.0, agd=agd, hb=hb, eps=1e-9)
-        assert cfg.momentum == pytest.approx(0.0)
+        assert accbio_momentum(cfg) == pytest.approx(0.0)
         trace = accbio(oracle, cfg)
         x = np.zeros(3)
         for _ in range(4):
@@ -129,9 +137,10 @@ class TestAccBiOBG:
         agd = AgdConfig(N=1, step=1.0, kappa_y=1.0)
         hb = HeavyBallConfig(M=1, hb_step=1.0, hb_momentum=0.0)
         cfg = AccBiOBGConfig(K=1, alpha=1.0 / 16.0, mu_x=1.0, agd=agd, hb=hb, U=1.0)
-        assert cfg.eta_k == pytest.approx(1.0 / 9.0)
-        assert cfg.tau_k == pytest.approx(1.0 / 8.0)
-        assert cfg.beta_k == pytest.approx(4.0 * cfg.alpha)
+        _, params = ALGORITHMS["accbio_bg"].setup(cfg)
+        assert params["eta_k"] == pytest.approx(1.0 / 9.0)
+        assert params["tau_k"] == pytest.approx(1.0 / 8.0)
+        assert params["beta_k"] == pytest.approx(4.0 * cfg.alpha)
 
     def test_first_step_from_origin(self):
         oracle = shifted_quadratic_oracle(d=3, target=1.0)
@@ -157,18 +166,10 @@ class TestAccBiOBG:
         agd = AgdConfig.from_constants(c, 200)
         hb = HeavyBallConfig.from_constants(c, 10)
         alpha = 1.0 / (2.0 * l_phi_estimate(c))
+        cfg = AccBiOBGConfig(K=12, alpha=alpha, mu_x=c.mu_x, agd=agd, hb=hb, U=10.0)
+        (query, update), _ = ALGORITHMS["accbio_bg"].setup(cfg)
         totals = {}
         for warm in (True, False):
-            cfg = AccBiOBGConfig(
-                K=12,
-                alpha=alpha,
-                mu_x=c.mu_x,
-                agd=agd,
-                hb=hb,
-                U=10.0,
-                warm_start=warm,
-            )
-            query, update = accbio_bg_rule(cfg.alpha, cfg.eta_k, cfg.tau_k, cfg.beta_k)
             # observer: inner gradients spent until the first AGD step within
             # 1e-8 of y*(x_tilde), summed over outer steps
             state = {"total": 0}
@@ -222,7 +223,8 @@ class TestOuterLoop:
 class TestBaseline:
     def test_zero_steps_only_initial_record(self, scsc_bench32):
         agd, hb = small_budgets(scsc_bench32.constants)
-        trace = baseline_aid_gd(scsc_bench32.oracle, 0.1, 0, agd, hb)
+        cfg = SolverConfig(K=0, agd=agd, hb=hb, stepsize=0.1)
+        trace = baseline_aid_gd(scsc_bench32.oracle, cfg)
         assert len(trace.records) == 1
         assert trace.records[0].k == 0
 
@@ -231,7 +233,7 @@ class TestBaseline:
         # contracts at least as fast as (1 - 1/kappa_x)^2 every step
         oracle = shifted_quadratic_oracle(d=2, curvatures=np.array([0.5, 1.0]), target=1.0)
         agd, hb = small_budgets(oracle.constants, 30, 30)
-        trace = baseline_aid_gd(oracle, 1.0, 8, agd, hb)
+        trace = baseline_aid_gd(oracle, SolverConfig(K=8, agd=agd, hb=hb, stepsize=1.0))
         gaps = [rec.phi_gap for rec in trace.records]
         bound = (1.0 - 0.5) ** 2
         for before, after in zip(gaps, gaps[1:]):
@@ -248,7 +250,9 @@ class TestBaseline:
             scsc_bench32.oracle,
             AccBiOConfig(K=80, L_phi=l_phi, mu_x=c.mu_x, agd=agd, hb=hb, eps=eps),
         )
-        base = baseline_aid_gd(scsc_bench32.oracle, 1.0 / l_phi, 300, agd, hb)
+        base = baseline_aid_gd(
+            scsc_bench32.oracle, SolverConfig(K=300, agd=agd, hb=hb, stepsize=1.0 / l_phi)
+        )
         acc_cross = acc.first_crossing(eps)
         base_cross = base.first_crossing(eps)
         assert acc_cross is not None and base_cross is not None
@@ -295,7 +299,8 @@ class TestRegularizeConvex:
 class TestTraceCsv:
     def test_header_and_shape(self, scsc_bench32):
         agd, hb = small_budgets(scsc_bench32.constants)
-        trace = baseline_aid_gd(scsc_bench32.oracle, 0.05, 3, agd, hb)
+        cfg = SolverConfig(K=3, agd=agd, hb=hb, stepsize=0.05)
+        trace = baseline_aid_gd(scsc_bench32.oracle, cfg)
         text = trace_to_csv(trace)
         lines = text.strip().split("\n")
         assert lines[0] == "k,phi_gap,grad_norm,hypergrad_error,n_G,n_J,n_H,complexity"
@@ -308,7 +313,8 @@ class TestTraceCsv:
 
     def test_absent_quantities_are_empty_fields(self, scsc_bench32):
         agd, hb = small_budgets(scsc_bench32.constants, 2, 2)
-        trace = baseline_aid_gd(scsc_bench32.oracle, 0.1, 2, agd, hb)
+        cfg = SolverConfig(K=2, agd=agd, hb=hb, stepsize=0.1)
+        trace = baseline_aid_gd(scsc_bench32.oracle, cfg)
         lines = trace_to_csv(trace).strip().split("\n")
         first = lines[1].split(",")
         assert first[3] == ""  # no estimate before the first iteration

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bilevel_lab import build_csc, build_scsc, scsc_feasible_dimension
+from bilevel_lab.cli import run_solver
 from bilevel_lab.errors import InfeasibleDimensionError, InvariantViolationError
 from bilevel_lab.span_lab import (
     SIMULATOR_ALGORITHMS,
@@ -103,6 +104,13 @@ class TestBudgetMapping:
         with pytest.raises(InvariantViolationError):
             simulate_on_instance(scsc_run_instance, "baseline_aid_gd", {"K": 5, "Q": 5, "T": 3})
 
+    @pytest.mark.parametrize("algorithm", ["accbio", "accbio_bg"])
+    def test_accelerated_rules_need_strong_convexity(self, csc20, algorithm):
+        # the convex family has mu_x = 0: no momentum or step is defined there
+        assert csc20.constants.mu_x == 0.0
+        with pytest.raises(InvariantViolationError, match="mu_x"):
+            simulate_on_instance(csc20, algorithm, {"K": 4, "Q": 2, "T": 3})
+
     def test_rejects_infeasible_dimension(self, mild_constants):
         small = build_scsc(16, mild_constants)
         with pytest.raises(InfeasibleDimensionError) as err:
@@ -157,6 +165,22 @@ class TestSupportCap:
         assert span_projection_residual(battery_run_instance, e, m) <= 1e-8
 
 
+class TestRunParity:
+    """`run` and the simulator drive each algorithm the same way at equal budgets."""
+
+    @pytest.mark.parametrize("algorithm", SIMULATOR_ALGORITHMS)
+    def test_run_solver_matches_simulator(self, battery_run_instance, algorithm):
+        K, Q, T = BATTERY_BUDGETS["K"], BATTERY_BUDGETS["Q"], BATTERY_BUDGETS["T"]
+        solver = {"algorithm": algorithm, "K": Q, "N": K // Q - 1, "M": T, "U": 1.0}
+        trace, _ = run_solver(battery_run_instance.oracle, solver, 2.0)
+        x_final, profile = simulate_on_instance(battery_run_instance, algorithm, BATTERY_BUDGETS)
+        assert np.array_equal(trace.final_point, x_final)
+        final, counters = trace.final, profile.mapping["counters"]
+        assert (final.n_G, final.n_J, final.n_H) == (
+            counters["n_G"], counters["n_J"], counters["n_H"]
+        )
+
+
 class TestSpanHead:
     """The span check on the chain's support agrees with the full-basis QR."""
 
@@ -197,7 +221,9 @@ class TestSpanHead:
     def test_residual_matches_full_basis_qr(self, request, kind):
         instance, budgets = self._cases(request, kind)
         m = support_cap(kind, **budgets)
-        x_final, _ = simulate_on_instance(instance, "accbio", budgets)
+        # verify-lb runs only baseline_aid_gd on the convex family (mu_x = 0)
+        algorithm = "accbio" if kind == "scsc" else "baseline_aid_gd"
+        x_final, _ = simulate_on_instance(instance, algorithm, budgets)
         chain = chain_basis(instance, m)[:, m // 2]
         tail = np.zeros(instance.d)
         tail[3], tail[m + 5] = 1.0, 1.0
