@@ -26,6 +26,7 @@ import numpy as np
 
 from . import hard_instances, presets, solvers, span_lab
 from .errors import BilevelLabError, ConfigError, ConstraintError, DivergenceError
+from .errors import InvariantViolationError
 from .linalg import z_power_sum
 from .oracles import (
     QuadraticBilevelOracle,
@@ -356,9 +357,15 @@ def run_solver(oracle, solver_cfg: dict, tau_cost: float):
     n_auto, m_auto = solvers.default_inner_budgets(constants, kappa_x, eps)
     n = n_auto if s["N"] == "auto" else s["N"]
     m = m_auto if s["M"] == "auto" else s["M"]
+    # a step of 0 in the config is the table's default, as an absent one is
+    steps = {key: s[key] or None for key in ("alpha", "stepsize")}
     cfg = solvers.SolverConfig.from_constants(
-        constants, K, n, m, L_phi=l_phi, alpha=s["alpha"], stepsize=s["stepsize"], eps=eps, U=s["U"]
+        constants, K, n, m, L_phi=l_phi, eps=eps, U=s["U"], **steps
     )
+    try:  # the row's step sizes and constants, checked before the run
+        solvers.ALGORITHMS[s["algorithm"]].setup(cfg)
+    except InvariantViolationError as exc:
+        raise ConfigError(f"invalid solver block: {exc}") from exc
     trace = getattr(solvers, s["algorithm"])(oracle, cfg, tau_cost)
     resolved = {
         "algorithm": solver_cfg["algorithm"],  # echoed as given

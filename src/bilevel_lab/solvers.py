@@ -31,7 +31,6 @@ from .hypergrad import AgdConfig, HeavyBallConfig, aid_estimate
 from .oracles import (
     OracleCounters,
     QuadraticBilevelOracle,
-    QuadraticOuter,
     SmoothnessConstants,
     counted,
 )
@@ -43,15 +42,15 @@ GAP_BLOWUP_FACTOR = 1e6
 class SolverConfig:
     """Budgets and resolved constants of one run; each algorithm reads what it needs.
 
-    alpha and stepsize are overrides (None or 0 for 1/(2 L_phi) and 1/L_phi);
-    U is accbio_bg's declared outer-gradient bound and eps accbio's target.
+    alpha and stepsize are overrides (None for 1/(2 L_phi) and 1/L_phi); mu_x = 0
+    is no strong convexity.  U is accbio_bg's outer-gradient bound, eps accbio's target.
     """
 
     K: int
     agd: AgdConfig
     hb: HeavyBallConfig
     L_phi: float | None = None
-    mu_x: float | None = None
+    mu_x: float = 0.0
     alpha: float | None = None
     stepsize: float | None = None
     eps: float | None = None
@@ -167,9 +166,6 @@ class _TraceBuilder:
         )
         if self.initial_gap is None:
             self.initial_gap = phi_gap
-        self._check_divergence(k, point, phi_gap)
-
-    def _check_divergence(self, k: int, point: np.ndarray, phi_gap: float):
         blown_gap = phi_gap > GAP_BLOWUP_FACTOR * max(self.initial_gap, 1e-300)
         if not np.all(np.isfinite(point)) or blown_gap:
             self.trace.status = "diverged"
@@ -200,6 +196,16 @@ def outer_loop(queries, K, agd, hb, query, update, warm_start, on_outer, on_inne
         y = est.y
         on_outer(k, x, z, est.G, x_query)
     return x, z
+
+
+def _step(cfg: SolverConfig, name: str, scale: float) -> float:
+    """cfg.<name>, or scale / L_phi when that is None; positive and finite either way."""
+    step = getattr(cfg, name)
+    if step is None and cfg.L_phi is not None:
+        step = scale / cfg.L_phi
+    if step is None or not 0 < step < np.inf:
+        raise InvariantViolationError(f"{name} (or {scale!r} / L_phi) must be positive and finite")
+    return step
 
 
 def _query_at_x(x, z):
@@ -240,7 +246,7 @@ def gd_rule(stepsize: float):
 
 def _accbio_setup(cfg: SolverConfig):
     """AccBiO: the smoothness step 1/L_phi and the constant momentum of kappa_x."""
-    if not 0 < cfg.mu_x <= cfg.L_phi:
+    if cfg.L_phi is None or not 0 < cfg.mu_x <= cfg.L_phi:
         raise InvariantViolationError("accbio needs L_phi >= mu_x > 0")
     kappa_x = cfg.L_phi / cfg.mu_x
     rk = np.sqrt(kappa_x)
@@ -249,9 +255,9 @@ def _accbio_setup(cfg: SolverConfig):
 
 def _accbio_bg_setup(cfg: SolverConfig):
     """AccBiO-BG: the coupling eta, the averaging tau and the step beta from alpha * mu_x."""
-    alpha = cfg.alpha or 1.0 / (2.0 * cfg.L_phi)
-    if not (alpha > 0 and cfg.mu_x > 0 and alpha * cfg.mu_x <= 1.0):
-        raise InvariantViolationError("accbio_bg needs alpha > 0, mu_x > 0 and alpha * mu_x <= 1")
+    alpha = _step(cfg, "alpha", 0.5)
+    if not 0 < alpha * cfg.mu_x <= 1.0:
+        raise InvariantViolationError("accbio_bg needs mu_x > 0 and alpha * mu_x <= 1")
     s = np.sqrt(alpha * cfg.mu_x)
     eta, tau, beta = s / (s + 2.0), s / 2.0, np.sqrt(alpha / cfg.mu_x)
     rule = accbio_bg_rule(alpha, eta, tau, beta)
@@ -260,9 +266,7 @@ def _accbio_bg_setup(cfg: SolverConfig):
 
 def _gd_setup(cfg: SolverConfig):
     """Gradient descent: one plain step of size `stepsize`."""
-    stepsize = cfg.stepsize or 1.0 / cfg.L_phi
-    if not 0 < stepsize < np.inf:
-        raise InvariantViolationError("stepsize must be positive and finite")
+    stepsize = _step(cfg, "stepsize", 1.0)
     return gd_rule(stepsize), {"stepsize": stepsize}
 
 
@@ -272,23 +276,19 @@ class Algorithm:
 
     `setup(cfg)` maps a SolverConfig to the (query, update) rule and the trace-meta
     parameters; `warm_start` starts each inner solve from the previous inner
-    iterate, not zero; `output` ("x" or "z") names the iterate reported.
+    iterate, not zero.  Every row reports z, the gradient-step iterate.
     """
 
     setup: Callable[[SolverConfig], tuple]
     warm_start: bool
-    output: str
-
-    def reported(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return x if self.output == "x" else z
 
     def drive(self, queries, cfg: SolverConfig, on_outer, on_inner=None):
-        """`outer_loop` under this row's rule; returns (reported iterate, meta parameters)."""
+        """`outer_loop` under this row's rule; returns (final z, meta parameters)."""
         rule, params = self.setup(cfg)
-        x, z = outer_loop(
+        _, z = outer_loop(
             queries, cfg.K, cfg.agd, cfg.hb, *rule, self.warm_start, on_outer, on_inner
         )
-        return self.reported(x, z), params
+        return z, params
 
 
 # Warm starts: accbio restarts each inner solve from zero; the support cap
@@ -296,20 +296,19 @@ class Algorithm:
 # certificate needs the other two warm.  Output: z, the gradient-step
 # iterate; the query point x of the accelerated methods extrapolates past it.
 ALGORITHMS = {
-    "accbio": Algorithm(_accbio_setup, warm_start=False, output="z"),
-    "accbio_bg": Algorithm(_accbio_bg_setup, warm_start=True, output="z"),
-    "baseline_aid_gd": Algorithm(_gd_setup, warm_start=True, output="z"),
+    "accbio": Algorithm(_accbio_setup, warm_start=False),
+    "accbio_bg": Algorithm(_accbio_bg_setup, warm_start=True),
+    "baseline_aid_gd": Algorithm(_gd_setup, warm_start=True),
 }
 
 
 def _traced_run(oracle, name: str, cfg: SolverConfig, tau_cost: float, **meta) -> RunTrace:
     """Drive ALGORITHMS[name] on a fresh counter handle, recording its output every iteration."""
-    algorithm = ALGORITHMS[name]
     metered, counters = counted(oracle, tau_cost)
     builder = _TraceBuilder(oracle, counters, name)
     builder.record(0, np.zeros(oracle.p), None, None)
-    final, params = algorithm.drive(
-        metered, cfg, lambda k, x, z, G, xq: builder.record(k, algorithm.reported(x, z), G, xq)
+    final, params = ALGORITHMS[name].drive(
+        metered, cfg, lambda k, x, z, G, xq: builder.record(k, z, G, xq)
     )
     builder.trace.final_point = final.copy()
     builder.trace.meta.update(K=cfg.K, **params, N=cfg.agd.N, M=cfg.hb.M, **meta)
@@ -380,14 +379,8 @@ def regularize_convex(
     new_constants = dataclasses.replace(
         oracle.constants, mu_x=ridge, L_x=oracle.constants.L_x + ridge
     )
-    outer = oracle.outer
-    new_outer = QuadraticOuter(
-        a_xx=linalg.shifted_scaled(outer.a_xx, 1.0, ridge),
-        a_yy=outer.a_yy,
-        a_xy=outer.a_xy,
-        lin_x=outer.lin_x,
-        lin_y=outer.lin_y,
-    )
+    a_xx = linalg.shifted_scaled(oracle.outer.a_xx, 1.0, ridge)
+    new_outer = dataclasses.replace(oracle.outer, a_xx=a_xx)
     return QuadraticBilevelOracle(
         oracle.h_op,
         oracle.j_op,

@@ -120,8 +120,8 @@ def simulate_on_instance(
     `algorithm` is one of SIMULATOR_ALGORITHMS, run for Q outer iterations
     with n_inner AGD steps and T heavy-ball steps per estimate, or a callable
     receiving the counted query surface and returning the final x (for
-    adversarial scripts).  The final iterate is the algorithm's output
-    iterate; the profile observes x at every update.
+    adversarial scripts).  The final iterate is the row's output z, as `run`
+    reports it; the profile observes x at every update.
     """
     K, Q, T = budgets["K"], budgets["Q"], budgets["T"]
     n_inner = _check_budgets(instance, K, Q, T)

@@ -438,6 +438,14 @@ class TestNumericFields:
             resolved.append(json.loads(text)["solver_resolved"][key])
         assert resolved[0] == resolved[1] > 0
 
+    def test_non_finite_derived_step_is_config_error(self, tmp_path, capsys):
+        doc = minimal_run_config(tmp_path / "out", K=2)
+        doc["solver"].update(algorithm="baseline-gd", L_phi=1e-310)  # 1 / L_phi overflows
+        assert main(["run", write_config(tmp_path / "c.json", doc)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "stepsize" in err
+        assert not (tmp_path / "out" / "trace.csv").exists()
+
 
 class TestSweepVerb:
     def test_single_point_matches_run(self, tmp_path):

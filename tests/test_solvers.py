@@ -22,7 +22,7 @@ from bilevel_lab import (
     regularize_convex,
     trace_to_csv,
 )
-from bilevel_lab.errors import CapabilityError, DivergenceError
+from bilevel_lab.errors import CapabilityError, DivergenceError, InvariantViolationError
 from bilevel_lab.solvers import ALGORITHMS, accbio_bg_rule, accbio_rule, gd_rule, outer_loop
 
 
@@ -218,6 +218,40 @@ class TestOuterLoop:
                 metered, counters = counted(oracle)
                 outer_loop(metered, K, agd, hb, *rule, warm, lambda *a: None)
                 assert (counters.n_G, counters.n_H, counters.n_J) == (K * (N + 2), K * M, K)
+
+
+class TestStepSizes:
+    SOLVERS = {"accbio": accbio, "accbio_bg": accbio_bg, "baseline_aid_gd": baseline_aid_gd}
+
+    @pytest.mark.parametrize("name,key", [("accbio_bg", "alpha"), ("baseline_aid_gd", "stepsize")])
+    @pytest.mark.parametrize("value", [0.0, -0.5, np.inf, np.nan])
+    def test_bad_override_raises(self, name, key, value):
+        oracle = shifted_quadratic_oracle(d=3)
+        agd, hb = small_budgets(oracle.constants)
+        cfg = SolverConfig(K=1, agd=agd, hb=hb, L_phi=1.0, mu_x=1.0, U=1.0, **{key: value})
+        with pytest.raises(InvariantViolationError, match=key):
+            self.SOLVERS[name](oracle, cfg)
+
+    @pytest.mark.parametrize("name", ["accbio", "accbio_bg", "baseline_aid_gd"])
+    def test_default_step_needs_L_phi(self, name):
+        oracle = shifted_quadratic_oracle(d=3)
+        agd, hb = small_budgets(oracle.constants)
+        cfg = SolverConfig(K=1, agd=agd, hb=hb, mu_x=1.0, U=1.0)
+        with pytest.raises(InvariantViolationError):
+            self.SOLVERS[name](oracle, cfg)
+
+    def test_non_finite_default_step_raises(self):
+        oracle = shifted_quadratic_oracle(d=3)
+        agd, hb = small_budgets(oracle.constants)
+        cfg = SolverConfig(K=1, agd=agd, hb=hb, L_phi=1e-310)  # 1 / L_phi overflows
+        with pytest.raises(InvariantViolationError, match="stepsize"):
+            baseline_aid_gd(oracle, cfg)
+
+    def test_explicit_step_needs_no_L_phi(self):
+        oracle = shifted_quadratic_oracle(d=3)
+        agd, hb = small_budgets(oracle.constants)
+        trace = baseline_aid_gd(oracle, SolverConfig(K=1, agd=agd, hb=hb, stepsize=0.5))
+        assert trace.meta["stepsize"] == 0.5
 
 
 class TestBaseline:
