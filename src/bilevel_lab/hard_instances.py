@@ -135,13 +135,12 @@ def _scsc_operators(d, constants, Lbar_xy, alpha, beta, b):
     makes the minimizer equation close in even powers of Z.
     """
     c = constants
-    z = linalg.anti_banded_z("scsc", d)
     a_xx = linalg.z_power_sum("scsc", d, {2: alpha}, shift=c.mu_x)
     a_xy = linalg.z_power_sum(
         "scsc", d, {3: -alpha * beta / c.Ltil_xy, 1: Lbar_xy / 2.0}
     )
     a_yy = linalg.z_power_sum("scsc", d, {}, shift=c.L_y)
-    z2_b = z.apply_power(b, 2)
+    z2_b = linalg.apply_z("scsc", linalg.apply_z("scsc", b))
     lin_y = (Lbar_xy / c.Ltil_xy) * b - (2.0 * alpha * beta / c.Ltil_xy**2) * z2_b
     outer = QuadraticOuter(a_xx=a_xx, a_yy=a_yy, a_xy=a_xy, lin_y=lin_y)
     h_op = linalg.z_power_sum("scsc", d, {2: beta}, shift=c.mu_y)

@@ -2,16 +2,21 @@
 
 Every operator has one representation, a fixed-width row stencil: arrays
 `cols` and `vals` of shape (w, dim), where row i holds vals[k, i] at column
-cols[k, i].  Applying it is one gather, `(vals * v[cols]).sum(0)`, and its
-dense form is one scatter; each constructor builds the stencil directly.
+cols[k, i].  Its dense form is one scatter, and each constructor builds the
+stencil directly.  Which kernel applies it is chosen by the dimension alone.
 
-Below SMALL_DIM the kernels switch to ones that carry less interpreter and
-indexing overhead, chosen by the dimension alone.  An operator with
-dim <= SMALL_DIM scatters its stencil once, at construction, into a private
-read-only dense form, and `apply` is then one dense matvec; a tridiagonal
-`BandedLDL` of that size solves by its scalar kernel instead of scans.
-The stencil stays the only representation: the dense form is derived from
-it, and `to_dense` still scatters a fresh array.
+An operator with dim <= SMALL_DIM scatters its stencil once, at
+construction, into a private read-only dense form, and `apply` is then one
+dense matvec; a tridiagonal `BandedLDL` of that size solves by its scalar
+kernel instead of scans.  From TAP_DIM on, a polynomial in Z applies by its
+tap kernel: away from its first and last few rows it is shift-invariant, so
+`apply` is one `np.correlate` per parity of the powers and `apply_block` one
+slice-add per stencil slot, and only the edge rows, where the powers meet
+the boundary, are summed slot by slot.  Every other operator above
+SMALL_DIM, and a polynomial in Z below TAP_DIM, applies by the gather
+`(vals * v[cols]).sum(0)`.  The stencil stays the only representation: the
+dense form and the taps are derived from it, and `to_dense` still scatters
+a fresh array.
 
 The two anti-banded coupling operators built here (the "scsc" and "csc"
 flavors) are integer +-1 matrices whose even powers are banded and extend the
@@ -34,9 +39,9 @@ source is generated and compiled once per width (`_ldl_kernel`) the way
 and entries in locals instead of indexing the band rows, and performs the
 operations of the generic per-row loop in the same order, so pivots, L and
 solves are those of the generic loop to the bit.  The same factorization decides spectrum
-bounds by inertia (`spectrum_within`), and `solve_z` inverts Z by a
-cumulative sum, so the anti-banded families never need a dense form above
-SMALL_DIM.  `solve_dense` and `symmetric_eig_extremes` remain as dense
+bounds by inertia (`spectrum_within`), `solve_z` inverts Z by a
+cumulative sum and `apply_z` applies it as a difference, so the anti-banded
+families never need a dense form above SMALL_DIM.  `solve_dense` and `symmetric_eig_extremes` remain as dense
 references.
 """
 
@@ -44,7 +49,7 @@ from __future__ import annotations
 
 import functools
 import linecache
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -62,6 +67,13 @@ from .errors import (
 # CHANGES.md, taken on a Thomas loop that the w=1 kernel matches or beats);
 # 64 keeps both clear of the crossover.
 SMALL_DIM = 64
+# smallest dimension at which a polynomial in Z applies by its tap kernel.
+# Measured on the same machine (table in CHANGES.md): a correlation carries
+# about 2 us of fixed cost (the zero padding, the call, the edge rows), so
+# the kernel of A_xy, with two edge rows of up to three slots, ties the
+# gather near d = 192 and wins from 224 on; those of H, J and A_xx win
+# earlier.
+TAP_DIM = 224
 SOLVE_RESIDUAL_TOL = 1e-10
 # scan coefficients below this are flushed to zero: each term dropped is under
 # 2^-64 of the partial sum it multiplies, below the float64 rounding of a solve
@@ -95,9 +107,12 @@ class StructuredOperator:
 
     `cols` and `vals` have shape (w, dim): row i of the operator holds
     vals[k, i] at column cols[k, i] for k < w, and padding slots hold 0 at
-    an in-range column.  `apply` is one gather and `to_dense` one scatter,
-    whatever the operator; with dim <= SMALL_DIM, `apply` is a matvec with
-    the dense form scattered once at construction.  Instances are immutable
+    an in-range column.  `to_dense` is one scatter, whatever the operator.
+    With dim <= SMALL_DIM, `apply` is a matvec with the dense form scattered
+    once at construction.  From TAP_DIM on, a polynomial in Z (`poly`)
+    applies by its tap kernel (`_tap_kernel`), derived from the stencil on
+    first apply, so an operator that is only factored never derives it.  Any
+    other operator applies by the gather `_gather`.  Instances are immutable
     after construction and safe to share; `kind` is a human-readable tag.
     """
 
@@ -125,6 +140,13 @@ class StructuredOperator:
     def __repr__(self) -> str:
         return f"StructuredOperator(kind={self.kind!r}, dim={self.dim})"
 
+    @functools.cached_property
+    def _taps(self) -> _TapKernel | None:
+        """The tap kernel of a polynomial in Z from TAP_DIM on, derived on first apply."""
+        if self.poly is None or self.dim < TAP_DIM:
+            return None
+        return _tap_kernel(self)
+
     def apply(self, v: np.ndarray) -> np.ndarray:
         if v.shape != (self.dim,):
             raise DimensionMismatchError(
@@ -132,19 +154,52 @@ class StructuredOperator:
             )
         if self._matrix is not None:
             return self._matrix.dot(v)
-        return (self.vals * v[self.cols]).sum(0)
+        taps = self._taps
+        if taps is None:
+            return _gather(self, v)
+        d, head = self.dim, taps.head
+        # zero-padded, so that every row of the correlation sums all its taps
+        padded = np.zeros(d + head + taps.tail)
+        padded[head : head + d] = v
+        out = None
+        for reverse, kernel, start in taps.parts:
+            # correlating the taps with v gives the correlation of v with the
+            # taps, reversed, still summed in tap order
+            full = np.correlate(kernel, padded) if reverse else np.correlate(padded, kernel)
+            part = full[start : start + d]
+            out = part if out is None else out + part
+        item = v.item
+        for row, slots in taps.edges:
+            s = 0.0
+            for col, val in slots:
+                s += val * item(col)
+            out[row] = s
+        return out
 
     def apply_block(self, block: np.ndarray) -> np.ndarray:
-        """Apply to every column of a (dim, k) block; above SMALL_DIM, one gather per slot."""
+        """Apply to every column of a (dim, k) block: one slice-add per tap, or per gather slot."""
         if block.ndim != 2 or block.shape[0] != self.dim:
             raise DimensionMismatchError(
                 f"operator dim {self.dim} incompatible with block shape {block.shape}"
             )
         if self._matrix is not None:
             return self._matrix @ block
+        taps = self._taps
+        if taps is None:
+            return _gather_block(self, block)
+        d = self.dim
         out = np.zeros(block.shape)
-        for cols, vals in zip(self.cols, self.vals):
-            out += vals[:, None] * block[cols]
+        mirrored = block[::-1]
+        for reverse, off, val in taps.slots:
+            # row i reads block[i + off], or block[d-1-i + off] = mirrored[i - off]
+            src, off = (mirrored, -off) if reverse else (block, off)
+            lo, hi = max(0, -off), min(d, d - off)
+            out[lo:hi] += val * src[lo + off : hi + off]
+        for row, slots in taps.edges:
+            edge = out[row]
+            edge[:] = 0.0
+            for col, val in slots:
+                edge += val * block[col]
         return out
 
     def apply_power(self, v: np.ndarray, power: int) -> np.ndarray:
@@ -159,6 +214,101 @@ class StructuredOperator:
         flat = self.cols + d * np.arange(d)
         dense = np.bincount(flat.ravel(), weights=self.vals.ravel(), minlength=d * d)
         return dense.reshape(d, d)
+
+
+def _gather(op: StructuredOperator, v: np.ndarray) -> np.ndarray:
+    """The stencil applied to v by one gather, for an operator without taps."""
+    return (op.vals * v[op.cols]).sum(0)
+
+
+def _gather_block(op: StructuredOperator, block: np.ndarray) -> np.ndarray:
+    """The stencil applied to a (dim, k) block by one gather per slot, for an operator without taps."""
+    out = np.zeros(block.shape)
+    for cols, vals in zip(op.cols, op.vals):
+        out += vals[:, None] * block[cols]
+    return out
+
+
+class _TapKernel(NamedTuple):
+    """A Z-polynomial stencil as shift-invariant taps plus the rows they miss.
+
+    `parts` holds (reverse, taps, start) per parity for `apply`: the
+    correlation of v, padded with `head` and `tail` zeros, read from
+    `start` on, gives row i its taps over v[i + off] (even powers and the
+    shift) or over v[d-1-i + off] (odd powers).  `slots` holds
+    (reverse, off, val) per stencil slot, in slot order, for `apply_block`.
+    The edge rows, where the powers meet the boundary, are summed from their
+    own slots, listed in `edges` as (row, [(col, val), ...]).
+    """
+
+    parts: list[tuple[bool, np.ndarray, int]]
+    head: int
+    tail: int
+    slots: list[tuple[bool, int, float]]
+    edges: list[tuple[int, list[tuple[int, float]]]]
+
+
+def _tap_kernel(op: StructuredOperator) -> _TapKernel | None:
+    """Read the taps of a Z-polynomial stencil off its middle column.
+
+    A polynomial's stencil is made of windows (`_window`): row i of a slot
+    reads column i + off (even powers and the shift) or d-1-i + off (odd
+    powers) wherever that column is in range, and a padding slot, holding 0,
+    the clipped one.  So the middle two rows give each slot's direction and
+    offset, and the middle row its tap.  A row is regular when each in-range
+    slot holds its tap and each padding slot sits where the correlation
+    reads the zero padding; every other row is an edge row.  Within a parity
+    the taps lie in slot order, so a regular row of a single-parity power
+    sum is summed as the gather sums it; slots at one offset (the diagonal
+    slot of `shifted_scaled`) share one tap, and the two parities are summed
+    apart, which moves a row by a few ulps of its absolute sum.  None when
+    the stencil has no such form, or its values differ from the taps in more
+    than 2w rows.
+    """
+    cols, vals = op.cols, op.vals
+    w, d = cols.shape
+    if 2 * w >= d:
+        return None
+    mid = d // 2
+    slots = []  # (reverse, off, tap) in slot order
+    for col, after, tap in zip(cols[:, mid].tolist(), cols[:, mid + 1].tolist(), vals[:, mid].tolist()):
+        if abs(after - col) != 1:
+            return None
+        reverse = after < col
+        slots.append((reverse, col - (d - 1 - mid if reverse else mid), tap))
+    # only rows whose values differ from the taps can be edge rows; they lie
+    # where the powers meet the boundary, so there are few of them
+    rows = np.flatnonzero((vals != vals[:, mid : mid + 1]).any(0))
+    if rows.size > 2 * w:
+        return None
+    # an edge row skips its padding slots: each adds 0 * v[c] for a column c
+    # that an in-range slot of the row reads too, so skipping it can change
+    # only the sign of a zero sum, and a non-finite v[c] still shows
+    edges = []
+    for row, row_cols, row_vals in zip(rows.tolist(), cols[:, rows].T.tolist(), vals[:, rows].T.tolist()):
+        regular, kept = True, []
+        for (reverse, off, tap), col, val in zip(slots, row_cols, row_vals):
+            target = (d - 1 - row if reverse else row) + off
+            if 0 <= target < d:
+                regular &= val == tap
+                kept.append((col, val))
+            elif val != 0.0:  # not a padding slot: the value is the row's own
+                regular = False
+                kept.append((col, val))
+        if not regular:
+            edges.append((row, kept))
+    parts = []
+    offs = [off for _, off, _ in slots]
+    head, tail = max(0, -min(offs)), max(0, max(offs))
+    for parity in (False, True):
+        mine = [(off, tap) for reverse, off, tap in slots if reverse == parity]
+        if mine:
+            first, last = min(off for off, _ in mine), max(off for off, _ in mine)
+            kernel = [0.0] * (last - first + 1)
+            for off, tap in mine:  # slots at one offset are summed in slot order
+                kernel[off - first] += tap
+            parts.append((parity, np.array(kernel), tail - last if parity else head + first))
+    return _TapKernel(parts, head, tail, slots, edges)
 
 
 def _window(start: np.ndarray, width: int) -> np.ndarray:
@@ -659,6 +809,21 @@ def spectrum_within(op: StructuredOperator, lo: float, hi: float) -> bool:
     except SingularOperatorError:
         return False
     return True
+
+
+def apply_z(flavor: str, v: np.ndarray) -> np.ndarray:
+    """Z v for the anti-banded Z of either flavor, as one difference of the reversed v.
+
+    scsc: (Z v)_i = v_(d-1-i) - v_(d-i), csc: (Z v)_i = v_(d-2-i) - v_(d-1-i),
+    with v_d and v_(-1) read as 0.  Each entry is the one rounded difference
+    that `anti_banded_z(flavor, d).apply(v)` computes, up to the sign of a
+    zero, and no operator is built.
+    """
+    if flavor == "scsc":
+        return np.diff(v[::-1], prepend=0.0)
+    if flavor == "csc":
+        return np.diff(v[::-1], append=0.0)
+    raise ValueError(f"unknown flavor {flavor!r}")
 
 
 def solve_z(flavor: str, rhs: np.ndarray) -> np.ndarray:

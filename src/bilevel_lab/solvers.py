@@ -144,11 +144,14 @@ class _TraceBuilder:
     def record(self, k: int, point: np.ndarray, G: np.ndarray | None, x_eval: np.ndarray | None):
         """Row k at `point`; G is the estimate made at x_eval (both None on row 0).
 
-        phi_star is the minimum of phi, so a difference below zero is rounding
-        and the gap is recorded as 0.0.
+        phi is quadratic, so phi(z) - phi_star = (z - x_star)' grad_phi(z) / 2,
+        read off the gradient the row records anyway: it resolves gaps far
+        below one ulp of phi_star.  A value below zero is rounding and the gap
+        is recorded as 0.0; a NaN stays NaN.
         """
-        phi_gap = max(float(self.oracle.phi(point) - self.oracle.phi_star), 0.0)
-        grad_norm = float(np.linalg.norm(self.oracle.grad_phi(point)))
+        grad = self.oracle.grad_phi(point)
+        phi_gap = max(0.5 * float((point - self.oracle.x_star) @ grad), 0.0)
+        grad_norm = float(np.linalg.norm(grad))
         hypergrad_error = None
         if G is not None:
             hypergrad_error = float(np.linalg.norm(G - self.oracle.grad_phi(x_eval)))

@@ -19,6 +19,7 @@ and inner y-step.  Custom scripts receive only the counted five-query surface.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -33,6 +34,7 @@ from .hard_instances import (
     scsc_feasible_dimension,
     scsc_gap_floor,
 )
+from .linalg import apply_z
 from .oracles import counted
 from .solvers import ALGORITHMS, SolverConfig
 
@@ -182,23 +184,41 @@ class LowerBoundReport:
 def span_head(instance: ScscInstance | CscInstance, M: int) -> np.ndarray:
     """Columns Z^(2j) (Z b) for j = 0..M on the rows they are supported on.
 
-    The columns are generated one at a time and each keeps only its entries
-    up to its last nonzero one, read off the column itself; the result has
-    1 + the largest such index rows, and every column is exactly zero below
-    them.  Memory is O(d + M * rows), where the full basis takes O(d M).
+    The result has 1 + the largest index of a nonzero entry rows, and every
+    column is exactly zero below them.  Only Z b is formed at full d.  Each
+    Z^2 reaches one row further, so the chain is grown on a head of n rows,
+    n = (support of Z b) + M + 2, by the Z of dimension n: while a column
+    vanishes on its last two rows, the two +-1 differences of a Z^2 step
+    read the same entries there as at full d, so the head is the full
+    chain's to the bit.  The cost is O(d + M^2), where the full chain takes
+    O(d M).
     """
-    z = instance.z
-    col = z.apply(instance.b)
-    heads = []
-    for j in range(M + 1):
-        if j:
-            col = z.apply_power(col, 2)
-        nonzero = np.flatnonzero(col)
-        heads.append(col[: nonzero[-1] + 1 if nonzero.size else 0].copy())  # not a view of col
-    basis = np.zeros((max(h.shape[0] for h in heads), M + 1))
-    for j, head in enumerate(heads):
-        basis[: head.shape[0], j] = head
-    return basis
+    return _chain_head(instance.kind, instance.b, M)
+
+
+def _chain_head(kind: str, b: np.ndarray, M: int) -> np.ndarray:
+    first = apply_z(kind, b)
+    nonzero = np.flatnonzero(first)
+    n = min(b.shape[0], (nonzero[-1] + 1 if nonzero.size else 0) + M + 2)
+    basis = np.empty((n, M + 1))
+    col = basis[:, 0] = first[:n]
+    for j in range(1, M + 1):
+        col = basis[:, j] = apply_z(kind, apply_z(kind, col))
+    nonzero = np.flatnonzero(np.any(basis != 0.0, axis=1))
+    return basis[: nonzero[-1] + 1 if nonzero.size else 0]
+
+
+@functools.lru_cache(maxsize=4)
+def _span_projector(kind: str, b: bytes, M: int) -> np.ndarray:
+    """Q of the QR of the normalized chain head, built once per (kind, b, M).
+
+    `verify-lb` checks every algorithm's final iterate against the one run
+    instance and cap, so they share one chain and one QR.
+    """
+    basis = _chain_head(kind, np.frombuffer(b), M)
+    q, _ = np.linalg.qr(basis / np.linalg.norm(basis, axis=0, keepdims=True))
+    q.flags.writeable = False
+    return q
 
 
 def span_projection_residual(
@@ -215,9 +235,8 @@ def span_projection_residual(
     norm = float(np.linalg.norm(x))
     if norm == 0.0:
         return 0.0
-    basis = span_head(instance, M)
-    q, _ = np.linalg.qr(basis / np.linalg.norm(basis, axis=0, keepdims=True))
-    head, tail = x[: basis.shape[0]], x[basis.shape[0] :]
+    q = _span_projector(instance.kind, instance.b.tobytes(), M)
+    head, tail = x[: q.shape[0]], x[q.shape[0] :]
     off_span = float(np.linalg.norm(head - q @ (q.T @ head)))
     return math.hypot(off_span, float(np.linalg.norm(tail))) / norm
 

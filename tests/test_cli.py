@@ -1,5 +1,7 @@
 import csv
+import importlib.util
 import json
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -297,6 +299,97 @@ class TestRunVerb:
         assert main(["run", cfg]) == 0
         ids = [id(op) for op in densified]
         assert ids and len(set(ids)) == len(ids)
+
+
+PERFBENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def perfbench_workloads():
+    """The benchmark's workload table, loaded from its file: perfbench is not a package."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:  # registered first: its dataclass looks itself up there
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH_WORKLOADS)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name].WORKLOADS
+
+
+class TestTapKernelGuard:
+    """From TAP_DIM on, every polynomial in Z applies by its taps, never by the gather.
+
+    Taps are derived on first apply, so an operator that is only factored
+    (the minimizer's, the cleared system's) never derives them.
+    """
+
+    @pytest.fixture()
+    def watch(self, monkeypatch):
+        seen = {"derived": [], "applied": [], "factored": []}
+        tap_kernel, banded_ldl = linalg._tap_kernel, linalg.banded_ldl
+        apply, apply_block = linalg.StructuredOperator.apply, linalg.StructuredOperator.apply_block
+
+        def guarded(gather):
+            def guard(op, x):
+                if op.poly is not None and op.dim >= linalg.TAP_DIM:
+                    raise AssertionError(f"{op.kind} of dim {op.dim} took the gather")
+                return gather(op, x)
+
+            return guard
+
+        def spy_tap_kernel(op):
+            seen["derived"].append(op)  # kept alive, so ids stay distinct
+            return tap_kernel(op)
+
+        def spy_banded_ldl(op):
+            seen["factored"].append(op)
+            return banded_ldl(op)
+
+        def spy_apply(self, v):
+            seen["applied"].append(self)
+            return apply(self, v)
+
+        def spy_apply_block(self, block):
+            seen["applied"].append(self)
+            return apply_block(self, block)
+
+        monkeypatch.setattr(linalg, "_gather", guarded(linalg._gather))
+        monkeypatch.setattr(linalg, "_gather_block", guarded(linalg._gather_block))
+        monkeypatch.setattr(linalg, "_tap_kernel", spy_tap_kernel)
+        monkeypatch.setattr(linalg, "banded_ldl", spy_banded_ldl)
+        monkeypatch.setattr(linalg.StructuredOperator, "apply", spy_apply)
+        monkeypatch.setattr(linalg.StructuredOperator, "apply_block", spy_apply_block)
+        return seen
+
+    @staticmethod
+    def _check(seen):
+        applied = {id(op) for op in seen["applied"]}
+        assert seen["derived"] and all(id(op) in applied for op in seen["derived"])
+        return [op for op in seen["factored"] if id(op) not in applied]
+
+    @pytest.mark.parametrize(
+        # in five steps no sweep point reaches eps, so that sweep exits 2
+        "name,code", [("sweep-kappa-d32", 2), ("run-scsc-d1024", 0), ("battery-lb-d1024", 3)]
+    )
+    def test_perfbench_workloads(self, tmp_path, watch, name, code):
+        workload = perfbench_workloads()[name]
+        doc = json.loads(json.dumps(workload.config))
+        doc["output_dir"] = str(tmp_path / "out")
+        if workload.verb == "sweep":
+            # d = 32 applies densely; a few outer steps show that as well as 600
+            doc["solver"]["K"] = 5
+        assert main([workload.verb, write_config(tmp_path / "c.json", doc)]) == code
+        if workload.verb == "sweep":
+            assert not watch["derived"]
+            return
+        factored_only = self._check(watch)
+        assert factored_only and all(op.dim >= linalg.TAP_DIM for op in factored_only)
+
+    @pytest.mark.parametrize("instance,extra", Z_FAMILY_RUNS[2:], ids=Z_FAMILY_IDS[2:])
+    def test_runs_above_the_switch(self, tmp_path, watch, instance, extra):
+        doc = minimal_run_config(tmp_path / "out", K=3)
+        doc["instance"] = {**instance, "d": linalg.TAP_DIM + 1}
+        doc["solver"].update(extra)
+        assert main(["run", write_config(tmp_path / "c.json", doc)]) == 0
+        self._check(watch)
 
 
 SHIPPED_CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"

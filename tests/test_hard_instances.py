@@ -31,6 +31,9 @@ from bilevel_lab.hard_instances import (
 )
 from bilevel_lab.linalg import SMALL_DIM, dense
 from bilevel_lab.presets import mild_csc_constants, mild_scsc_constants
+from bilevel_lab.span_lab import span_projection_residual, support_cap
+
+import gather_reference
 
 
 def dense_grad_floor(instance) -> float:
@@ -255,10 +258,25 @@ class TestTightScale:
         x_star = scsc.oracle.x_star
         csc = build_csc(d, dataclasses.replace(tight, mu_x=0.0), 1.0)
         measured, floor = csc_grad_floor_verify(csc)
+        # a chain column at the scaled battery's cap, projected on its head
+        m = support_cap("scsc", K=60, Q=10, T=5)
+        z = scsc.z
+        column = z.apply(scsc.b)
+        for _ in range(m // 2):
+            column = z.apply_power(column, 2)
+        residual = span_projection_residual(scsc, column, m)
+        # every scsc operator's tap kernels, against the gather
+        gen = np.random.default_rng(0)
+        v, block = gen.standard_normal(d), gen.standard_normal((d, 4))
+        outer = scsc.oracle.outer
+        for op in (scsc.oracle.h_op, scsc.oracle.j_op, outer.a_xx, outer.a_xy, outer.a_yy):
+            assert np.array_equal(op.apply(v), gather_reference.apply(op, v))
+            assert np.array_equal(op.apply_block(block), gather_reference.apply_block(op, block))
         assert time.perf_counter() - start <= 30.0
         assert scsc.r > 0.9998
         assert np.linalg.norm(x_star - scsc.x_star_dense) <= 1e-6 * np.linalg.norm(x_star)
         assert measured >= floor > 0.0
+        assert residual <= 1e-12
 
 
 class TestRstar:

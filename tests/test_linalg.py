@@ -14,10 +14,12 @@ from bilevel_lab.errors import (
     SingularOperatorError,
 )
 
+import gather_reference
 import ldl_reference
 import stencils
 
 SMALL = linalg.SMALL_DIM
+TAP = linalg.TAP_DIM
 
 
 def _z_power_dense(flavor, d, power):
@@ -263,6 +265,115 @@ class TestApply:
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
 
 
+# (label, coeffs, shift, scaled): polynomials in Z with powers up to 6; a
+# scaled case is the shifted_scaled copy 0.7 * op + 0.2 * I, as
+# `regularize_convex` makes them
+TAP_CASES = [
+    ("z", {1: 1.0}, 0.0, False),
+    ("even", {2: 1.5}, 0.3, False),
+    ("even-to-6", {2: 0.5, 4: -1.25, 6: 0.125}, 2.0, False),
+    ("odd", {1: 2.0, 3: -0.7}, 0.0, False),
+    ("odd-to-5", {1: -0.5, 5: 0.25}, 0.0, False),
+    ("mixed", {1: 1.0, 2: 0.5, 5: 0.25}, 0.1, False),
+    ("mixed-to-6", {3: 1.0, 6: -0.3}, 0.0, False),
+    ("shift-only", {}, 3.0, False),
+    ("scaled-even", {2: 1.5}, 0.3, True),
+    ("scaled-odd", {1: 2.0, 3: -0.7}, 0.0, True),
+    ("scaled-shift-only", {}, 3.0, True),
+]
+TAP_DIMS = [SMALL + 1, 100, TAP - 1, TAP, TAP + 1, TAP + 2, 257, 1024]
+ULPS = 4
+
+
+def _tap_inputs(d, gen):
+    """Vectors as the columns of a (d, 5) block: random, signed zeros, one inf, one NaN."""
+    block = np.column_stack([gen.standard_normal(d) for _ in range(5)])
+    block[: d // 2, 1] = 0.0
+    block[::3, 1] = -0.0
+    block[1, 2] = np.inf
+    block[d // 2, 3] = -np.inf
+    block[d - 2, 4] = np.nan
+    return block
+
+
+class TestTapKernels:
+    """The tap kernels against the gathers in tests/gather_reference.py.
+
+    Single-parity sums must match the gather's values bit for bit (equal
+    up to the sign of a zero); mixed-parity sums and scaled copies within
+    ULPS ulps of each row's absolute sum.  Edge rows, and every row of a
+    block, match its values in any case, and both are non-finite exactly
+    where the gather is.
+    """
+
+    @pytest.mark.parametrize("d", TAP_DIMS)
+    @pytest.mark.parametrize("label,coeffs,shift,scaled", TAP_CASES, ids=[c[0] for c in TAP_CASES])
+    @pytest.mark.parametrize("flavor", ["scsc", "csc"])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_kernels_match_the_gather(self, flavor, label, coeffs, shift, scaled, d):
+        op = linalg.z_power_sum(flavor, d, coeffs, shift)
+        if scaled:
+            op = linalg.shifted_scaled(op, 0.7, 0.2)
+        powers = set(op.poly[1])
+        exact = not scaled and (powers <= {0, 2, 4, 6} or powers <= {1, 3, 5})
+        block = _tap_inputs(d, np.random.default_rng(d))
+        taps = op._taps
+        assert (taps is not None) == (d >= TAP)
+        edges = [row for row, _ in taps.edges] if taps is not None else []
+        assert len(edges) <= 2 * op.cols.shape[0]
+
+        for v in block.T:
+            out, ref = op.apply(v), gather_reference.apply(op, v)
+            finite = np.isfinite(ref)
+            assert np.array_equal(np.isfinite(out), finite)
+            err = np.abs(out - ref)[finite]
+            if exact:
+                assert np.all(err == 0.0)
+            else:
+                bound = ULPS * np.finfo(float).eps * gather_reference.abs_sum(op, v)[finite]
+                assert np.all(err <= bound)
+            at_edges = finite[edges]
+            assert np.array_equal(out[edges][at_edges], ref[edges][at_edges])
+
+        out, ref = op.apply_block(block), gather_reference.apply_block(op, block)
+        finite = np.isfinite(ref)
+        assert np.array_equal(np.isfinite(out), finite)
+        assert np.array_equal(out[finite], ref[finite])
+
+    def test_taps_are_derived_once_on_first_apply(self, monkeypatch):
+        derived = []
+        tap_kernel = linalg._tap_kernel
+
+        def spy(op):
+            derived.append(op)
+            return tap_kernel(op)
+
+        monkeypatch.setattr(linalg, "_tap_kernel", spy)
+        op = linalg.z_power_sum("scsc", TAP, {2: 1.0}, 0.5)
+        linalg.banded_ldl(op)
+        assert derived == []
+        op.apply(np.ones(TAP))
+        op.apply_block(np.ones((TAP, 2)))
+        assert derived == [op]
+
+    def test_operators_without_poly_take_the_gather(self, monkeypatch):
+        gathered = []
+        gather, gather_block = linalg._gather, linalg._gather_block
+        monkeypatch.setattr(linalg, "_gather", lambda op, v: gathered.append(op) or gather(op, v))
+        monkeypatch.setattr(
+            linalg, "_gather_block", lambda op, b: gathered.append(op) or gather_block(op, b)
+        )
+        d = TAP + 1
+        band = linalg.tridiagonal(np.full(d, 2.0), np.full(d - 1, -1.0))
+        poly = linalg.z_power_sum("scsc", d, {2: 1.0})
+        v = np.random.default_rng(0).standard_normal(d)
+        assert np.array_equal(band.apply(v), gather_reference.apply(band, v))
+        assert np.array_equal(band.apply_block(v[:, None]), gather_reference.apply_block(band, v[:, None]))
+        poly.apply(v)
+        poly.apply_block(v[:, None])
+        assert gathered == [band, band]
+
+
 class TestSolveDense:
     def test_identity(self):
         x = linalg.solve_dense(linalg.identity(2), np.array([3.0, -1.0]))
@@ -394,6 +505,13 @@ class TestBandedLDL:
         for m in range(width + 1):
             assert np.array_equal(lower[m, m:], np.diagonal(dense, -m))
             assert not lower[m, :m].any()
+
+    @pytest.mark.parametrize("flavor", ["scsc", "csc"])
+    @pytest.mark.parametrize("d", [2, 5, SMALL, SMALL + 1, TAP, 1024])
+    def test_apply_z_is_the_operator_apply(self, flavor, d):
+        v = np.random.default_rng(d).standard_normal(d)
+        v[::3] = 0.0
+        assert np.array_equal(linalg.apply_z(flavor, v), linalg.anti_banded_z(flavor, d).apply(v))
 
     @pytest.mark.parametrize("flavor", ["scsc", "csc"])
     @pytest.mark.parametrize("d", [2, 5, 32, 1024])

@@ -23,7 +23,16 @@ from bilevel_lab import (
     trace_to_csv,
 )
 from bilevel_lab.errors import CapabilityError, DivergenceError, InvariantViolationError
-from bilevel_lab.solvers import ALGORITHMS, accbio_bg_rule, accbio_rule, gd_rule, outer_loop
+from bilevel_lab.oracles import OracleCounters
+from bilevel_lab.presets import benchmark_scsc_constants
+from bilevel_lab.solvers import (
+    ALGORITHMS,
+    _TraceBuilder,
+    accbio_bg_rule,
+    accbio_rule,
+    gd_rule,
+    outer_loop,
+)
 
 
 def shifted_quadratic_oracle(d=4, curvatures=None, target=1.0):
@@ -291,6 +300,27 @@ class TestBaseline:
         base_cross = base.first_crossing(eps)
         assert acc_cross is not None and base_cross is not None
         assert acc_cross.complexity < base_cross.complexity
+
+
+class TestTraceGap:
+    def test_gap_resolves_far_below_an_ulp_of_phi_star(self):
+        # the kappa_y = 64 sweep point: phi_star is about -1053, one ulp of it
+        # 2.3e-13, and the gap at ||delta|| = 1e-7 is about 1e-15
+        oracle = build_scsc_benchmark(32, benchmark_scsc_constants(64.0), initial_gap=1.0)
+        point = oracle.x_star + 1e-7 * np.random.default_rng(5).standard_normal(32) / np.sqrt(32)
+        delta = point - oracle.x_star
+        builder = _TraceBuilder(oracle, OracleCounters(), "accbio")
+        builder.record(0, point, None, None)
+        h_phi, _ = oracle.phi_quadratic_reduction()
+        expected = 0.5 * float(delta @ h_phi @ delta)
+        assert abs(oracle.phi_star) > 1e3 and expected < 1e-13
+        assert builder.trace.records[0].phi_gap == pytest.approx(expected, rel=1e-6, abs=0.0)
+
+    def test_nan_gap_reaches_the_divergence_check(self, scsc_bench32):
+        builder = _TraceBuilder(scsc_bench32.oracle, OracleCounters(), "accbio")
+        with pytest.raises(DivergenceError):
+            builder.record(0, np.full(32, np.nan), None, None)
+        assert np.isnan(builder.trace.records[0].phi_gap)
 
 
 class TestLPhiEstimate:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bilevel_lab import build_csc, build_scsc, scsc_feasible_dimension
+from bilevel_lab import build_csc, build_scsc, scsc_feasible_dimension, span_lab
 from bilevel_lab.cli import run_solver
 from bilevel_lab.errors import InfeasibleDimensionError, InvariantViolationError
 from bilevel_lab.span_lab import (
@@ -216,6 +216,43 @@ class TestSpanHead:
         assert span_head(shifted, m).shape[0] == span_head(clean, m).shape[0] + 1
         x = chain_basis(shifted, m) @ np.full(m + 1, 1e-3)
         assert span_projection_residual(shifted, x, m) <= 1e-8
+
+    @pytest.mark.parametrize("kind", ["scsc", "csc"])
+    def test_chain_steps_touch_only_the_head(self, monkeypatch, mild_constants, csc_constants, kind):
+        m = 30
+        d = 8 * m  # from TAP_DIM on, so the reference chain runs on the tap kernels
+        if kind == "scsc":
+            instance = build_scsc(d, mild_constants)
+        else:
+            instance = build_csc(d, csc_constants, B=1.0)
+        full = chain_basis(instance, m)
+        lengths, apply_z = [], span_lab.apply_z
+
+        def spy(flavor, v):
+            lengths.append(v.shape[0])
+            return apply_z(flavor, v)
+
+        monkeypatch.setattr(span_lab, "apply_z", spy)
+        head = span_head(instance, m)
+        # Z b once on all d rows, then each Z^2 step as two Z on the head
+        assert lengths[0] == d and len(lengths) == 1 + 2 * m
+        assert max(lengths[1:]) <= m + 5
+        assert head.shape == (m + (2 if kind == "scsc" else 3), m + 1)
+        assert np.array_equal(head, full[: head.shape[0]])
+        assert not full[head.shape[0] :].any()
+
+    def test_one_chain_and_qr_per_instance_and_cap(self, monkeypatch, battery_run_instance):
+        built = []
+        chain_head, qr = span_lab._chain_head, np.linalg.qr
+        monkeypatch.setattr(span_lab, "_chain_head", lambda *a: built.append(a[2]) or chain_head(*a))
+        monkeypatch.setattr(np.linalg, "qr", lambda a: built.append("qr") or qr(a))
+        span_lab._span_projector.cache_clear()
+        m = support_cap("scsc", **BATTERY_BUDGETS)
+        x = np.random.default_rng(3).standard_normal(battery_run_instance.d)
+        residuals = [span_projection_residual(battery_run_instance, x, m) for _ in range(3)]
+        assert residuals[0] == residuals[1] == residuals[2]
+        span_projection_residual(battery_run_instance, x, m - 1)
+        assert built == [m, "qr", m - 1, "qr"]
 
     @pytest.mark.parametrize("kind", ["scsc", "csc"])
     def test_residual_matches_full_basis_qr(self, request, kind):
