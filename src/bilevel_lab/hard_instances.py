@@ -14,7 +14,7 @@ import base64
 import dataclasses
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,6 +56,8 @@ class ScscInstance:
     x_hat: np.ndarray
     x_star_dense: np.ndarray
     oracle: QuadraticBilevelOracle
+    # Q of the span projector per support cap, filled by span_lab on first use
+    span_projectors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     kind = "scsc"
 
@@ -316,6 +318,8 @@ class CscInstance:
     x_star: np.ndarray
     grad_floor: float
     oracle: QuadraticBilevelOracle
+    # Q of the span projector per support cap, filled by span_lab on first use
+    span_projectors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     kind = "csc"
 

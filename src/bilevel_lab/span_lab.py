@@ -19,7 +19,6 @@ and inner y-step.  Custom scripts receive only the counted five-query surface.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -208,16 +207,19 @@ def _chain_head(kind: str, b: np.ndarray, M: int) -> np.ndarray:
     return basis[: nonzero[-1] + 1 if nonzero.size else 0]
 
 
-@functools.lru_cache(maxsize=4)
-def _span_projector(kind: str, b: bytes, M: int) -> np.ndarray:
-    """Q of the QR of the normalized chain head, built once per (kind, b, M).
+def _span_projector(instance: ScscInstance | CscInstance, M: int) -> np.ndarray:
+    """Q of the QR of the normalized chain head, built once per instance and cap.
 
     `verify-lb` checks every algorithm's final iterate against the one run
-    instance and cap, so they share one chain and one QR.
+    instance and cap, so they share one chain and one QR.  The projector is
+    kept on the instance, so every new instance builds its own.
     """
-    basis = _chain_head(kind, np.frombuffer(b), M)
-    q, _ = np.linalg.qr(basis / np.linalg.norm(basis, axis=0, keepdims=True))
-    q.flags.writeable = False
+    q = instance.span_projectors.get(M)
+    if q is None:
+        basis = _chain_head(instance.kind, instance.b, M)
+        q, _ = np.linalg.qr(basis / np.linalg.norm(basis, axis=0, keepdims=True))
+        q.flags.writeable = False
+        instance.span_projectors[M] = q
     return q
 
 
@@ -235,7 +237,7 @@ def span_projection_residual(
     norm = float(np.linalg.norm(x))
     if norm == 0.0:
         return 0.0
-    q = _span_projector(instance.kind, instance.b.tobytes(), M)
+    q = _span_projector(instance, M)
     head, tail = x[: q.shape[0]], x[q.shape[0] :]
     off_span = float(np.linalg.norm(head - q @ (q.T @ head)))
     return math.hypot(off_span, float(np.linalg.norm(tail))) / norm

@@ -241,18 +241,22 @@ class TestSpanHead:
         assert np.array_equal(head, full[: head.shape[0]])
         assert not full[head.shape[0] :].any()
 
-    def test_one_chain_and_qr_per_instance_and_cap(self, monkeypatch, battery_run_instance):
+    def test_one_chain_and_qr_per_instance_and_cap(self, monkeypatch, mild_constants):
         built = []
         chain_head, qr = span_lab._chain_head, np.linalg.qr
         monkeypatch.setattr(span_lab, "_chain_head", lambda *a: built.append(a[2]) or chain_head(*a))
         monkeypatch.setattr(np.linalg, "qr", lambda a: built.append("qr") or qr(a))
-        span_lab._span_projector.cache_clear()
+        instance = feasible_instance(mild_constants, BATTERY_BUDGETS)
         m = support_cap("scsc", **BATTERY_BUDGETS)
-        x = np.random.default_rng(3).standard_normal(battery_run_instance.d)
-        residuals = [span_projection_residual(battery_run_instance, x, m) for _ in range(3)]
+        x = np.random.default_rng(3).standard_normal(instance.d)
+        residuals = [span_projection_residual(instance, x, m) for _ in range(3)]
         assert residuals[0] == residuals[1] == residuals[2]
-        span_projection_residual(battery_run_instance, x, m - 1)
+        span_projection_residual(instance, x, m - 1)
         assert built == [m, "qr", m - 1, "qr"]
+        # a second build of the same instance builds its own projector
+        again = feasible_instance(mild_constants, BATTERY_BUDGETS)
+        assert span_projection_residual(again, x, m) == residuals[0]
+        assert built == [m, "qr", m - 1, "qr", m, "qr"]
 
     @pytest.mark.parametrize("kind", ["scsc", "csc"])
     def test_residual_matches_full_basis_qr(self, request, kind):
