@@ -483,7 +483,12 @@ def _run_point(args):
 
 
 def run_sweep(cfg: dict, out_dir: Path, jobs: int, tau_cost_override: float | None = None) -> int:
-    """Run each point of a raw sweep config (all checked by `resolve` before the first)."""
+    """Run each point of a raw sweep config (all checked by `resolve` before the first).
+
+    Exits 0 when any point ran, whether or not it reached eps, as `run` does.
+    Exits 2 only when no point ran, with one `numeric failure:` line on
+    stderr that names every point and its error.
+    """
     sweep = resolve(cfg)["sweep"]
     axis, values = sweep["axis"], sweep["values"]
     tasks = []
@@ -516,8 +521,14 @@ def run_sweep(cfg: dict, out_dir: Path, jobs: int, tau_cost_override: float | No
         if len(values) >= 2 and np.ptp(logs_x) > 0:
             meta["loglog_slope"] = float(np.polyfit(logs_x, logs_y, 1)[0])
     _atomic_write(out_dir / "sweep_meta.json", json.dumps(meta, indent=2, sort_keys=True))
-    all_failed = all(not r.get("ok") or not r.get("reached_eps") for r in results)
-    return EXIT_NUMERIC if all_failed else EXIT_OK
+    if any(r.get("ok") for r in results):
+        return EXIT_OK
+    failed = "; ".join(
+        f"point_{i:02d} ({axis}={value!r}): {res['error']}"
+        for i, (value, res) in enumerate(zip(values, results))
+    )
+    print(f"numeric failure: no sweep point ran: {failed}", file=sys.stderr)
+    return EXIT_NUMERIC
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,12 @@ A power sum of even powers, like `diagonal`, `tridiagonal` and `banded`, has
 a banded stencil (`band_form`), read in place; any other stencil is read as
 one full band (w = d-1) off its dense form.  `BandedLDL` factors either once,
 O(d w^2); a tridiagonal factor above SMALL_DIM solves by recursive-doubling
-scans, O(d log d) in about 2 log2(d) vectorized steps.  The scalar factor
+scans, O(d log d) in about 2 log2(d) vectorized steps.  A (d, k) block of
+right-hand sides scans all its columns at once, over the scan levels and
+pivots repeated across k columns (`BandedLDL._tiled`): built once per block
+width and kept on the factor, they make each step one element-wise pass over
+contiguous arrays instead of a column of coefficients broadcast across the
+block, and give every element the same product.  The scalar factor
 and solve loops run as straight-line kernels, one per band width, whose
 source is generated and compiled once per width (`_ldl_kernel`) the way
 `collections.namedtuple` builds its methods: each keeps the last w pivots
@@ -40,7 +45,8 @@ and entries in locals instead of indexing the band rows, and performs the
 operations of the generic per-row loop in the same order, so pivots, L and
 solves are those of the generic loop to the bit.  The same factorization decides spectrum
 bounds by inertia (`spectrum_within`), `solve_z` inverts Z by a
-cumulative sum and `apply_z` applies it as a difference, so the anti-banded
+cumulative sum and `apply_z` applies it as one difference of slices of the
+reversed vector, so the anti-banded
 families never need a dense form above SMALL_DIM.  `solve_dense` and `symmetric_eig_extremes` remain as dense
 references.
 """
@@ -188,13 +194,17 @@ class StructuredOperator:
         if taps is None:
             return _gather_block(self, block)
         d = self.dim
-        out = np.zeros(block.shape)
+        out = np.empty(block.shape)
         mirrored = block[::-1]
-        for reverse, off, val in taps.slots:
+        for n, (reverse, off, val) in enumerate(taps.slots):
             # row i reads block[i + off], or block[d-1-i + off] = mirrored[i - off]
             src, off = (mirrored, -off) if reverse else (block, off)
             lo, hi = max(0, -off), min(d, d - off)
-            out[lo:hi] += val * src[lo + off : hi + off]
+            if n:
+                out[lo:hi] += val * src[lo + off : hi + off]
+            else:  # written, not added to zeros, which can change only the sign of a zero
+                out[:lo] = out[hi:] = 0.0
+                np.multiply(src[lo + off : hi + off], val, out=out[lo:hi])
         for row, slots in taps.edges:
             edge = out[row]
             edge[:] = 0.0
@@ -555,18 +565,24 @@ def _scan(z: np.ndarray, levels: list[np.ndarray], backward: bool = False) -> No
     """Run a first-order linear recurrence in place over precomputed scan levels.
 
     Forward levels add coef * z[i - 2^k] to z[i]; backward levels, stored in
-    the same orientation as z, add coef * z[i + 2^k].  z may carry extra
-    trailing axes (a block of right-hand sides).
+    the same orientation as z, add coef * z[i + 2^k].  Each level has the
+    shape of the rows of z it updates: (n,) for a vector, (n, k) tiled for a
+    (d, k) block.
     """
     s = 1
     for coef in levels:
-        if z.ndim > 1:
-            coef = coef.reshape(coef.shape + (1,) * (z.ndim - 1))
         if backward:
             z[:-s] += coef * z[s:]
         else:
             z[s:] += coef * z[:-s]
         s *= 2
+
+
+def _tile(coef: np.ndarray, k: int) -> np.ndarray:
+    """coef repeated across k columns: a read-only, C-contiguous (n, k) array."""
+    tile = np.repeat(coef[:, None], k, axis=1)
+    tile.flags.writeable = False
+    return tile
 
 
 def _pivot_error(i: int, s: float) -> SingularOperatorError:
@@ -682,7 +698,8 @@ class BandedLDL:
     band (w >= d-1) runs in the generic loop alone.  A tridiagonal factor
     (w <= 1) above SMALL_DIM solves by recursive doubling: forward and back
     substitution are first-order recurrences, each run as about log2(d)
-    vectorized scans over coefficients precomputed on first solve.  Any other
+    vectorized scans over coefficients precomputed on first solve, and tiled
+    once per width for a block of right-hand sides.  Any other
     factor solves by the generated scalar kernel of its width (w = 1 for a
     diagonal one).  Raises SingularOperatorError at the first pivot that is
     not positive, so a successful factorization certifies positive
@@ -724,15 +741,16 @@ class BandedLDL:
         self.pivots = np.array(piv)
         self._low = low
         self._piv = piv
+        self._tiles: dict[int, tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]] = {}
 
     @functools.cached_property
-    def _scans(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Forward and backward scan levels of a tridiagonal factor, built on first solve."""
+    def _scans(self) -> tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]:
+        """Forward levels, pivots and backward levels of a tridiagonal factor's scans, built on first solve."""
         sub = -np.array(self._low[1]) if self.width else np.zeros(self.dim)
         # forward: z_i = r_i - L[i, i-1] z_(i-1).  backward: x_i = u_i - L[i+1, i] x_(i+1),
         # the forward scan of the reversed vector with its levels turned back
         back = _scan_levels(np.append(sub[1:], 0.0)[::-1])
-        return _scan_levels(sub), [coef[::-1].copy() for coef in back]
+        return _scan_levels(sub), self.pivots, [coef[::-1].copy() for coef in back]
 
     @functools.cached_property
     def _solve_kernel(self) -> Callable[[list[float]], list[float]]:
@@ -750,8 +768,10 @@ class BandedLDL:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for a (dim,) rhs, or a (dim, k) block of them.
 
-        A factor that scans solves a block at once; any other solves it column
-        by column, so each column equals the solve of that column alone.
+        A factor that scans solves a block at once, over its levels and
+        pivots tiled to k columns (`_tiled`); any other solves it column by
+        column.  Either way each column equals the solve of that column
+        alone, bit for bit.
         """
         if rhs.ndim not in (1, 2) or rhs.shape[0] != self.dim:
             raise DimensionMismatchError(
@@ -765,12 +785,29 @@ class BandedLDL:
             for j, column in enumerate(rhs.T.tolist()):
                 x[:, j] = kernel(column)
             return x
-        forward, backward = self._scans
+        forward, pivots, backward = self._scans if rhs.ndim == 1 else self._tiled(rhs.shape[1])
         x = np.array(rhs, dtype=np.float64)
         _scan(x, forward)
-        x /= self.pivots if x.ndim == 1 else self.pivots[:, None]
+        x /= pivots
         _scan(x, backward, backward=True)
         return x
+
+    def _tiled(self, k: int) -> tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]:
+        """The scan levels and pivots repeated across k columns, built once per width k.
+
+        A level broadcast from (n, 1) against an (n, k) block runs n short
+        inner loops; its tile runs one loop over the whole contiguous block.
+        Every element gets the same product or quotient, so the solve is that
+        of the broadcast, bit for bit.  The tiles are read-only and kept on
+        the factor, one set per width, each about (2 levels + 1) times the
+        size of a block of that width.
+        """
+        tiles = self._tiles.get(k)
+        if tiles is None:
+            forward, pivots, backward = self._scans
+            tiles = [_tile(c, k) for c in forward], _tile(pivots, k), [_tile(c, k) for c in backward]
+            self._tiles[k] = tiles
+        return tiles
 
 
 def _lower_bands(op: StructuredOperator) -> np.ndarray:
@@ -819,11 +856,17 @@ def apply_z(flavor: str, v: np.ndarray) -> np.ndarray:
     that `anti_banded_z(flavor, d).apply(v)` computes, up to the sign of a
     zero, and no operator is built.
     """
+    r = v[::-1]
+    out = np.empty(r.shape)
     if flavor == "scsc":
-        return np.diff(v[::-1], prepend=0.0)
-    if flavor == "csc":
-        return np.diff(v[::-1], append=0.0)
-    raise ValueError(f"unknown flavor {flavor!r}")
+        out[0] = r[0]  # r_0 - 0.0, which is r_0 with its sign
+        np.subtract(r[1:], r[:-1], out=out[1:])
+    elif flavor == "csc":
+        np.subtract(r[1:], r[:-1], out=out[:-1])
+        out[-1] = 0.0 - r[-1]  # not -r_(d-1): 0.0 - 0.0 is +0.0
+    else:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    return out
 
 
 def solve_z(flavor: str, rhs: np.ndarray) -> np.ndarray:

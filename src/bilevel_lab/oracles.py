@@ -472,9 +472,12 @@ def counted(
 
 
 # coordinates per block of `finite_difference_gradient`, whose 2 * FD_BLOCK
-# points are solved for together.  Small blocks keep the temporaries in cache:
-# at d=256 and d=1024, 16 coordinates ran about 2x faster than 128 or more.
-FD_BLOCK = 16
+# points are solved for together.  Measured on x86-64, numpy 2.4 with one
+# OpenBLAS thread, on the mild scsc instance (table in CHANGES.md): a whole
+# gradient took 3.8 ms at 32 against 4.5 ms at 16 and 5.8 ms at 64 for d=256,
+# the size the battery checks; at d=1024, which no workload checks, 16 took
+# 61 ms and 32 about 107 ms.
+FD_BLOCK = 32
 
 
 def _phi_columns(oracle: QuadraticBilevelOracle, xs: np.ndarray) -> np.ndarray:
@@ -483,10 +486,13 @@ def _phi_columns(oracle: QuadraticBilevelOracle, xs: np.ndarray) -> np.ndarray:
     One block solve on the cached factor serves every column; the outer values
     are taken column-wise.
     """
-    rhs = np.repeat(oracle.b[:, None], xs.shape[1], axis=1)
-    if oracle.j_op is not None:
-        rhs += oracle.j_op.apply_block(xs)
-    return oracle.outer.values(xs, -oracle._inner_factor().solve(rhs))
+    if oracle.j_op is None:
+        rhs = np.repeat(oracle.b[:, None], xs.shape[1], axis=1)
+    else:
+        rhs = oracle.j_op.apply_block(xs)
+        rhs += oracle.b[:, None]
+    ys = oracle._inner_factor().solve(rhs)
+    return oracle.outer.values(xs, np.negative(ys, out=ys))
 
 
 def finite_difference_gradient(oracle: QuadraticBilevelOracle, x: np.ndarray, h: float) -> np.ndarray:
@@ -494,6 +500,9 @@ def finite_difference_gradient(oracle: QuadraticBilevelOracle, x: np.ndarray, h:
 
     The points x +- h e_i are evaluated in blocks of FD_BLOCK coordinates by
     `_phi_columns`, so phi at each point still comes from that point's y*.
+    Every step of a block but one is column by column, so the block width
+    moves no bit; the exception is the outer linear term, a BLAS
+    matrix-vector product whose rounding can depend on the block's width.
     """
     if h <= 0:
         raise InvariantViolationError("finite-difference step h must be positive")
@@ -501,9 +510,11 @@ def finite_difference_gradient(oracle: QuadraticBilevelOracle, x: np.ndarray, h:
     fd = np.empty(p)
     for lo in range(0, p, FD_BLOCK):
         k = min(FD_BLOCK, p - lo)
-        step = np.zeros((p, k))
-        step[lo + np.arange(k), np.arange(k)] = h
-        phis = _phi_columns(oracle, np.hstack([x[:, None] + step, x[:, None] - step]))
+        rows, cols = lo + np.arange(k), np.arange(k)
+        xs = np.repeat(x[:, None], 2 * k, axis=1)
+        xs[rows, cols] += h
+        xs[rows, k + cols] -= h
+        phis = _phi_columns(oracle, xs)
         fd[lo : lo + k] = (phis[:k] - phis[k:]) / (2 * h)
     return fd
 

@@ -45,10 +45,11 @@ SIMULATOR_ALGORITHMS = tuple(ALGORITHMS)
 
 def active_index(v: np.ndarray, tol: float = TOL_SUPPORT) -> int:
     """Largest 1-based index whose magnitude exceeds tol * ||v||_inf (0 if none)."""
-    peak = float(np.max(np.abs(v))) if v.size else 0.0
+    magnitude = np.abs(v)
+    peak = float(magnitude.max()) if v.size else 0.0
     if peak == 0.0:
         return 0
-    idx = np.flatnonzero(np.abs(v) > tol * peak)
+    idx = np.flatnonzero(magnitude > tol * peak)
     return int(idx[-1]) + 1 if idx.size else 0
 
 

@@ -366,8 +366,8 @@ class TestTapKernelGuard:
         return [op for op in seen["factored"] if id(op) not in applied]
 
     @pytest.mark.parametrize(
-        # in five steps no sweep point reaches eps, so that sweep exits 2
-        "name,code", [("sweep-kappa-d32", 2), ("run-scsc-d1024", 0), ("battery-lb-d1024", 3)]
+        # in five steps no sweep point reaches eps, but every point runs, so that sweep exits 0
+        "name,code", [("sweep-kappa-d32", 0), ("run-scsc-d1024", 0), ("battery-lb-d1024", 3)]
     )
     def test_perfbench_workloads(self, tmp_path, watch, name, code):
         workload = perfbench_workloads()[name]
@@ -747,7 +747,7 @@ class TestSweepVerb:
         assert err.startswith("config error: sweep.values[2]") and "Traceback" not in err
         assert not list(tmp_path.glob("out/point_*"))
 
-    def test_all_points_failing_exits_nonzero(self, tmp_path):
+    def test_all_points_failing_exits_nonzero(self, tmp_path, capsys):
         doc = {
             "seed": 0,
             "output_dir": str(tmp_path / "out"),
@@ -757,6 +757,31 @@ class TestSweepVerb:
         }
         cfg = write_config(tmp_path / "c.json", doc)
         assert main(["sweep", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: no sweep point ran:")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "point_00 (d=2)" in err and "point_01 (d=3)" in err
+
+    def test_points_short_of_eps_exit_zero(self, tmp_path, capsys):
+        # every point runs but none reaches eps in five steps: a completed
+        # sweep, as a `run` short of eps is a completed run
+        doc = {
+            "seed": 0,
+            "output_dir": str(tmp_path / "out"),
+            "instance": {"kind": "scsc", "preset": "mild", "d": 16},
+            "solver": {"algorithm": "accbio", "K": 5, "N": 5, "M": 5, "eps": 1e-12},
+            "sweep": {"axis": "d", "values": [8, 16]},
+        }
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["sweep", cfg]) == 0
+        assert capsys.readouterr().err == ""
+        for point in ("point_00", "point_01"):
+            summary = (tmp_path / "out" / point / "summary.csv").read_text().splitlines()
+            assert "reached_eps,False" in summary
+        rows = (tmp_path / "out" / "summary.csv").read_text().strip().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["", ""]
+        meta = json.loads((tmp_path / "out" / "sweep_meta.json").read_text())
+        assert meta["failures"] == 0 and "loglog_slope" not in meta
 
 
 def battery_config(out_dir, scsc_dims=(16,), algorithms=("baseline_aid_gd",), corruption=None):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bilevel_lab import linalg
+from bilevel_lab import linalg, oracles
 from bilevel_lab.errors import (
     BracketError,
     DimensionMismatchError,
@@ -16,6 +16,7 @@ from bilevel_lab.errors import (
 
 import gather_reference
 import ldl_reference
+import scan_reference
 import stencils
 
 SMALL = linalg.SMALL_DIM
@@ -514,6 +515,22 @@ class TestBandedLDL:
         assert np.array_equal(linalg.apply_z(flavor, v), linalg.anti_banded_z(flavor, d).apply(v))
 
     @pytest.mark.parametrize("flavor", ["scsc", "csc"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 245])
+    def test_apply_z_is_the_diff_reference(self, flavor, d):
+        """Values and signs of zeros, with +0.0 and -0.0 at both ends of v."""
+        gen = np.random.default_rng(d)
+        for first, last in [(0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0)]:
+            v = gen.standard_normal(d)
+            v[1::4] = -0.0
+            v[0], v[-1] = first, last
+            got, want = linalg.apply_z(flavor, v), scan_reference.apply_z(flavor, v)
+            assert _bitwise_equal(got, want)
+            assert got.flags.c_contiguous
+            if d > 1:  # a strided view, as the chain's columns are
+                strided = np.repeat(v[:, None], 2, axis=1)[:, 1]
+                assert _bitwise_equal(linalg.apply_z(flavor, strided), want)
+
+    @pytest.mark.parametrize("flavor", ["scsc", "csc"])
     @pytest.mark.parametrize("d", [2, 5, 32, 1024])
     def test_solve_z_inverts_z(self, flavor, d):
         rhs = np.random.default_rng(d).standard_normal(d)
@@ -619,6 +636,70 @@ class TestBandedLDLAgainstReference:
         with pytest.raises(SingularOperatorError, match="pivot 6 ") as got:
             linalg.BandedLDL(lower)
         assert str(got.value) == str(want.value)
+
+
+class TestTiledBlockSolve:
+    """A scan factor's block solve against the broadcast solve in tests/scan_reference.py.
+
+    The levels and pivots are tiled once per block width and kept on the
+    factor, so every width and every repeat of a width must give the
+    broadcast solve, and the 1-D solve of each column, bit for bit.
+    """
+
+    FD_WIDTH = 2 * oracles.FD_BLOCK  # the points of one finite-difference block
+
+    FACTORS = {
+        "h": lambda: linalg.banded_ldl(linalg.z_power_sum("scsc", 256, {2: 0.375}, shift=0.5)),
+        "signed-zeros": lambda: linalg.BandedLDL(
+            _banded_lower(1, SMALL + 1, np.random.default_rng(1), zero_every=3)
+        ),
+        "diagonal": lambda: linalg.BandedLDL(_banded_lower(0, 300, np.random.default_rng(0))),
+    }
+
+    @staticmethod
+    def _block(d, k, gen):
+        block = gen.standard_normal((d, k))
+        block[: d // 2, 0] = 0.0
+        block[::2, -1] = -0.0
+        return block
+
+    @pytest.mark.parametrize("name", list(FACTORS))
+    @pytest.mark.parametrize("k", [1, 2, 3, FD_WIDTH, 33])
+    def test_block_solve_is_the_broadcast_solve(self, name, k):
+        factor = self.FACTORS[name]()
+        assert factor.width <= 1 and factor.dim > SMALL  # it scans
+        block = self._block(factor.dim, k, np.random.default_rng(k))
+        got = factor.solve(block)
+        assert _bitwise_equal(got, scan_reference.block_solve(factor, block))
+        columns = np.column_stack([factor.solve(block[:, j]) for j in range(k)])
+        assert _bitwise_equal(got, columns)
+
+    def test_two_widths_on_one_factor(self):
+        factor = self.FACTORS["h"]()
+        gen = np.random.default_rng(0)
+        blocks = [self._block(factor.dim, k, gen) for k in (self.FD_WIDTH, 5, self.FD_WIDTH, 5)]
+        for block in blocks:
+            got = factor.solve(block)
+            assert _bitwise_equal(got, scan_reference.block_solve(factor, block))
+        assert sorted(factor._tiles) == [5, self.FD_WIDTH]
+
+    def test_tiles_are_read_only_and_held_on_the_factor(self):
+        factor = self.FACTORS["h"]()
+        factor.solve(np.ones(factor.dim))  # a vector solve takes no tiles
+        assert not factor._tiles
+        factor.solve(np.ones((factor.dim, 4)))
+        tiles = factor._tiles[4]
+        assert factor._tiled(4) is tiles
+        forward, pivots, backward = factor._scans
+        for tile, coef in zip([*tiles[0], tiles[1], *tiles[2]], [*forward, pivots, *backward]):
+            assert tile.shape == (coef.shape[0], 4) and tile.flags.c_contiguous
+            assert not tile.flags.writeable
+            assert _bitwise_equal(tile, np.column_stack([coef] * 4))
+        # another factor of the same shape builds its own tiles at the same width
+        other = linalg.banded_ldl(linalg.z_power_sum("scsc", factor.dim, {2: 0.25}, shift=0.75))
+        block = self._block(other.dim, 4, np.random.default_rng(4))
+        assert _bitwise_equal(other.solve(block), scan_reference.block_solve(other, block))
+        assert other._tiles[4] is not tiles and factor._tiles[4] is tiles
 
 
 class TestLDLKernels:

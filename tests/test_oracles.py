@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,7 +163,8 @@ class TestFiniteDifferenceCheck:
         )
 
     @pytest.mark.parametrize(
-        "which", ["decoupled", "dense6", "dense65", "scsc_mild16", "csc20", "scsc_mild65"]
+        "which",
+        ["decoupled", "dense6", "dense65", "scsc_mild16", "csc20", "scsc_mild65", "scsc_mild_tap"],
     )
     @pytest.mark.parametrize("block", [oracles.FD_BLOCK, 5])
     def test_block_path_matches_per_coordinate_phi(
@@ -173,6 +176,8 @@ class TestFiniteDifferenceCheck:
             oracle = self._dense_oracle(int(which.removeprefix("dense")))
         elif which == "scsc_mild65":  # above SMALL_DIM: gather kernels, scan solves
             oracle = build_scsc(65, mild_constants).oracle
+        elif which == "scsc_mild_tap":  # from TAP_DIM on: tap kernels, tiled scan solves
+            oracle = build_scsc(linalg.TAP_DIM, mild_constants).oracle
         else:
             oracle = request.getfixturevalue(which).oracle
         monkeypatch.setattr(oracles, "FD_BLOCK", block)  # 5 splits x into several blocks
@@ -185,6 +190,28 @@ class TestFiniteDifferenceCheck:
             ref[i] = (oracle.phi(x + step) - oracle.phi(x - step)) / (2 * h)
         g = exact_hypergradient(oracle, x)
         assert np.max(np.abs(fd - ref)) <= 1e-8 * (1.0 + np.max(np.abs(g)))
+
+    @pytest.mark.parametrize("d", [linalg.SMALL_DIM + 1, linalg.TAP_DIM])
+    def test_block_size_moves_no_bit(self, d, mild_constants, monkeypatch):
+        """Every column of a block is evaluated on its own, whatever the block width.
+
+        The outer linear term is a BLAS matrix-vector product, whose rounding
+        can depend on how many columns it is given (OpenBLAS takes four at a
+        time), so the oracle here has none; every other step (the applies,
+        the tiled solve, the column sums) is column by column.
+        """
+        base = build_scsc(d, mild_constants).oracle
+        outer = dataclasses.replace(base.outer, lin_x=None, lin_y=None)
+        oracle = QuadraticBilevelOracle(
+            base.h_op, base.j_op, base.b, outer, base.constants, validate_spectrum=False
+        )
+        x = np.random.default_rng(d).standard_normal(d)
+        fds = []
+        for block in (oracles.FD_BLOCK, 1, 5, 33, d):  # 5 and 33 leave a partial last block
+            monkeypatch.setattr(oracles, "FD_BLOCK", block)
+            fds.append(oracles.finite_difference_gradient(oracle, x, 1e-5))
+        for fd in fds[1:]:
+            assert np.array_equal(fd, fds[0])
 
 
 class TestAffineMap:
