@@ -162,6 +162,18 @@ def _solver(value, name: str) -> dict:
     return solver
 
 
+def _lower_bound(value, name: str) -> dict:
+    """A lower_bound block whose csc_d holds the convex chain's support cap, d - 3 >= M."""
+    lb = resolve(value, "lower_bound", name)
+    cap = span_lab.support_cap("csc", **lb["csc_budgets"])
+    if cap > lb["csc_d"] - 3:
+        raise ConfigError(
+            f"{name}.csc_d = {lb['csc_d']} is too small for {name}.csc_budgets: "
+            f"support cap {cap} needs csc_d >= {cap + 3}"
+        )
+    return lb
+
+
 def _sweep(value, name: str) -> dict:
     """A sweep block whose values each pass the check of the key that its axis sets."""
     sweep = resolve(value, "sweep", name)
@@ -187,7 +199,7 @@ SCHEMA = {
         "instance": (None, _block("instance")),
         "solver": (None, _solver),
         "sweep": (None, _sweep),
-        "lower_bound": ({}, _block("lower_bound")),
+        "lower_bound": ({}, _lower_bound),
     },
     "instance": {
         "kind": (REQUIRED, _one_of("scsc", "csc", "scsc-benchmark", "decoupled")),

@@ -26,7 +26,7 @@ class DomainError(BilevelLabError):
 
 
 class CapabilityError(BilevelLabError):
-    """The operation needs an input it was not given, such as a declared bound U."""
+    """The operation needs an input it was not given, such as a declared bound U or a band form."""
 
 
 class ConstraintError(BilevelLabError):

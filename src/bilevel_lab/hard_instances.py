@@ -404,12 +404,11 @@ def csc_grad_floor_verify(instance: CscInstance) -> tuple[float, float]:
     W'W is taken as R'R from the QR of W, so its condition number (about d^3)
     is never formed.  x* is the oracle's own minimizer, so a shifted b_tilde
     is measured as built.  Returns (measured_min, floor); measured_min >=
-    floor is the certified relation.
+    floor is the certified relation.  An oracle without the cleared system
+    raises CapabilityError.
     """
     oracle = instance.oracle
     factor = oracle._cleared_factor()
-    if factor is None:
-        raise SingularOperatorError("the oracle has no cleared stationarity system")
     d = instance.d
     e_block = np.zeros((d, 3))
     e_block[np.arange(d - 3, d), np.arange(3)] = 1.0

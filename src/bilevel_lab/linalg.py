@@ -1,20 +1,20 @@
-"""Structured symmetric operators, dense fallback solvers, and scalar root finding.
+"""Polynomials in the anti-banded coupling Z, their banded LDL' factors, and scalar root finding.
 
-Every operator has one representation, a fixed-width row stencil: arrays
-`cols` and `vals` of shape (w, dim), where row i holds vals[k, i] at column
-cols[k, i].  Its dense form is one scatter, and each constructor builds the
-stencil directly.  Which kernel applies it is chosen by the dimension alone.
+Every operator is a polynomial in one anti-banded Z (`poly`), held as a
+fixed-width row stencil: arrays `cols` and `vals` of shape (w, dim), where
+row i holds vals[k, i] at column cols[k, i].  Its dense form is one
+scatter, and each constructor builds the stencil directly.  Which kernel
+applies it is chosen by the dimension alone.
 
 An operator with dim <= SMALL_DIM scatters its stencil once, at
 construction, into a private read-only dense form, and `apply` is then one
 dense matvec; a tridiagonal `BandedLDL` of that size solves by its scalar
-kernel instead of scans.  From TAP_DIM on, a polynomial in Z applies by its
-tap kernel: away from its first and last few rows it is shift-invariant, so
+kernel instead of scans.  From TAP_DIM on, an operator applies by its tap
+kernel: away from its first and last few rows it is shift-invariant, so
 `apply` is one `np.correlate` per parity of the powers and `apply_block` one
 slice-add per stencil slot, and only the edge rows, where the powers meet
-the boundary, are summed slot by slot.  Every other operator above
-SMALL_DIM, and a polynomial in Z below TAP_DIM, applies by the gather
-`(vals * v[cols]).sum(0)`.  The stencil stays the only representation: the
+the boundary, are summed slot by slot.  In between it applies by the gather
+`(vals * v[cols]).sum(0)`.  The stencil stays the only stored form: the
 dense form and the taps are derived from it, and `to_dense` still scatters
 a fresh array.
 
@@ -25,14 +25,14 @@ power Z^(2k) lives on the window of columns i-k..i+k of row i and Z^(2k+1) on
 (d-1-i)-k..(d-1-i)+k+1 (scsc; one column earlier for csc), so a power sum
 stores one window per parity, filled by weighted slice-adds of the integer
 windows of the powers, which are computed once per (flavor, dim, power).
-A power sum remembers its polynomial (`poly`), so products of such operators
-can be formed as power sums again.
+Since every operator remembers its polynomial, products of operators are
+formed as power sums again.
 
-A power sum of even powers, like `diagonal`, `tridiagonal` and `banded`, has
-a banded stencil (`band_form`), read in place; any other stencil is read as
-one full band (w = d-1) off its dense form.  `BandedLDL` factors either once,
-O(d w^2); a tridiagonal factor above SMALL_DIM solves by recursive-doubling
-scans, O(d log d) in about 2 log2(d) vectorized steps.  A (d, k) block of
+A power sum of even powers has a banded stencil (`band_form`), read in
+place; `BandedLDL` factors it once, O(d w^2), and an operator with odd
+powers, which has no band form, is refused with CapabilityError.  A
+tridiagonal factor above SMALL_DIM solves by recursive-doubling scans,
+O(d log d) in about 2 log2(d) vectorized steps.  A (d, k) block of
 right-hand sides scans all its columns at once, over the scan levels and
 pivots repeated across k columns (`BandedLDL._tiled`): built once per block
 width and kept on the factor, they make each step one element-wise pass over
@@ -61,6 +61,7 @@ import numpy as np
 
 from .errors import (
     BracketError,
+    CapabilityError,
     DimensionMismatchError,
     DomainError,
     SingularOperatorError,
@@ -84,7 +85,6 @@ SOLVE_RESIDUAL_TOL = 1e-10
 # scan coefficients below this are flushed to zero: each term dropped is under
 # 2^-64 of the partial sum it multiplies, below the float64 rounding of a solve
 SCAN_COEFF_FLOOR = 2.0**-64
-DENSE_SYMMETRY_TOL = 1e-12
 
 
 def vector(entries, dim: int | None = None) -> np.ndarray:
@@ -109,17 +109,18 @@ def _check_dim(dim: int) -> None:
 
 
 class StructuredOperator:
-    """A symmetric linear operator stored as a fixed-width row stencil.
+    """A polynomial in the anti-banded Z, stored as a fixed-width row stencil.
 
+    `poly` is (flavor, {power: coefficient}), power 0 being the identity.
     `cols` and `vals` have shape (w, dim): row i of the operator holds
     vals[k, i] at column cols[k, i] for k < w, and padding slots hold 0 at
-    an in-range column.  `to_dense` is one scatter, whatever the operator.
-    With dim <= SMALL_DIM, `apply` is a matvec with the dense form scattered
-    once at construction.  From TAP_DIM on, a polynomial in Z (`poly`)
-    applies by its tap kernel (`_tap_kernel`), derived from the stencil on
-    first apply, so an operator that is only factored never derives it.  Any
-    other operator applies by the gather `_gather`.  Instances are immutable
-    after construction and safe to share; `kind` is a human-readable tag.
+    an in-range column.  `to_dense` is one scatter.  With dim <= SMALL_DIM,
+    `apply` is a matvec with the dense form scattered once at construction.
+    From TAP_DIM on it applies by its tap kernel (`_tap_kernel`), derived
+    from the stencil on first apply, so an operator that is only factored
+    never derives it; in between, by the gather `_gather`.  Instances are
+    immutable after construction and safe to share; `kind` is a
+    human-readable tag.
     """
 
     def __init__(
@@ -127,15 +128,13 @@ class StructuredOperator:
         kind: str,
         cols: np.ndarray,
         vals: np.ndarray,
-        poly: tuple[str, dict[int, float]] | None = None,
+        poly: tuple[str, dict[int, float]],
     ):
         _check_dim(cols.shape[1])
         self.kind = kind
         self.dim = cols.shape[1]
         self.cols = cols
         self.vals = vals
-        # (flavor, {power: coefficient}) when the operator is a polynomial in
-        # the anti-banded Z of that flavor, power 0 being the identity
         self.poly = poly
         self._matrix = None
         if self.dim <= SMALL_DIM:
@@ -148,8 +147,8 @@ class StructuredOperator:
 
     @functools.cached_property
     def _taps(self) -> _TapKernel | None:
-        """The tap kernel of a polynomial in Z from TAP_DIM on, derived on first apply."""
-        if self.poly is None or self.dim < TAP_DIM:
+        """The tap kernel from TAP_DIM on, derived on first apply."""
+        if self.dim < TAP_DIM:
             return None
         return _tap_kernel(self)
 
@@ -210,12 +209,6 @@ class StructuredOperator:
             edge[:] = 0.0
             for col, val in slots:
                 edge += val * block[col]
-        return out
-
-    def apply_power(self, v: np.ndarray, power: int) -> np.ndarray:
-        out = v
-        for _ in range(power):
-            out = self.apply(out)
         return out
 
     def to_dense(self) -> np.ndarray:
@@ -328,72 +321,14 @@ def _window(start: np.ndarray, width: int) -> np.ndarray:
     return np.minimum(np.maximum(start + np.arange(width)[:, None], 0), dim - 1)
 
 
-def identity(dim: int) -> StructuredOperator:
-    _check_dim(dim)
-    return StructuredOperator("diagonal", np.arange(dim)[None, :], np.ones((1, dim)))
-
-
-def diagonal(values) -> StructuredOperator:
-    vals = vector(values)
-    return StructuredOperator("diagonal", np.arange(vals.shape[0])[None, :], vals[None, :].copy())
-
-
-def _banded_stencil(dim: int, bands: Mapping[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Window i-w..i+w for bandwidth w; band `off` fills slots w+off and w-off."""
-    width = max(bands, default=0)
-    vals = np.zeros((2 * width + 1, dim))
-    for off, band in bands.items():
-        vals[width + off, : dim - off] = band
-        vals[width - off, off:] = band
-    return _window(np.arange(dim) - width, 2 * width + 1), vals
-
-
-def tridiagonal(diag, off) -> StructuredOperator:
-    d = vector(diag)
-    e = vector(off)
-    if e.shape[0] != d.shape[0] - 1:
-        raise DimensionMismatchError("off-diagonal must have length dim-1")
-    return StructuredOperator("tridiagonal", *_banded_stencil(d.shape[0], {0: d, 1: e}))
-
-
-def banded(dim: int, bands: Mapping[int, np.ndarray]) -> StructuredOperator:
-    """Symmetric banded operator from {offset >= 0: band entries}."""
-    stored = {}
-    for off, entries in bands.items():
-        if off < 0 or off >= dim:
-            raise DimensionMismatchError(f"band offset {off} out of range for dim {dim}")
-        band = vector(entries)
-        if band.shape[0] != dim - off:
-            raise DimensionMismatchError(f"band at offset {off} must have length {dim - off}")
-        stored[off] = band
-    cols, vals = _banded_stencil(dim, stored)
-    return StructuredOperator(f"banded({max(stored, default=0)})", cols, vals)
-
-
-def dense(matrix) -> StructuredOperator:
-    a = np.asarray(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"dense operator needs a square matrix, got {a.shape}")
-    scale = np.linalg.norm(a)
-    if np.linalg.norm(a - a.T) > DENSE_SYMMETRY_TOL * max(scale, 1.0):
-        raise ValueError("dense operator must be symmetric")
-    d = a.shape[0]
-    # slot k of row i is column k; the column table is a broadcast view
-    cols = np.broadcast_to(np.arange(d)[:, None], (d, d))
-    return StructuredOperator("dense", cols, a.T.copy())
-
-
 def shifted_scaled(base: StructuredOperator, scale: float, shift: float) -> StructuredOperator:
     """scale * base + shift * I: the base stencil scaled, with a diagonal slot appended."""
     cols = np.vstack([base.cols, np.arange(base.dim)])
     vals = np.vstack([scale * base.vals, np.full(base.dim, float(shift))])
-    poly = None
-    if base.poly is not None:
-        flavor, coeffs = base.poly
-        scaled = {p: scale * c for p, c in coeffs.items()}
-        scaled[0] = scaled.get(0, 0.0) + float(shift)
-        poly = (flavor, scaled)
-    return StructuredOperator("shifted-scaled", cols, vals, poly)
+    flavor, coeffs = base.poly
+    scaled = {p: scale * c for p, c in coeffs.items()}
+    scaled[0] = scaled.get(0, 0.0) + float(shift)
+    return StructuredOperator("shifted-scaled", cols, vals, (flavor, scaled))
 
 
 @functools.lru_cache(maxsize=64)
@@ -525,9 +460,10 @@ def band_form(op: StructuredOperator) -> np.ndarray | None:
     """The lower bands of a banded operator, or None when its stencil is not banded.
 
     A stencil is banded when row i holds the window of columns i-w..i+w, the
-    form of `diagonal`, `tridiagonal`, `banded` and of a power sum of even
-    powers only.  Row m of the result holds the entries A[i, i-m] (zero for
-    i < m), read from the stencil without a copy.
+    form of a power sum of even powers only.  A power sum with odd powers,
+    and a `shifted_scaled` copy (its appended diagonal slot), have none.
+    Row m of the result holds the entries A[i, i-m] (zero for i < m), read
+    from the stencil without a copy.
     """
     rows = op.cols.shape[0]
     if rows % 2 == 0:
@@ -811,20 +747,18 @@ class BandedLDL:
 
 
 def _lower_bands(op: StructuredOperator) -> np.ndarray:
-    """`band_form(op)`, or for any other stencil one full band (w = dim-1) read off `to_dense()`."""
+    """`band_form(op)`; CapabilityError when the stencil has no band form."""
     lower = band_form(op)
     if lower is None:
-        rows = np.arange(op.dim)
-        lower = np.where(rows >= rows[:, None], op.to_dense()[rows, rows - rows[:, None]], 0.0)
+        raise CapabilityError(f"{op.kind} has no band form to factor")
     return lower
 
 
 def banded_ldl(op: StructuredOperator) -> BandedLDL:
-    """Factor a symmetric positive definite operator.
+    """Factor a symmetric positive definite power sum of even powers in place, O(d w^2).
 
-    A banded stencil is factored in place, O(d w^2).  Any other (`dense`, a
-    power sum with odd powers, `shifted_scaled`) is factored as one full band,
-    O(d^3) in the scalar LDL' loop, which is meant for desk-scale operators.
+    An operator without a band form (odd powers, a `shifted_scaled` copy)
+    raises CapabilityError.
     """
     return BandedLDL(_lower_bands(op))
 
@@ -833,8 +767,8 @@ def spectrum_within(op: StructuredOperator, lo: float, hi: float) -> bool:
     """Whether every eigenvalue of the symmetric `op` lies strictly inside (lo, hi).
 
     Decided by inertia: op - lo*I and hi*I - op must both factor with
-    positive LDL' pivots, with no eigendecomposition.  The cost is that of
-    `banded_ldl`: O(d w^2) on a banded stencil, O(d^3) on any other.
+    positive LDL' pivots, with no eigendecomposition, O(d w^2).  An operator
+    without a band form raises CapabilityError, as in `banded_ldl`.
     """
     lower = _lower_bands(op)
     above, below = lower.copy(), -lower

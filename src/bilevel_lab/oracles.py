@@ -7,25 +7,21 @@ g(x, .).  Every oracle is a `QuadraticBilevelOracle`: the inner problem is
 quadratic in y and the outer objective is quadratic, so each oracle also
 carries the exact surface (y_star, phi, grad_phi, phi_star).
 
-The exact surface needs two things from the inner Hessian H: solves with it
-and an inertia test, both from LDL' factors (`linalg.banded_ldl`):
+Every operator is a polynomial in one anti-banded Z (`linalg`), and the
+exact surface is served by banded LDL' factors (`linalg.banded_ldl`):
 - H is factored once.  y*(x) = -H^-1 (J x + b) and the hypergradient
   grad_x f - J H^-1 grad_y f then cost one solve each: a scan solve,
   O(d log d), for the hard-instance families' tridiagonal mu_y + beta Z^2.
-  An H without a banded stencil is factored as one full band, O(d^3), which
-  only hand-built desk-scale operators need.
-- When every operator is a polynomial in one anti-banded Z (both families and
-  their `regularize_convex` wraps), all of them commute, and the stationarity
-  equation of phi cleared by H^2 is an even power sum of degree at most 6,
-  i.e. banded (pentadiagonal in the scsc family, whose Z^6 terms cancel):
-  x* comes from one banded LDL' solve.  No d x d array is formed.  The
-  factor of that system is cached and also serves the convex family's
-  gradient floor (`hard_instances.csc_grad_floor_verify`).
-  Every instance the CLI builds has it, `decoupled` included (shift-only
-  power sums).
-- A hand-built oracle without that structure takes x* from the dense
-  quadratic reduction of phi, read off its own exact hypergradient: phi is
-  quadratic, so grad_phi is affine in x.
+- The operators commute, so the stationarity equation of phi cleared by
+  H^2 is a power sum too.  For both families, their `regularize_convex`
+  wraps and `decoupled` (shift-only power sums) it is an even one of degree
+  at most 6, i.e. banded (pentadiagonal in the scsc family, whose Z^6 terms
+  cancel): x* comes from one banded LDL' solve, and no d x d array is
+  formed.  The factor of that system is cached and also serves the convex
+  family's gradient floor (`hard_instances.csc_grad_floor_verify`).  An
+  oracle without that cleared system (operators of two flavors, or a
+  cleared system with odd powers) raises CapabilityError the first time
+  x* or the quadratic reduction is asked for, and not before.
 The spectrum check is an inertia test on H.  Algorithms see only the counted
 surface from `counted`, which carries the five queries and no exact surface;
 verification observers read the exact surface of the base oracle, uncounted.
@@ -40,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatchError, InvariantViolationError
+from .errors import CapabilityError, DimensionMismatchError, InvariantViolationError
 from .linalg import StructuredOperator
 
 SPECTRUM_SLACK = 1e-8
@@ -112,15 +108,21 @@ class QuadraticOuter:
         return float(val)
 
     def values(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """`value` at each column pair of a (p, k) block xs and a (q, k) block ys."""
+        """`value` at each column pair of a (p, k) block xs and a (q, k) block ys.
+
+        Every term, the linear ones included, is an element-wise product
+        summed down the columns, which numpy does one row at a time for
+        k >= 2, so each column's value is the same whatever k is.  (A single
+        column is contiguous, and numpy would sum it pairwise.)
+        """
         val = 0.5 * (xs * self.a_xx.apply_block(xs)).sum(0)
         val += 0.5 * (ys * self.a_yy.apply_block(ys)).sum(0)
         if self.a_xy is not None:
             val += (xs * self.a_xy.apply_block(ys)).sum(0)
         if self.lin_x is not None:
-            val += self.lin_x @ xs
+            val += (self.lin_x[:, None] * xs).sum(0)
         if self.lin_y is not None:
-            val += self.lin_y @ ys
+            val += (self.lin_y[:, None] * ys).sum(0)
         return val
 
 
@@ -222,46 +224,37 @@ class QuadraticBilevelOracle:
     def phi_quadratic_reduction(self) -> tuple[np.ndarray, np.ndarray]:
         """Return (H_phi, c_phi) with grad_phi(x) = H_phi @ x + c_phi, dense.
 
-        With the cleared system this is H^-2 (P, H^2 c_phi), by block solves on
-        the factor.  Otherwise it is read off the exact hypergradient, which is
-        affine in x: c_phi = grad_phi(0), and column i of H_phi is grad_phi(e_i)
-        of the copy with b and the outer linear terms zeroed.
+        That is H^-2 (P, H^2 c_phi) of the cleared system, by block solves on
+        the factor of H.
         """
         if "reduction" not in self._cache:
-            cleared = self._cleared_system()
-            if cleared is None:
-                c_phi = self.grad_phi(np.zeros(self.p))  # first, so the copy shares H's factor
-                homogeneous = self.rescaled(0.0)
-                h_phi = np.column_stack([homogeneous.grad_phi(e) for e in np.eye(self.p)])
-            else:
-                factor, (p_op, rhs) = self._inner_factor(), cleared
-                h_phi = factor.solve(factor.solve(p_op.to_dense()))
-                c_phi = factor.solve(factor.solve(rhs))
+            (p_op, rhs), factor = self._cleared_system(), self._inner_factor()
+            h_phi = factor.solve(factor.solve(p_op.to_dense()))
+            c_phi = factor.solve(factor.solve(rhs))
             h_phi = h_phi + h_phi.T
             h_phi *= 0.5
             self._cache["reduction"] = (h_phi, c_phi)
         return self._cache["reduction"]
 
-    def _cleared_system(self) -> tuple[StructuredOperator, np.ndarray] | None:
+    def _cleared_system(self) -> tuple[StructuredOperator, np.ndarray]:
         """(P, H^2 c_phi): the stationarity equation of phi cleared by H^2 (cached).
 
-        When every operator is a polynomial in one symmetric Z they commute,
+        Every operator is a polynomial in one symmetric Z, so they commute,
         and H^2 grad_phi(x) = P x + H^2 c_phi with
         P = H^2 A_xx - 2 H A_xy J + A_yy J^2 and
         H^2 c_phi = H (H lin_x - A_xy b - J lin_y) + A_yy J b.
-        P is built as a power sum.  None when the operators lack that
-        structure, or when P has odd powers and so is not banded.
+        P is built as a power sum.  CapabilityError when the operators are
+        polynomials in two different Z, or when P has odd powers and so is
+        not banded.
         """
         if "cleared" not in self._cache:
-            self._cache["cleared"] = None
-            polys = _z_polynomials(self.h_op, self.j_op, self.outer)
-            if polys is not None:
-                flavor, (h, j, a_xx, a_xy, a_yy) = polys
-                coeffs = _poly_sum((1.0, h, h, a_xx), (-2.0, h, a_xy, j), (1.0, a_yy, j, j))
-                shift = coeffs.pop(0, 0.0)
-                p_op = linalg.z_power_sum(flavor, self.p, coeffs, shift)
-                if linalg.band_form(p_op) is not None:
-                    self._cache["cleared"] = (p_op, self._cleared_rhs())
+            flavor, (h, j, a_xx, a_xy, a_yy) = _z_polynomials(self.h_op, self.j_op, self.outer)
+            coeffs = _poly_sum((1.0, h, h, a_xx), (-2.0, h, a_xy, j), (1.0, a_yy, j, j))
+            shift = coeffs.pop(0, 0.0)
+            p_op = linalg.z_power_sum(flavor, self.p, coeffs, shift)
+            if linalg.band_form(p_op) is None:
+                raise CapabilityError(f"the cleared stationarity system {p_op.kind} is not banded")
+            self._cache["cleared"] = (p_op, self._cleared_rhs())
         return self._cache["cleared"]
 
     def _cleared_rhs(self) -> np.ndarray:
@@ -276,24 +269,17 @@ class QuadraticBilevelOracle:
             rhs = rhs + o.a_yy.apply(self.j_op.apply(self.b))
         return rhs
 
-    def _cleared_factor(self) -> linalg.BandedLDL | None:
-        """The LDL' factor of the cleared system's P (cached), or None without one."""
+    def _cleared_factor(self) -> linalg.BandedLDL:
+        """The LDL' factor of the cleared system's P (cached)."""
         if "p_ldl" not in self._cache:
-            cleared = self._cleared_system()
-            self._cache["p_ldl"] = None if cleared is None else linalg.banded_ldl(cleared[0])
+            self._cache["p_ldl"] = linalg.banded_ldl(self._cleared_system()[0])
         return self._cache["p_ldl"]
 
     @property
     def x_star(self) -> np.ndarray:
-        """Minimizer of phi, solved once: a banded solve of the cleared system, else dense."""
+        """Minimizer of phi, solved once: a banded solve of the cleared system."""
         if "x_star" not in self._cache:
-            factor = self._cleared_factor()
-            if factor is None:
-                h_phi, c_phi = self.phi_quadratic_reduction()
-                xs = np.linalg.solve(h_phi, -c_phi)
-            else:
-                xs = -factor.solve(self._cleared_system()[1])
-            self._cache["x_star"] = xs
+            self._cache["x_star"] = -self._cleared_factor().solve(self._cleared_system()[1])
         return self._cache["x_star"]
 
     @property
@@ -364,17 +350,16 @@ def _poly_sum(*terms) -> dict[int, float]:
 
 
 def _z_polynomials(h_op, j_op, outer: QuadraticOuter):
-    """(flavor, [H, J, A_xx, A_xy, A_yy] as {power: coeff}) when all are polynomials in one Z.
+    """(flavor, [H, J, A_xx, A_xy, A_yy] as {power: coeff}), all polynomials in one Z.
 
-    An absent operator is the zero polynomial.  Returns None when any present
-    operator carries no polynomial, or they mix flavors or dimensions.
+    An absent operator is the zero polynomial.  CapabilityError when the
+    present operators mix flavors or dimensions, and so have no common Z.
     """
     ops = [h_op, j_op, outer.a_xx, outer.a_xy, outer.a_yy]
     present = [op for op in ops if op is not None]
-    if any(op.poly is None for op in present):
-        return None
-    if len({(op.poly[0], op.dim) for op in present}) != 1:
-        return None
+    zs = {(op.poly[0], op.dim) for op in present}
+    if len(zs) != 1:
+        raise CapabilityError(f"the operators are polynomials in more than one Z: {sorted(zs)}")
     return present[0].poly[0], [{} if op is None else op.poly[1] for op in ops]
 
 
@@ -500,9 +485,8 @@ def finite_difference_gradient(oracle: QuadraticBilevelOracle, x: np.ndarray, h:
 
     The points x +- h e_i are evaluated in blocks of FD_BLOCK coordinates by
     `_phi_columns`, so phi at each point still comes from that point's y*.
-    Every step of a block but one is column by column, so the block width
-    moves no bit; the exception is the outer linear term, a BLAS
-    matrix-vector product whose rounding can depend on the block's width.
+    Every step of a block is column by column, over at least two columns
+    (the pair x +- h e_i), so the block width moves no bit.
     """
     if h <= 0:
         raise InvariantViolationError("finite-difference step h must be positive")

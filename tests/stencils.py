@@ -2,9 +2,17 @@
 
 These are written out from the boundary-corrected band stencils and exist
 only as test oracles; the package itself never stores dense powers.
+`apply_power` applies an operator's power by repeated `apply`.
 """
 
 import numpy as np
+
+
+def apply_power(op, v: np.ndarray, power: int) -> np.ndarray:
+    """op^power v, as `power` applies of op in turn."""
+    for _ in range(power):
+        v = op.apply(v)
+    return v
 
 
 def _band_matrix(d: int, stencil: dict[int, float]) -> np.ndarray:

@@ -329,7 +329,7 @@ class TestTapKernelGuard:
 
         def guarded(gather):
             def guard(op, x):
-                if op.poly is not None and op.dim >= linalg.TAP_DIM:
+                if op.dim >= linalg.TAP_DIM:
                     raise AssertionError(f"{op.kind} of dim {op.dim} took the gather")
                 return gather(op, x)
 
@@ -861,6 +861,25 @@ class TestVerifyLbVerb:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
         assert builds == []  # rejected before any build
+
+    def test_csc_dimension_below_its_support_cap_is_config_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # csc_budgets (40, 10, 3) put the convex chain's support cap at
+        # K + QT - Q + 3 = 63, which needs csc_d - 3 >= 63
+        builds = []
+        for name in ("build_scsc", "build_csc"):
+            monkeypatch.setattr(hard_instances, name, lambda *a, **k: builds.append(a))
+        doc = battery_config(tmp_path / "out")
+        doc["lower_bound"].update(csc_d=20, csc_budgets={"K": 40, "Q": 10, "T": 3})
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["verify-lb", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: lower_bound.csc_d = 20") and "Traceback" not in err
+        assert "support cap 63 needs csc_d >= 66" in err
+        assert builds == [] and not (tmp_path / "out").exists()
+        doc["lower_bound"]["csc_d"] = 66  # the smallest csc_d that holds the cap
+        assert resolve(doc)["lower_bound"]["csc_d"] == 66
 
     def test_lower_bound_block_must_be_an_object(self, tmp_path, capsys):
         doc = battery_config(tmp_path / "out")

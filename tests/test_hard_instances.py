@@ -19,21 +19,22 @@ from bilevel_lab import (
     scsc_gap_floor,
 )
 from bilevel_lab.errors import (
+    CapabilityError,
     ConstraintError,
     InfeasibleDimensionError,
     InvariantViolationError,
-    SingularOperatorError,
 )
 from bilevel_lab.hard_instances import (
     csc_grad_floor_value,
     scsc_bracket_low,
     scsc_quartic,
 )
-from bilevel_lab.linalg import SMALL_DIM, dense
+from bilevel_lab.linalg import SMALL_DIM, z_power_sum
 from bilevel_lab.presets import mild_csc_constants, mild_scsc_constants
 from bilevel_lab.span_lab import span_projection_residual, support_cap
 
 import gather_reference
+import stencils
 
 
 def dense_grad_floor(instance) -> float:
@@ -211,10 +212,14 @@ class TestCscConstruction:
         assert floor == csc_grad_floor_value(csc_constants, 1.0, d)
 
     def test_closed_form_needs_the_cleared_system(self, csc20):
-        # the same oracle with a dense H carries no Z polynomial, so no cleared system
+        # the same oracle with A_yy = L_y I in the other flavor's Z: equal
+        # operators, but polynomials in two Z, so there is no cleared system
         o = csc20.oracle
-        oracle = QuadraticBilevelOracle(dense(o.h_op.to_dense()), o.j_op, o.b, o.outer, o.constants)
-        with pytest.raises(SingularOperatorError):
+        a_yy = z_power_sum("scsc", csc20.d, {}, shift=o.constants.L_y)
+        assert np.array_equal(a_yy.to_dense(), o.outer.a_yy.to_dense())
+        outer = dataclasses.replace(o.outer, a_yy=a_yy)
+        oracle = QuadraticBilevelOracle(o.h_op, o.j_op, o.b, outer, o.constants)
+        with pytest.raises(CapabilityError, match="more than one Z"):
             csc_grad_floor_verify(dataclasses.replace(csc20, oracle=oracle))
 
     def test_closed_form_factors_the_cleared_system_once(self, csc_constants, factor_calls):
@@ -263,7 +268,7 @@ class TestTightScale:
         z = scsc.z
         column = z.apply(scsc.b)
         for _ in range(m // 2):
-            column = z.apply_power(column, 2)
+            column = stencils.apply_power(z, column, 2)
         residual = span_projection_residual(scsc, column, m)
         # every scsc operator's tap kernels, against the gather
         gen = np.random.default_rng(0)

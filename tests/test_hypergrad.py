@@ -29,14 +29,16 @@ def _constants(**overrides):
 
 
 def quadratic_oracle(d, kappa_y, rng, coupled=True):
-    """Dense random quadratic instance with inner spectrum exactly [mu, L]."""
+    """Quadratic instance with inner Hessian mu + beta Z^2, its spectrum inside [mu, L].
+
+    Z^2's spectrum lies in [0, 4), so beta = (L - mu) / 4.
+    """
     mu_y, lt_y = 0.5, 0.5 * kappa_y
-    evals = np.linspace(mu_y, lt_y, d)
-    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    h = linalg.dense(q @ np.diag(evals) @ q.T)
+    h = linalg.z_power_sum("scsc", d, {2: (lt_y - mu_y) / 4.0}, shift=mu_y)
     j = linalg.z_power_sum("scsc", d, {1: -0.5}) if coupled else None
     b = rng.standard_normal(d)
-    outer = QuadraticOuter(a_xx=linalg.identity(d), a_yy=linalg.identity(d))
+    eye = linalg.z_power_sum("scsc", d, {}, shift=1.0)
+    outer = QuadraticOuter(a_xx=eye, a_yy=eye)
     constants = _constants(mu_y=mu_y, Ltil_y=lt_y, Ltil_xy=1.0)
     return QuadraticBilevelOracle(h, j, b, outer, constants)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bilevel_lab import linalg, oracles
 from bilevel_lab.errors import (
     BracketError,
+    CapabilityError,
     DimensionMismatchError,
     DomainError,
     SingularOperatorError,
@@ -26,7 +27,7 @@ TAP = linalg.TAP_DIM
 def _z_power_dense(flavor, d, power):
     z = linalg.anti_banded_z(flavor, d)
     eye = np.eye(d)
-    return np.column_stack([z.apply_power(eye[:, j], power) for j in range(d)])
+    return np.column_stack([stencils.apply_power(z, eye[:, j], power) for j in range(d)])
 
 
 class TestAntiBandedTables:
@@ -61,9 +62,16 @@ ONE_PARITY_SUMS = [
     ({5: 0.5, 3: -0.125, 1: 3.0}, 0.0),
 ]
 OPERATOR_KINDS = [
-    "z-scsc", "z-csc", "z-sum-scsc", "z-sum-csc", "identity", "diagonal",
-    "tridiagonal", "banded", "dense", "shifted-scaled",
+    "z-scsc", "z-csc", "z-sum-scsc", "z-sum-csc", "shift-only", "zero",
+    "even-to-6", "odd-sum", "shifted-scaled", "shifted-scaled-odd",
 ]
+# the power sums of the kinds above that take their flavor from the dimension
+KIND_SUMS = {
+    "shift-only": ({}, 1.0),  # the identity, as `decoupled` builds it
+    "zero": ({}, 0.0),
+    "even-to-6": ({2: 0.5, 4: -1.25, 6: 0.125}, 2.0),
+    "odd-sum": ({1: 2.0, 3: -0.7}, 0.0),
+}
 
 
 def _power_sum_reference(flavor, d, coeffs, shift):
@@ -86,25 +94,15 @@ def _operator_and_reference(kind, d, gen):
         return linalg.z_power_sum(flavor, d, coeffs, shift), _power_sum_reference(
             flavor, d, coeffs, shift
         )
-    if kind == "identity":
-        return linalg.identity(d), np.eye(d)
-    if kind == "diagonal":
-        v = gen.standard_normal(d)
-        return linalg.diagonal(v), np.diag(v)
-    if kind == "tridiagonal":
-        diag, off = gen.standard_normal(d), gen.standard_normal(d - 1)
-        return linalg.tridiagonal(diag, off), np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    if kind == "banded":
-        bands = {0: gen.standard_normal(d), 2: gen.standard_normal(d - 2)}
-        ref = np.diag(bands[0]) + np.diag(bands[2], 2) + np.diag(bands[2], -2)
-        return linalg.banded(d, bands), ref
-    if kind == "dense":
-        a = gen.standard_normal((d, d))
-        a = a + a.T
-        return linalg.dense(a), a
-    base_flavor = "csc" if d % 2 else "scsc"
-    base = linalg.z_power_sum(base_flavor, d, {2: 0.25})
-    ref = 1.7 * _power_sum_reference(base_flavor, d, {2: 0.25}, 0.0) + -0.4 * np.eye(d)
+    flavor = "csc" if d % 2 else "scsc"
+    if kind in KIND_SUMS:
+        coeffs, shift = KIND_SUMS[kind]
+        return linalg.z_power_sum(flavor, d, coeffs, shift), _power_sum_reference(
+            flavor, d, coeffs, shift
+        )
+    base_coeffs = {1: 1.0} if kind == "shifted-scaled-odd" else {2: 0.25}
+    base = linalg.z_power_sum(flavor, d, base_coeffs)
+    ref = 1.7 * _power_sum_reference(flavor, d, base_coeffs, 0.0) + -0.4 * np.eye(d)
     return linalg.shifted_scaled(base, 1.7, -0.4), ref
 
 
@@ -239,27 +237,21 @@ class TestApply:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        kind=st.sampled_from(["z-poly", "tridiagonal", "banded", "shifted", "dense"]),
+        kind=st.sampled_from(["z-poly", "even-sum", "odd-sum", "mixed-sum", "shifted"]),
         d=st.integers(min_value=2, max_value=24),
         seed=st.integers(min_value=0, max_value=2**31),
     )
     def test_symmetry_property(self, kind, d, seed):
         gen = np.random.default_rng(seed)
+        flavor = "scsc" if seed % 2 else "csc"
         if kind == "z-poly":
-            flavor = "scsc" if seed % 2 else "csc"
             op = linalg.z_power_sum(flavor, d, {1 + seed % 4: 1.0}, shift=0.3)
-        elif kind == "tridiagonal":
-            op = linalg.tridiagonal(gen.standard_normal(d), gen.standard_normal(d - 1))
-        elif kind == "banded":
-            width = min(2, d - 1)
-            op = linalg.banded(
-                d, {off: gen.standard_normal(d - off) for off in range(width + 1)}
-            )
         elif kind == "shifted":
-            op = linalg.shifted_scaled(linalg.anti_banded_z("scsc", d), 1.7, -0.4)
-        else:
-            a = gen.standard_normal((d, d))
-            op = linalg.dense(a + a.T)
+            op = linalg.shifted_scaled(linalg.anti_banded_z(flavor, d), 1.7, -0.4)
+        else:  # random coefficients on the powers of one parity, or both
+            powers = {"even-sum": (2, 4, 6), "odd-sum": (1, 3, 5), "mixed-sum": (1, 2, 5)}[kind]
+            coeffs = dict(zip(powers, gen.standard_normal(3)))
+            op = linalg.z_power_sum(flavor, d, coeffs, shift=gen.standard_normal())
         u, v = gen.standard_normal(d), gen.standard_normal(d)
         lhs = float(op.apply(u) @ v)
         rhs = float(u @ op.apply(v))
@@ -357,27 +349,33 @@ class TestTapKernels:
         op.apply_block(np.ones((TAP, 2)))
         assert derived == [op]
 
-    def test_operators_without_poly_take_the_gather(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "d,gathers", [(SMALL, False), (SMALL + 1, True), (TAP - 1, True), (TAP, False)]
+    )
+    def test_only_dimensions_between_small_and_tap_take_the_gather(self, d, gathers, monkeypatch):
         gathered = []
         gather, gather_block = linalg._gather, linalg._gather_block
         monkeypatch.setattr(linalg, "_gather", lambda op, v: gathered.append(op) or gather(op, v))
         monkeypatch.setattr(
             linalg, "_gather_block", lambda op, b: gathered.append(op) or gather_block(op, b)
         )
-        d = TAP + 1
-        band = linalg.tridiagonal(np.full(d, 2.0), np.full(d - 1, -1.0))
-        poly = linalg.z_power_sum("scsc", d, {2: 1.0})
+        op = linalg.z_power_sum("scsc", d, {2: 1.0}, shift=0.5)
         v = np.random.default_rng(0).standard_normal(d)
-        assert np.array_equal(band.apply(v), gather_reference.apply(band, v))
-        assert np.array_equal(band.apply_block(v[:, None]), gather_reference.apply_block(band, v[:, None]))
-        poly.apply(v)
-        poly.apply_block(v[:, None])
-        assert gathered == [band, band]
+        out, out_block = op.apply(v), op.apply_block(v[:, None])
+        assert gathered == ([op, op] if gathers else [])
+        if gathers:
+            assert np.array_equal(out, gather_reference.apply(op, v))
+            assert np.array_equal(out_block, gather_reference.apply_block(op, v[:, None]))
+
+
+def _shift_only(d, shift=1.0):
+    """shift * I, the shift-only power sum in Z (the identity by default)."""
+    return linalg.z_power_sum("scsc", d, {}, shift=shift)
 
 
 class TestSolveDense:
     def test_identity(self):
-        x = linalg.solve_dense(linalg.identity(2), np.array([3.0, -1.0]))
+        x = linalg.solve_dense(_shift_only(2), np.array([3.0, -1.0]))
         assert np.array_equal(x, np.array([3.0, -1.0]))
 
     def test_round_trip_through_z(self, rng):
@@ -394,7 +392,7 @@ class TestSolveDense:
         assert np.linalg.norm(op.apply(x) - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
     def test_singular_raises_with_condition_number(self):
-        op = linalg.diagonal(np.array([1.0, 0.0, 2.0]))
+        op = _shift_only(3, 0.0)  # the zero operator
         with pytest.raises(SingularOperatorError):
             linalg.solve_dense(op, np.array([1.0, 1.0, 1.0]))
 
@@ -408,16 +406,20 @@ class TestSolveDense:
             assert np.linalg.norm(x[:, j] - col) <= 1e-12 * np.linalg.norm(col)
 
     def test_matrix_rhs_singular_raises(self):
-        op = linalg.diagonal(np.array([1.0, 0.0, 2.0]))
+        op = _shift_only(3, 0.0)
         with pytest.raises(SingularOperatorError):
             linalg.solve_dense(op, np.ones((3, 2)))
 
     def test_matrix_rhs_residual_checked_per_column(self):
-        # cond ~ 1e16: the large column's residual is tiny relative to its
-        # norm, the small column's is not, and the whole block's Frobenius
-        # residual still sits far below the tolerance times its norm
-        op = linalg.dense(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]))
-        rhs = np.column_stack([[1e6, 1e6], [1e-12, 0.0]])
+        # Z - t I at d = 2, cond ~ 5e16: the scsc Z there has the eigenvalues
+        # t = (sqrt(5) - 1)/2 and -(1 + t), with eigenvectors (1, t) and
+        # (1, -(1 + t)).  The large column, along the second, has a residual
+        # tiny relative to its norm, the small column's is not, and the whole
+        # block's Frobenius residual still sits far below the tolerance
+        # times its norm
+        t = (5**0.5 - 1) / 2
+        op = linalg.z_power_sum("scsc", 2, {1: 1.0}, shift=-t)
+        rhs = np.column_stack([[1e6, -1e6 * (1 + t)], [1e-12, 0.0]])
         a = op.to_dense()
         x = np.linalg.solve(a, rhs)
         resid = np.linalg.norm(a @ x - rhs, axis=0)
@@ -428,7 +430,7 @@ class TestSolveDense:
 
     def test_rhs_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            linalg.solve_dense(linalg.identity(3), np.ones((4, 2)))
+            linalg.solve_dense(_shift_only(3), np.ones((4, 2)))
 
 
 class TestBandedLDL:
@@ -465,40 +467,64 @@ class TestBandedLDL:
             assert np.array_equal(xs[:, k], factor.solve(block[:, k]))
 
     def test_pivots_are_those_of_the_dense_factorization(self):
-        op = linalg.tridiagonal(np.array([2.0, 3.0, 4.0]), np.array([1.0, -1.0]))
-        pivots = linalg.banded_ldl(op).pivots
+        lower = np.array([[2.0, 3.0, 4.0], [0.0, 1.0, -1.0]])  # diagonal, then A[i, i-1]
+        pivots = linalg.BandedLDL(lower).pivots
         assert np.allclose(pivots, [2.0, 2.5, 4.0 - 1.0 / 2.5])
+        chol = np.linalg.cholesky(_dense_from_lower(lower))  # C = L sqrt(D)
+        assert np.allclose(pivots, np.diag(chol) ** 2)
 
-    def test_indefinite_matrix_is_rejected(self):
-        op = linalg.tridiagonal(np.array([1.0, 1.0, 1.0]), np.array([2.0, 0.0]))
-        with pytest.raises(SingularOperatorError):
-            linalg.banded_ldl(op)
+    @pytest.mark.parametrize(
+        "w,d", [(1, 9), (3, 11), (5, 6)], ids=["random-tridiagonal", "wide-band", "full-band"]
+    )
+    def test_general_bands_match_the_reference_and_numpy(self, w, d):
+        """Bands of no polynomial in Z, handed to the factor directly; w = d - 1 is one full band."""
+        gen = np.random.default_rng(10 * w + d)
+        lower = _banded_lower(w, d, gen)
+        factor = linalg.BandedLDL(lower)
+        assert factor.width == w
+        low, piv = ldl_reference.factor(lower)
+        assert _bitwise_equal(factor.pivots, piv)
+        a = _dense_from_lower(lower)
+        assert np.allclose(factor.pivots, np.diag(np.linalg.cholesky(a)) ** 2, rtol=1e-13, atol=0.0)
+        rhs = gen.standard_normal((d, 2))
+        ref = np.linalg.solve(a, rhs)
+        x = factor.solve(rhs)
+        assert _bitwise_equal(x, ldl_reference.solve(low, piv, rhs))
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    @pytest.mark.parametrize("op,definite", [
-        (linalg.anti_banded_z("scsc", 6), False),
-        (linalg.z_power_sum("csc", 6, {3: 1.0, 1: 2.0}), False),
-        (linalg.dense(np.eye(5) + 0.1 * np.ones((5, 5))), True),
-        (linalg.shifted_scaled(linalg.anti_banded_z("scsc", 6), 1.0, 2.5), True),
-    ], ids=["z", "odd-sum", "dense", "shifted-scaled"])
-    def test_only_banded_stencils_have_a_band_form(self, op, definite):
-        """Any other stencil is factored as one full band read off its dense form."""
+    @pytest.mark.parametrize("w,d", [(1, 3), (3, 4)], ids=["tridiagonal", "full-band"])
+    def test_indefinite_matrix_is_rejected(self, w, d):
+        lower = np.zeros((w + 1, d))
+        lower[0] = 1.0
+        for m in range(1, w + 1):
+            lower[m, m:] = 2.0
+        assert np.linalg.eigvalsh(_dense_from_lower(lower))[0] < 0.0
+        with pytest.raises(SingularOperatorError) as want:
+            ldl_reference.factor(lower)
+        with pytest.raises(SingularOperatorError) as got:
+            linalg.BandedLDL(lower)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("op", [
+        linalg.anti_banded_z("scsc", 8),
+        linalg.z_power_sum("csc", 8, {3: 1.0, 1: 2.0}),
+        linalg.z_power_sum("scsc", 8, {1: 0.5, 2: 1.0}, shift=3.0),
+        linalg.shifted_scaled(linalg.z_power_sum("scsc", 8, {2: 1.0}), 1.0, 2.5),
+    ], ids=["z", "odd-sum", "mixed", "shifted-scaled"])
+    def test_operators_without_a_band_form_are_refused(self, op):
+        """Odd powers, or the appended diagonal slot of a shifted-scaled copy, leave no band form."""
         assert linalg.band_form(op) is None
-        if not definite:
-            with pytest.raises(SingularOperatorError):
-                linalg.banded_ldl(op)
-            return
-        factor = linalg.banded_ldl(op)
-        assert factor.width == op.dim - 1
-        rhs = np.random.default_rng(op.dim).standard_normal((op.dim, 2))
-        ref = np.linalg.solve(op.to_dense(), rhs)
-        assert np.linalg.norm(factor.solve(rhs) - ref) <= 1e-12 * np.linalg.norm(ref)
+        with pytest.raises(CapabilityError, match="no band form"):
+            linalg.banded_ldl(op)
+        with pytest.raises(CapabilityError, match="no band form"):
+            linalg.spectrum_within(op, -10.0, 10.0)
 
     @pytest.mark.parametrize("op,width", [
-        (linalg.identity(5), 0),
+        (linalg.z_power_sum("scsc", 5, {}, shift=1.0), 0),
         (linalg.z_power_sum("scsc", 7, {2: 1.0}, shift=0.1), 1),
         (linalg.z_power_sum("csc", 7, {4: 1.0, 2: 1.0}), 2),
-        (linalg.banded(6, {0: np.ones(6), 3: np.ones(3)}), 3),
-    ], ids=["identity", "z2", "z4", "banded"])
+        (linalg.z_power_sum("csc", 6, {6: 0.5, 2: 1.0}, shift=0.25), 3),
+    ], ids=["shift-only", "z2", "z4", "z6"])
     def test_band_form_reads_the_lower_bands(self, op, width):
         lower = linalg.band_form(op)
         dense = op.to_dense()
@@ -545,9 +571,21 @@ class TestBandedLDL:
         assert linalg.spectrum_within(h, lo - 1e-9, hi + 1e-9)
         assert not linalg.spectrum_within(h, lo + 1e-9, hi + 1e-9)
         assert not linalg.spectrum_within(h, lo - 1e-9, hi - 1e-9)
-        dense = linalg.dense(h.to_dense())  # factored as one full band
-        assert linalg.spectrum_within(dense, lo - 1e-9, hi + 1e-9)
-        assert not linalg.spectrum_within(dense, lo + 1e-9, hi + 1e-9)
+        # a Z^6 sum at d = 4 has w = 3 = d - 1: one full band, all in the head loop
+        full = linalg.z_power_sum("scsc", 4, {6: 0.1, 2: 1.0}, shift=0.5)
+        assert linalg.band_form(full).shape == (4, 4)
+        lo, hi = np.linalg.eigvalsh(full.to_dense())[[0, -1]]
+        assert linalg.spectrum_within(full, lo - 1e-9, hi + 1e-9)
+        assert not linalg.spectrum_within(full, lo + 1e-9, hi + 1e-9)
+        assert not linalg.spectrum_within(full, lo - 1e-9, hi - 1e-9)
+
+
+def _dense_from_lower(lower):
+    """The symmetric matrix whose lower bands are `lower` (row m holds A[i, i-m])."""
+    a = np.diag(lower[0])
+    for m in range(1, lower.shape[0]):
+        a += np.diag(lower[m, m:], -m) + np.diag(lower[m, m:], m)
+    return a
 
 
 def _banded_lower(w, d, gen, zero_every=0):
@@ -751,12 +789,13 @@ class TestBisect:
 
 class TestEigExtremes:
     def test_identity(self):
-        lo, hi = linalg.symmetric_eig_extremes(linalg.identity(5))
+        lo, hi = linalg.symmetric_eig_extremes(_shift_only(5))
         assert lo == pytest.approx(1.0) and hi == pytest.approx(1.0)
 
-    def test_diagonal(self):
-        lo, hi = linalg.symmetric_eig_extremes(linalg.diagonal(np.array([1.0, 2.0, 3.0])))
-        assert lo == pytest.approx(1.0) and hi == pytest.approx(3.0)
+    def test_z_at_dimension_two(self):
+        # Z = [[0, 1], [1, -1]]: the roots of t^2 + t - 1
+        lo, hi = linalg.symmetric_eig_extremes(linalg.anti_banded_z("scsc", 2))
+        assert lo == pytest.approx(-(1 + 5**0.5) / 2) and hi == pytest.approx((5**0.5 - 1) / 2)
 
     def test_inner_hessian_bounds(self):
         # beta Z^2 + mu I keeps its spectrum inside [mu, 4 beta + mu]

@@ -20,6 +20,7 @@ from bilevel_lab import (
     regularize_convex,
 )
 from bilevel_lab.errors import (
+    CapabilityError,
     DimensionMismatchError,
     InvariantViolationError,
 )
@@ -32,18 +33,19 @@ def _plain_constants(**overrides):
     return SmoothnessConstants(**fields)
 
 
+def eye(d, flavor="scsc"):
+    """The identity as the shift-only power sum in Z, as `decoupled` builds it."""
+    return linalg.z_power_sum(flavor, d, {}, shift=1.0)
+
+
 def decoupled_oracle(d=4):
-    outer = QuadraticOuter(a_xx=linalg.identity(d), a_yy=linalg.identity(d))
-    return QuadraticBilevelOracle(
-        linalg.identity(d), None, np.zeros(d), outer, _plain_constants()
-    )
+    outer = QuadraticOuter(a_xx=eye(d), a_yy=eye(d))
+    return QuadraticBilevelOracle(eye(d), None, np.zeros(d), outer, _plain_constants())
 
 
 def coupled_oracle(d=4):
-    outer = QuadraticOuter(a_xx=linalg.identity(d), a_yy=linalg.identity(d))
-    return QuadraticBilevelOracle(
-        linalg.identity(d), linalg.identity(d), np.zeros(d), outer, _plain_constants()
-    )
+    outer = QuadraticOuter(a_xx=eye(d), a_yy=eye(d))
+    return QuadraticBilevelOracle(eye(d), eye(d), np.zeros(d), outer, _plain_constants())
 
 
 class TestQuadraticConstructor:
@@ -63,32 +65,27 @@ class TestQuadraticConstructor:
         assert np.allclose(oracle.x_star, np.zeros(4), atol=1e-12)
 
     @pytest.mark.parametrize(
-        "evals,rotated",
-        [([0.5, 1.0, 3.0], False), ([1.0, 1.5, 2.0 + 1e-6], True), ([1.0 - 1e-6, 1.5, 2.0], True)],
-        ids=["diagonal", "dense-above", "dense-below"],
+        "lo,hi", [(0.5, 3.0), (1.0, 2.0 + 1e-6), (1.0 - 1e-6, 2.0)], ids=["both", "above", "below"]
     )
-    def test_spectrum_invariant_enforced(self, evals, rotated):
-        outer = QuadraticOuter(a_xx=linalg.identity(3), a_yy=linalg.identity(3))
+    def test_spectrum_invariant_enforced(self, lo, hi):
+        outer = QuadraticOuter(a_xx=eye(3), a_yy=eye(3))
         constants = _plain_constants(Ltil_y=2.0)  # H must lie in [1, 2]
-        q = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
+        z2_lo, z2_hi = np.linalg.eigvalsh(linalg.z_power_sum("scsc", 3, {2: 1.0}).to_dense())[[0, -1]]
 
-        def h_op(e):
-            if not rotated:
-                return linalg.diagonal(np.asarray(e))
-            m = (q * e) @ q.T
-            return linalg.dense(0.5 * (m + m.T))
+        def h_op(lo, hi):
+            """shift + beta Z^2 with its spectrum on [lo, hi], up to rounding."""
+            beta = (hi - lo) / (z2_hi - z2_lo)
+            return linalg.z_power_sum("scsc", 3, {2: beta}, shift=lo - beta * z2_lo)
 
         with pytest.raises(InvariantViolationError):
-            QuadraticBilevelOracle(h_op(evals), None, np.zeros(3), outer, constants)
+            QuadraticBilevelOracle(h_op(lo, hi), None, np.zeros(3), outer, constants)
         # the same H with its spectrum clipped into the bounds is accepted
-        QuadraticBilevelOracle(h_op(np.clip(evals, 1.0, 2.0)), None, np.zeros(3), outer, constants)
+        QuadraticBilevelOracle(h_op(max(lo, 1.0), min(hi, 2.0)), None, np.zeros(3), outer, constants)
 
     def test_dimension_mismatch(self):
-        outer = QuadraticOuter(a_xx=linalg.identity(4), a_yy=linalg.identity(4))
+        outer = QuadraticOuter(a_xx=eye(4), a_yy=eye(4))
         with pytest.raises(DimensionMismatchError):
-            QuadraticBilevelOracle(
-                linalg.identity(4), linalg.identity(5), np.zeros(4), outer, _plain_constants()
-            )
+            QuadraticBilevelOracle(eye(4), eye(5), np.zeros(4), outer, _plain_constants())
 
     def test_y_star_optimality_at_random_points(self, scsc_mild16, rng):
         oracle = scsc_mild16.oracle
@@ -141,22 +138,24 @@ class TestFiniteDifferenceCheck:
         assert finite_difference_check(inst.oracle, x, 1e-5) <= 1e-6
 
     @staticmethod
-    def _dense_oracle(d):
-        """Dense H, J and A_xy with both linear terms: H is factored as one full band."""
+    def _full_oracle(d):
+        """Every operator of the oracle, with random coefficients and both linear terms.
+
+        H = 1 + beta Z^2 lies in [1, 2]; J and A_xy are odd, so the cleared
+        system is even and banded.
+        """
         gen = np.random.default_rng(d)
-        q, _ = np.linalg.qr(gen.standard_normal((d, d)))
-        h = (q * gen.uniform(1.0, 2.0, d)) @ q.T
-        j, a_xy = (0.3 * gen.standard_normal((d, d)) for _ in range(2))
+        c = gen.uniform(0.1, 0.3, 5)
         outer = QuadraticOuter(
-            a_xx=linalg.identity(d),
-            a_yy=linalg.identity(d),
-            a_xy=linalg.dense(a_xy + a_xy.T),
+            a_xx=linalg.z_power_sum("csc", d, {2: c[0]}, shift=1.0),
+            a_yy=eye(d, "csc"),
+            a_xy=linalg.z_power_sum("csc", d, {1: c[1], 3: -c[2]}),
             lin_x=gen.standard_normal(d),
             lin_y=gen.standard_normal(d),
         )
         return QuadraticBilevelOracle(
-            linalg.dense(0.5 * (h + h.T)),
-            linalg.dense(j + j.T),
+            linalg.z_power_sum("csc", d, {2: 0.25 * c[3]}, shift=1.0),
+            linalg.z_power_sum("csc", d, {1: c[4]}),
             gen.standard_normal(d),
             outer,
             _plain_constants(Ltil_y=2.0),
@@ -164,7 +163,7 @@ class TestFiniteDifferenceCheck:
 
     @pytest.mark.parametrize(
         "which",
-        ["decoupled", "dense6", "dense65", "scsc_mild16", "csc20", "scsc_mild65", "scsc_mild_tap"],
+        ["decoupled", "full6", "full65", "scsc_mild16", "csc20", "scsc_mild65", "scsc_mild_tap"],
     )
     @pytest.mark.parametrize("block", [oracles.FD_BLOCK, 5])
     def test_block_path_matches_per_coordinate_phi(
@@ -172,8 +171,8 @@ class TestFiniteDifferenceCheck:
     ):
         if which == "decoupled":
             oracle = decoupled_oracle()
-        elif which.startswith("dense"):
-            oracle = self._dense_oracle(int(which.removeprefix("dense")))
+        elif which.startswith("full"):
+            oracle = self._full_oracle(int(which.removeprefix("full")))
         elif which == "scsc_mild65":  # above SMALL_DIM: gather kernels, scan solves
             oracle = build_scsc(65, mild_constants).oracle
         elif which == "scsc_mild_tap":  # from TAP_DIM on: tap kernels, tiled scan solves
@@ -195,17 +194,16 @@ class TestFiniteDifferenceCheck:
     def test_block_size_moves_no_bit(self, d, mild_constants, monkeypatch):
         """Every column of a block is evaluated on its own, whatever the block width.
 
-        The outer linear term is a BLAS matrix-vector product, whose rounding
-        can depend on how many columns it is given (OpenBLAS takes four at a
-        time), so the oracle here has none; every other step (the applies,
-        the tiled solve, the column sums) is column by column.
+        Every step, the outer linear terms included, is column by column: the
+        applies, the tiled solve and the element-wise column sums.
         """
-        base = build_scsc(d, mild_constants).oracle
-        outer = dataclasses.replace(base.outer, lin_x=None, lin_y=None)
+        base = build_scsc(d, mild_constants).oracle  # its outer objective has lin_y
+        gen = np.random.default_rng(d)
+        outer = dataclasses.replace(base.outer, lin_x=gen.standard_normal(d))
         oracle = QuadraticBilevelOracle(
             base.h_op, base.j_op, base.b, outer, base.constants, validate_spectrum=False
         )
-        x = np.random.default_rng(d).standard_normal(d)
+        x = gen.standard_normal(d)
         fds = []
         for block in (oracles.FD_BLOCK, 1, 5, 33, d):  # 5 and 33 leave a partial last block
             monkeypatch.setattr(oracles, "FD_BLOCK", block)
@@ -220,11 +218,11 @@ class TestAffineMap:
         if which == "decoupled":
             d = 5
             outer = QuadraticOuter(
-                a_xx=linalg.diagonal(np.linspace(1.0, 2.0, d)),
-                a_yy=linalg.identity(d),
+                a_xx=linalg.z_power_sum("csc", d, {2: 0.25}, shift=1.0),
+                a_yy=eye(d, "csc"),
                 lin_y=np.linspace(-1.0, 1.0, d),
             )
-            h = linalg.diagonal(np.linspace(1.0, 3.0, d))
+            h = linalg.z_power_sum("csc", d, {2: 0.5}, shift=1.0)  # inside [1, 3]
             b = np.array([1.0, -2.0, 0.5, 0.0, 3.0])
             return QuadraticBilevelOracle(h, None, b, outer, _plain_constants(Ltil_y=3.0))
         if which == "regularized_csc20":
@@ -275,7 +273,7 @@ class TestAffineMap:
 class TestOneInnerFactor:
     """Every oracle's exact surface is served by the LDL' factor of H, with no dense solve."""
 
-    @pytest.mark.parametrize("which", ["decoupled", "dense6", "quadratic16"])
+    @pytest.mark.parametrize("which", ["decoupled", "full6", "quadratic16"])
     def test_exact_surface_without_dense_solve_or_eigendecomposition(self, which, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("the exact surface must not call a dense solve or eigensolver")
@@ -284,8 +282,8 @@ class TestOneInnerFactor:
         monkeypatch.setattr(linalg, "symmetric_eig_extremes", forbidden)
         if which == "decoupled":
             oracle = decoupled_oracle()
-        elif which == "dense6":
-            oracle = TestFiniteDifferenceCheck._dense_oracle(6)
+        elif which == "full6":
+            oracle = TestFiniteDifferenceCheck._full_oracle(6)
         else:
             oracle = quadratic_oracle(16, 4.0, np.random.default_rng(2))
         x = np.random.default_rng(3).standard_normal(oracle.p)
@@ -483,11 +481,41 @@ class TestBandedSurface:
         assert factor_calls == []
 
 
+class TestNoClearedSystem:
+    """An oracle whose cleared system is not banded builds and serves y*, phi and
+    grad_phi; x* and the quadratic reduction raise CapabilityError on first use."""
+
+    @staticmethod
+    def _oracle(which, d=12):
+        h = linalg.z_power_sum("csc", d, {2: 0.25}, shift=1.0)
+        j = linalg.z_power_sum("csc", d, {1: 0.3})
+        if which == "mixed-flavors":  # A_yy = I, but in the other flavor's Z
+            outer = QuadraticOuter(a_xx=eye(d, "csc"), a_yy=eye(d, "scsc"))
+        else:  # an even A_xy against an odd J puts odd powers in P
+            outer = QuadraticOuter(
+                a_xx=eye(d, "csc"), a_yy=eye(d, "csc"), a_xy=linalg.z_power_sum("csc", d, {2: 0.1})
+            )
+        return QuadraticBilevelOracle(h, j, np.ones(d), outer, _plain_constants(Ltil_y=2.0))
+
+    @pytest.mark.parametrize(
+        "which,message", [("mixed-flavors", "more than one Z"), ("odd-powers", "not banded")]
+    )
+    def test_raises_on_first_use_only(self, which, message, factor_calls):
+        oracle = self._oracle(which)
+        assert factor_calls == [(1, 12), (1, 12)]  # the spectrum check, and no more
+        x = np.linspace(-1.0, 1.0, 12)
+        assert finite_difference_check(oracle, x, 1e-5) <= 1e-6
+        for read in (lambda: oracle.x_star, oracle.phi_quadratic_reduction, lambda: oracle.phi_star):
+            with pytest.raises(CapabilityError, match=message):
+                read()
+        assert factor_calls == [(1, 12)] * 3  # and the factor of H, for y*
+
+
 class TestSpectrumCheck:
     @staticmethod
     def _oracle(mu_y, ltil_y):
         h = linalg.z_power_sum("scsc", 24, {2: 0.4}, shift=0.7)
-        outer = QuadraticOuter(a_xx=linalg.identity(24), a_yy=linalg.identity(24))
+        outer = QuadraticOuter(a_xx=eye(24), a_yy=eye(24))
         c = _plain_constants(mu_y=mu_y, Ltil_y=ltil_y)
         return QuadraticBilevelOracle(h, None, np.zeros(24), outer, c)
 

@@ -35,24 +35,27 @@ from bilevel_lab.solvers import (
 )
 
 
-def shifted_quadratic_oracle(d=4, curvatures=None, target=1.0):
-    """Decoupled instance whose outer minimizer sits away from the origin."""
-    curvatures = np.ones(d) if curvatures is None else np.asarray(curvatures)
+def eye(d):
+    """The identity as the shift-only power sum in Z, as `decoupled` builds it."""
+    return linalg.z_power_sum("scsc", d, {}, shift=1.0)
+
+
+def shifted_quadratic_oracle(d=4, curvatures=(1.0, 1.0), target=1.0):
+    """Decoupled instance whose outer minimizer, target * ones, sits away from the origin.
+
+    A_xx = a + c Z^2 maps the extreme eigenvalues of Z^2 onto `curvatures`,
+    so its spectrum spans them (up to rounding); equal ones make it a * I.
+    """
+    mu_x, L_x = curvatures
+    z2 = linalg.z_power_sum("scsc", d, {2: 1.0})
+    z2_lo, z2_hi = np.linalg.eigvalsh(z2.to_dense())[[0, -1]]
+    c = (L_x - mu_x) / (z2_hi - z2_lo)
+    a_xx = linalg.z_power_sum("scsc", d, {2: c}, shift=mu_x - c * z2_lo)
     constants = SmoothnessConstants(
-        mu_x=float(curvatures.min()),
-        mu_y=1.0,
-        L_x=float(curvatures.max()),
-        L_y=1.0,
-        L_xy=0.0,
-        Ltil_xy=0.0,
-        Ltil_y=1.0,
+        mu_x=mu_x, mu_y=1.0, L_x=L_x, L_y=1.0, L_xy=0.0, Ltil_xy=0.0, Ltil_y=1.0
     )
-    outer = QuadraticOuter(
-        a_xx=linalg.diagonal(curvatures),
-        a_yy=linalg.identity(d),
-        lin_x=-target * curvatures,
-    )
-    return QuadraticBilevelOracle(linalg.identity(d), None, np.zeros(d), outer, constants)
+    outer = QuadraticOuter(a_xx=a_xx, a_yy=eye(d), lin_x=-target * a_xx.apply(np.ones(d)))
+    return QuadraticBilevelOracle(eye(d), None, np.zeros(d), outer, constants)
 
 
 def small_budgets(constants, n=5, m=5):
@@ -218,8 +221,8 @@ class TestOuterLoop:
         c = SmoothnessConstants(
             mu_x=1.0, mu_y=1.0, L_x=1.0, L_y=1.0, L_xy=1.0, Ltil_xy=1.0, Ltil_y=1.0
         )
-        outer = QuadraticOuter(a_xx=linalg.identity(d), a_yy=linalg.identity(d))
-        oracle = _NoExactSurface(linalg.identity(d), linalg.identity(d), np.ones(d), outer, c)
+        outer = QuadraticOuter(a_xx=eye(d), a_yy=eye(d))
+        oracle = _NoExactSurface(eye(d), eye(d), np.ones(d), outer, c)
         agd, hb = small_budgets(c, N, M)
         rules = (accbio_rule(2.0, 0.5), accbio_bg_rule(0.1, 0.2, 0.3, 0.4), gd_rule(0.1))
         for rule in rules:
@@ -274,7 +277,7 @@ class TestBaseline:
     def test_per_step_gap_contraction(self):
         # exact hypergradients, quadratic outer with kappa_x = 2: the gap
         # contracts at least as fast as (1 - 1/kappa_x)^2 every step
-        oracle = shifted_quadratic_oracle(d=2, curvatures=np.array([0.5, 1.0]), target=1.0)
+        oracle = shifted_quadratic_oracle(d=2, curvatures=(0.5, 1.0), target=1.0)
         agd, hb = small_budgets(oracle.constants, 30, 30)
         trace = baseline_aid_gd(oracle, SolverConfig(K=8, agd=agd, hb=hb, stepsize=1.0))
         gaps = [rec.phi_gap for rec in trace.records]

@@ -19,6 +19,8 @@ from bilevel_lab.span_lab import (
     verify_support_cap,
 )
 
+import stencils
+
 BUDGETS = {"K": 10, "Q": 5, "T": 3}
 BATTERY_BUDGETS = {"K": 60, "Q": 10, "T": 5}  # the scaled battery's run budgets
 
@@ -45,7 +47,7 @@ def chain_basis(instance, M):
     z = instance.z
     cols = [z.apply(instance.b)]
     for _ in range(M):
-        cols.append(z.apply_power(cols[-1], 2))
+        cols.append(stencils.apply_power(z, cols[-1], 2))
     return np.column_stack(cols)
 
 
