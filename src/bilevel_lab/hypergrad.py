@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError, InvariantViolationError
+from .linalg import least_squares_slope
 from .oracles import SmoothnessConstants
 
 
@@ -282,5 +283,4 @@ def tail_log_slope(
     if usable.size < 2:
         raise ValueError("not enough samples above the noise floor for a slope fit")
     win = usable[-window:]
-    slope = np.polyfit(win.astype(np.float64), np.log(errors[win]), 1)[0]
-    return float(slope)
+    return least_squares_slope(win, np.log(errors[win]))

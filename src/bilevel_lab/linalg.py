@@ -1,4 +1,4 @@
-"""Polynomials in the anti-banded coupling Z, their banded LDL' factors, and scalar root finding.
+"""Polynomials in the anti-banded coupling Z, their banded LDL' factors, root finding and slopes.
 
 Every operator is a polynomial in one anti-banded Z (`poly`), held as a
 fixed-width row stencil: arrays `cols` and `vals` of shape (w, dim), where
@@ -852,6 +852,17 @@ def bisect_root(
         else:
             a, fa = mid, fm
     return 0.5 * (a + b)
+
+
+def least_squares_slope(x, y) -> float:
+    """Slope of the least-squares line through the points (x_i, y_i), in closed form.
+
+    With xc = x - mean(x) it is xc.(y - mean(y)) / xc.xc; no LAPACK solve.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    xc = x - x.mean()
+    return float(xc.dot(y - y.mean()) / xc.dot(xc))
 
 
 def symmetric_eig_extremes(op: StructuredOperator) -> tuple[float, float]:

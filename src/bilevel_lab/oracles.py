@@ -113,17 +113,24 @@ class QuadraticOuter:
         Every term, the linear ones included, is an element-wise product
         summed down the columns, which numpy does one row at a time for
         k >= 2, so each column's value is the same whatever k is.  (A single
-        column is contiguous, and numpy would sum it pairwise.)
+        column is contiguous, and numpy would sum it pairwise.)  A quadratic
+        term's product overwrites the fresh block its `apply_block` returned,
+        so it allocates no second block.
         """
-        val = 0.5 * (xs * self.a_xx.apply_block(xs)).sum(0)
-        val += 0.5 * (ys * self.a_yy.apply_block(ys)).sum(0)
+        val = 0.5 * _column_dots(xs, self.a_xx.apply_block(xs))
+        val += 0.5 * _column_dots(ys, self.a_yy.apply_block(ys))
         if self.a_xy is not None:
-            val += (xs * self.a_xy.apply_block(ys)).sum(0)
+            val += _column_dots(xs, self.a_xy.apply_block(ys))
         if self.lin_x is not None:
             val += (self.lin_x[:, None] * xs).sum(0)
         if self.lin_y is not None:
             val += (self.lin_y[:, None] * ys).sum(0)
         return val
+
+
+def _column_dots(block: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+    """The dot product of each column pair of two (n, k) blocks; `fresh` is overwritten."""
+    return np.multiply(block, fresh, out=fresh).sum(0)
 
 
 class QuadraticBilevelOracle:

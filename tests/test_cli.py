@@ -1,6 +1,8 @@
 import csv
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 import time
 import warnings
@@ -568,10 +570,10 @@ class TestSweepVerb:
         widths = []
 
         class InProcessPool:
-            """Stands in for ProcessPoolExecutor: records its width, starts no process."""
+            """Stands in for the process pool: records its width, starts no process."""
 
-            def __init__(self, max_workers):
-                widths.append(max_workers)
+            def __init__(self, workers):
+                widths.append(workers)
 
             def __enter__(self):
                 return self
@@ -582,7 +584,7 @@ class TestSweepVerb:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(cli, "_process_pool", InProcessPool)
         doc = {
             "seed": 11,
             "output_dir": str(tmp_path / "out"),
@@ -596,7 +598,16 @@ class TestSweepVerb:
             assert main(["sweep", write_config(tmp_path / "c.json", doc), "--jobs", "8"]) == 0
             assert widths == pools  # a single point runs in this process
 
-    def test_summary_format_and_slope(self, tmp_path):
+    def test_summary_format_and_slope(self, tmp_path, monkeypatch):
+        pools = []
+        process_pool = cli._process_pool
+
+        def spy(workers):
+            pool = process_pool(workers)  # the real pool: its workers run the points
+            pools.append(type(pool).__name__)
+            return pool
+
+        monkeypatch.setattr(cli, "_process_pool", spy)
         doc = {
             "seed": 11,
             "output_dir": str(tmp_path / "out"),
@@ -606,6 +617,7 @@ class TestSweepVerb:
         }
         cfg = write_config(tmp_path / "c.json", doc)
         assert main(["sweep", cfg, "--jobs", "2"]) == 0
+        assert pools == ["ProcessPoolExecutor"]
         lines = (tmp_path / "out" / "summary.csv").read_text().strip().splitlines()
         assert lines[0] == "axis_value,complexity_to_eps,final_gap"
         assert len(lines) == 3
@@ -1021,6 +1033,28 @@ class TestVerifyLbVerb:
             assert item["tau_cost"] == 3.0 and default["tau_cost"] == 2.0
             assert item["complexity"] == 3 * (item["n_J"] + item["n_H"]) + item["n_G"]
 
+    def test_seed_sets_the_finite_difference_points(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", battery_config(tmp_path / "unused"))
+        reports = {}
+        for name, seed in (("a", "4"), ("b", "4"), ("c", "5")):
+            assert main(["verify-lb", cfg, "--seed", seed, "--out", str(tmp_path / name)]) == 0
+            reports[name] = (tmp_path / name / "lower_bound_report.json").read_bytes()
+        assert reports["a"] == reports["b"]
+        deviation = {
+            name: json.loads(text)["items"]["scsc_hypergradient_consistency"]["max_deviation"]
+            for name, text in reports.items()
+        }
+        assert deviation["c"] != deviation["a"]
+
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_shipped_battery_is_consistent_at_each_seed(self, tmp_path, seed):
+        doc = json.loads((SHIPPED_CONFIGS / "lower_bound_battery.json").read_text())
+        doc.update(seed=seed, output_dir=str(tmp_path / "out"))
+        assert main(["verify-lb", write_config(tmp_path / "c.json", doc)]) == 0
+        report = json.loads((tmp_path / "out" / "lower_bound_report.json").read_text())
+        item = report["items"]["scsc_hypergradient_consistency"]
+        assert item["passed"] and item["max_deviation"] <= 1e-6
+
 
 class TestReportVerb:
     def test_report_over_directory(self, tmp_path, capsys):
@@ -1084,3 +1118,41 @@ class TestReportVerb:
 
     def test_missing_directory_is_config_error(self, tmp_path):
         assert main(["report", str(tmp_path / "nope")]) == 1
+
+
+class TestLoadedModules:
+    """Each verb loads only what it runs: no process pool at --jobs 1, no numpy.random."""
+
+    UNUSED = ("numpy.random", "concurrent.futures", "multiprocessing")
+
+    @staticmethod
+    def _argv(verb, tmp_path):
+        if verb == "run":
+            doc = minimal_run_config(tmp_path / "out")
+        elif verb == "sweep":
+            doc = minimal_run_config(tmp_path / "out", K=4)
+            doc["sweep"] = {"axis": "d", "values": [4, 6]}
+        else:
+            doc = battery_config(tmp_path / "out")
+        argv = [verb, write_config(tmp_path / "c.json", doc)]
+        return argv + (["--jobs", "1"] if verb == "sweep" else [])
+
+    @pytest.mark.parametrize("verb", ["run", "sweep", "verify-lb"])
+    def test_verb_leaves_unused_modules_unloaded(self, tmp_path, verb):
+        script = (
+            "import json, sys\n"
+            "from bilevel_lab.cli import main\n"
+            "code = main(json.loads(sys.argv[1]))\n"
+            f"print(json.dumps([code, [m for m in {self.UNUSED!r} if m in sys.modules]]))\n"
+        )
+        paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        argv = json.dumps(self._argv(verb, tmp_path))
+        done = subprocess.run(
+            [sys.executable, "-c", script, argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        code, loaded = json.loads(done.stdout.strip().splitlines()[-1])
+        assert code == 0
+        assert loaded == []

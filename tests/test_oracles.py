@@ -24,6 +24,7 @@ from bilevel_lab.errors import (
     DimensionMismatchError,
     InvariantViolationError,
 )
+import values_reference
 from test_hypergrad import quadratic_oracle
 
 
@@ -210,6 +211,31 @@ class TestFiniteDifferenceCheck:
             fds.append(oracles.finite_difference_gradient(oracle, x, 1e-5))
         for fd in fds[1:]:
             assert np.array_equal(fd, fds[0])
+
+
+class TestOuterValues:
+    @staticmethod
+    def _outer(which):
+        if which.startswith("full"):
+            return TestFiniteDifferenceCheck._full_oracle(int(which.removeprefix("full"))).outer
+        # x and y of two dimensions, with no A_xy to join them
+        gen = np.random.default_rng(4)
+        return QuadraticOuter(
+            a_xx=linalg.z_power_sum("scsc", 9, {2: 0.2}, shift=1.0),
+            a_yy=linalg.z_power_sum("scsc", 7, {2: 0.3}, shift=1.0),
+            lin_x=gen.standard_normal(9),
+            lin_y=gen.standard_normal(7),
+        )
+
+    @pytest.mark.parametrize("k", [2, 33, 64])
+    @pytest.mark.parametrize("which", ["full6", "full65", f"full{linalg.TAP_DIM}", "p9q7"])
+    def test_products_in_place_keep_every_bit(self, which, k):
+        outer = self._outer(which)
+        gen = np.random.default_rng(k)
+        xs = gen.standard_normal((outer.a_xx.dim, k))
+        ys = gen.standard_normal((outer.a_yy.dim, k))
+        got = outer.values(xs, ys)
+        assert got.tobytes() == values_reference.values(outer, xs, ys).tobytes()
 
 
 class TestAffineMap:
