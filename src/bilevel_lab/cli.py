@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -760,7 +761,9 @@ def run_report(directory: str) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: each parse_args fills a fresh namespace."""
     parser = argparse.ArgumentParser(prog="bilevel-lab", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb in ("run", "sweep", "verify-lb"):

@@ -1,37 +1,33 @@
 """Polynomials in the anti-banded coupling Z, their banded LDL' factors, root finding and slopes.
 
-Every operator is a polynomial in one anti-banded Z (`poly`), held as a
-fixed-width row stencil: arrays `cols` and `vals` of shape (w, dim), where
-row i holds vals[k, i] at column cols[k, i].  Its dense form is one
-scatter, and each constructor builds the stencil directly.  Which kernel
-applies it is chosen by the dimension alone.
+Every operator is a polynomial in one anti-banded Z, and that polynomial,
+(flavor, {power: coefficient}), is the only form it stores (`poly`), so
+products of operators are formed as power sums again.  Which kernel
+applies it is chosen by the dimension alone: with dim <= SMALL_DIM it
+builds its dense form once, at construction, and `apply` is one dense
+matvec; a tridiagonal `BandedLDL` of that size solves by its scalar kernel
+instead of scans.  Above SMALL_DIM it applies by its tap kernel: away from
+its first and last few rows a polynomial in Z is shift-invariant, so
+`apply` is one `np.correlate` per parity of the powers and `apply_block`
+one slice-add per tap, and only the edge rows, where the powers meet the
+boundary, are summed slot by slot.
 
-An operator with dim <= SMALL_DIM scatters its stencil once, at
-construction, into a private read-only dense form, and `apply` is then one
-dense matvec; a tridiagonal `BandedLDL` of that size solves by its scalar
-kernel instead of scans.  From TAP_DIM on, an operator applies by its tap
-kernel: away from its first and last few rows it is shift-invariant, so
-`apply` is one `np.correlate` per parity of the powers and `apply_block` one
-slice-add per stencil slot, and only the edge rows, where the powers meet
-the boundary, are summed slot by slot.  In between it applies by the gather
-`(vals * v[cols]).sum(0)`.  The stencil stays the only stored form: the
-dense form and the taps are derived from it, and `to_dense` still scatters
-a fresh array.
-
-The two anti-banded coupling operators built here (the "scsc" and "csc"
-flavors) are integer +-1 matrices whose even powers are banded and extend the
-support of a vector by at most one coordinate per squared application.  The
-power Z^(2k) lives on the window of columns i-k..i+k of row i and Z^(2k+1) on
+The two anti-banded coupling operators (the "scsc" and "csc" flavors) are
+integer +-1 matrices whose even powers are banded and extend the support
+of a vector by at most one coordinate per squared application.  The power
+Z^(2k) lives on the window of columns i-k..i+k of row i and Z^(2k+1) on
 (d-1-i)-k..(d-1-i)+k+1 (scsc; one column earlier for csc), so a power sum
-stores one window per parity, filled by weighted slice-adds of the integer
-windows of the powers, which are computed once per (flavor, dim, power).
-Since every operator remembers its polynomial, products of operators are
-formed as power sums again.
+is a row stencil of one window per parity, filled by weighted slice-adds
+of the integer windows of the powers.  Only rows within about half the
+degree of either end differ from the middle row, so the stencil is built
+on first use at a dimension set by the degree (4 deg + 9, or the
+operator's own when smaller), and it gives the taps and edge rows, the
+dense form (one scatter of the stencil widened to dim rows) and the band
+form.
 
-A power sum of even powers has a banded stencil (`band_form`), read in
-place; `BandedLDL` factors it once, O(d w^2), and an operator with odd
-powers, which has no band form, is refused with CapabilityError.  A
-tridiagonal factor above SMALL_DIM solves by recursive-doubling scans,
+A power sum of even powers is banded (`band_form`); `BandedLDL` factors
+it once, O(d w^2), and an operator with odd powers, which has no band
+form, is refused with CapabilityError.  A tridiagonal factor above SMALL_DIM solves by recursive-doubling scans,
 O(d log d) in about 2 log2(d) vectorized steps.  A (d, k) block of
 right-hand sides scans all its columns at once, over the scan levels and
 pivots repeated across k columns (`BandedLDL._tiled`): built once per block
@@ -68,19 +64,14 @@ from .errors import (
 )
 
 # largest dimension served by the small-dimension kernels (dense matvec apply,
-# scalar tridiagonal solve).  Measured on x86-64, numpy 2.4 with one OpenBLAS
-# thread: a dense matvec beats the stencil gather up to d~128 and a scalar
-# tridiagonal solve beats the scans up to about the same size (table in
-# CHANGES.md, taken on a Thomas loop that the w=1 kernel matches or beats);
-# 64 keeps both clear of the crossover.
+# scalar tridiagonal solve), and the one switch between apply kernels.
+# Measured on x86-64, numpy 2.4 with one OpenBLAS thread: a dense matvec beats
+# the taps up to about d = 150-200 (table in README.md) and a scalar tridiagonal
+# solve beats the scans up to about d = 128 (table in CHANGES.md, taken on a
+# Thomas loop that the w=1 kernel matches or beats).  Moving the switch up
+# would put the shipped battery's d = 65 run on a BLAS matvec and change its
+# bits, so 64 stays.
 SMALL_DIM = 64
-# smallest dimension at which a polynomial in Z applies by its tap kernel.
-# Measured on the same machine (table in CHANGES.md): a correlation carries
-# about 2 us of fixed cost (the zero padding, the call, the edge rows), so
-# the kernel of A_xy, with two edge rows of up to three slots, ties the
-# gather near d = 192 and wins from 224 on; those of H, J and A_xx win
-# earlier.
-TAP_DIM = 224
 SOLVE_RESIDUAL_TOL = 1e-10
 # scan coefficients below this are flushed to zero: each term dropped is under
 # 2^-64 of the partial sum it multiplies, below the float64 rounding of a solve
@@ -103,54 +94,60 @@ def vector(entries, dim: int | None = None) -> np.ndarray:
     return v
 
 
-def _check_dim(dim: int) -> None:
-    if dim <= 0:
-        raise DimensionMismatchError("operator dimension must be positive")
-
-
 class StructuredOperator:
-    """A polynomial in the anti-banded Z, stored as a fixed-width row stencil.
+    """A polynomial in the anti-banded Z, held as its coefficients alone.
 
-    `poly` is (flavor, {power: coefficient}), power 0 being the identity.
-    `cols` and `vals` have shape (w, dim): row i of the operator holds
-    vals[k, i] at column cols[k, i] for k < w, and padding slots hold 0 at
-    an in-range column.  `to_dense` is one scatter.  With dim <= SMALL_DIM,
-    `apply` is a matvec with the dense form scattered once at construction.
-    From TAP_DIM on it applies by its tap kernel (`_tap_kernel`), derived
-    from the stencil on first apply, so an operator that is only factored
-    never derives it; in between, by the gather `_gather`.  Instances are
-    immutable after construction and safe to share; `kind` is a
-    human-readable tag.
+    `poly` is (flavor, {power: coefficient}), power 0 being the identity,
+    and it is the only stored form.  Derived from it: its row stencil at a
+    dimension set by the degree (`_stencil`), which gives `to_dense` and
+    `band_form`, and from that, on first apply above SMALL_DIM, the taps and
+    edge rows (`_taps`) by which `apply` and `apply_block` run there.  With
+    dim <= SMALL_DIM, `apply` is a matvec with the dense form built once at
+    construction.  Instances are immutable after construction and safe to
+    share.
     """
 
-    def __init__(
-        self,
-        kind: str,
-        cols: np.ndarray,
-        vals: np.ndarray,
-        poly: tuple[str, dict[int, float]],
-    ):
-        _check_dim(cols.shape[1])
-        self.kind = kind
-        self.dim = cols.shape[1]
-        self.cols = cols
-        self.vals = vals
-        self.poly = poly
+    def __init__(self, flavor: str, dim: int, coeffs: Mapping[int, float]):
+        if flavor not in ("scsc", "csc"):
+            raise ValueError(f"unknown flavor {flavor!r}")
+        if dim <= 0:
+            raise DimensionMismatchError("operator dimension must be positive")
+        self.dim = dim
+        self.poly = (flavor, dict(coeffs))
         self._matrix = None
-        if self.dim <= SMALL_DIM:
+        if dim <= SMALL_DIM:
             matrix = self.to_dense()
             matrix.flags.writeable = False
             self._matrix = matrix
 
+    @property
+    def kind(self) -> str:
+        """A human-readable label of the polynomial."""
+        flavor, coeffs = self.poly
+        label = "+".join(f"{c:g}*Z^{p}" for p, c in coeffs.items() if p)
+        return f"z-power-sum({flavor}:{label};shift={coeffs.get(0, 0.0):g})"
+
     def __repr__(self) -> str:
         return f"StructuredOperator(kind={self.kind!r}, dim={self.dim})"
 
+    def _stencil(self) -> tuple[list[tuple[bool, int]], np.ndarray]:
+        """The slot layout and values of the row stencil at dimension min(dim, 4 deg + 9).
+
+        Only rows within about deg/2 + 2 of either end (deg the degree)
+        differ from the middle row, so the first n//2 rows of that stencil
+        are the operator's first rows, its middle row repeats, and its other
+        rows are the operator's last (`_widen`).  Not a cached_property:
+        one set at construction writes through the instance's `__dict__`,
+        which makes CPython keep its attributes in a dict, and that slowed
+        each dense apply at d = 32 by 15-50%.
+        """
+        flavor, coeffs = self.poly
+        return _z_stencil(flavor, min(self.dim, 4 * max(coeffs, default=0) + 9), coeffs)
+
     @functools.cached_property
-    def _taps(self) -> _TapKernel | None:
-        """The tap kernel from TAP_DIM on, derived on first apply."""
-        if self.dim < TAP_DIM:
-            return None
-        return _tap_kernel(self)
+    def _taps(self) -> _TapKernel:
+        """The taps and edge rows, derived on first apply above SMALL_DIM."""
+        return _tap_kernel(*self._stencil(), self.dim)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         if v.shape != (self.dim,):
@@ -160,8 +157,6 @@ class StructuredOperator:
         if self._matrix is not None:
             return self._matrix.dot(v)
         taps = self._taps
-        if taps is None:
-            return _gather(self, v)
         d, head = self.dim, taps.head
         # zero-padded, so that every row of the correlation sums all its taps
         padded = np.zeros(d + head + taps.tail)
@@ -182,7 +177,7 @@ class StructuredOperator:
         return out
 
     def apply_block(self, block: np.ndarray) -> np.ndarray:
-        """Apply to every column of a (dim, k) block: one slice-add per tap, or per gather slot."""
+        """Apply to every column of a (dim, k) block: one slice-add per tap."""
         if block.ndim != 2 or block.shape[0] != self.dim:
             raise DimensionMismatchError(
                 f"operator dim {self.dim} incompatible with block shape {block.shape}"
@@ -190,8 +185,6 @@ class StructuredOperator:
         if self._matrix is not None:
             return self._matrix @ block
         taps = self._taps
-        if taps is None:
-            return _gather_block(self, block)
         d = self.dim
         out = np.empty(block.shape)
         mirrored = block[::-1]
@@ -212,36 +205,41 @@ class StructuredOperator:
         return out
 
     def to_dense(self) -> np.ndarray:
-        """Materialize the operator by one scatter of the stencil (a fresh array)."""
+        """Materialize the operator from its row stencil (a fresh array).
+
+        Each entry is 0.0 plus the stencil values that land on it, in slot
+        order, as a scatter of the whole stencil sums them; a slot whose
+        column is out of range holds 0 and is skipped.
+        """
         d = self.dim
-        flat = self.cols + d * np.arange(d)
-        dense = np.bincount(flat.ravel(), weights=self.vals.ravel(), minlength=d * d)
-        return dense.reshape(d, d)
-
-
-def _gather(op: StructuredOperator, v: np.ndarray) -> np.ndarray:
-    """The stencil applied to v by one gather, for an operator without taps."""
-    return (op.vals * v[op.cols]).sum(0)
-
-
-def _gather_block(op: StructuredOperator, block: np.ndarray) -> np.ndarray:
-    """The stencil applied to a (dim, k) block by one gather per slot, for an operator without taps."""
-    out = np.zeros(block.shape)
-    for cols, vals in zip(op.cols, op.vals):
-        out += vals[:, None] * block[cols]
-    return out
+        layout, vals = self._stencil()
+        vals = _widen(vals, d)
+        dense = np.zeros((d, d))
+        flat = dense.reshape(-1)
+        for (reverse, off), row_vals in zip(layout, vals):
+            # row i's entry is flat[(i+1)(d-1) + off] when reversed, else flat[i(d+1) + off]
+            if reverse:
+                lo, hi, step = max(0, off), min(d, d + off), d - 1
+                start = (lo + 1) * step + off
+            else:
+                lo, hi, step = max(0, -off), min(d, d - off), d + 1
+                start = lo * step + off
+            if lo < hi:
+                flat[start : start + (hi - lo - 1) * step + 1 : max(step, 1)] += row_vals[lo:hi]
+        return dense
 
 
 class _TapKernel(NamedTuple):
-    """A Z-polynomial stencil as shift-invariant taps plus the rows they miss.
+    """A polynomial in Z as shift-invariant taps plus the rows they miss.
 
-    `parts` holds (reverse, taps, start) per parity for `apply`: the
-    correlation of v, padded with `head` and `tail` zeros, read from
-    `start` on, gives row i its taps over v[i + off] (even powers and the
-    shift) or over v[d-1-i + off] (odd powers).  `slots` holds
-    (reverse, off, val) per stencil slot, in slot order, for `apply_block`.
-    The edge rows, where the powers meet the boundary, are summed from their
-    own slots, listed in `edges` as (row, [(col, val), ...]).
+    `slots` holds (reverse, off, tap) per stencil slot, in slot order: row
+    i reads v[i + off] (even powers and the shift) or v[d-1-i + off] (odd
+    powers), where that column is in range.  `parts` holds (reverse, taps,
+    start) per parity for `apply`: the correlation of v, padded with `head`
+    and `tail` zeros, read from `start` on, gives every row its taps.  The
+    edge rows, where the powers meet the boundary, hold values of their
+    own, listed in `edges` as (row, [(col, val), ...]) over their in-range
+    slots in slot order.
     """
 
     parts: list[tuple[bool, np.ndarray, int]]
@@ -251,84 +249,48 @@ class _TapKernel(NamedTuple):
     edges: list[tuple[int, list[tuple[int, float]]]]
 
 
-def _tap_kernel(op: StructuredOperator) -> _TapKernel | None:
-    """Read the taps of a Z-polynomial stencil off its middle column.
+def _tap_kernel(layout: list[tuple[bool, int]], vals: np.ndarray, dim: int) -> _TapKernel:
+    """The taps and edge rows of a row stencil (`_z_stencil`) at dimension dim.
 
-    A polynomial's stencil is made of windows (`_window`): row i of a slot
-    reads column i + off (even powers and the shift) or d-1-i + off (odd
-    powers) wherever that column is in range, and a padding slot, holding 0,
-    the clipped one.  So the middle two rows give each slot's direction and
-    offset, and the middle row its tap.  A row is regular when each in-range
-    slot holds its tap and each padding slot sits where the correlation
-    reads the zero padding; every other row is an edge row.  Within a parity
-    the taps lie in slot order, so a regular row of a single-parity power
-    sum is summed as the gather sums it; slots at one offset (the diagonal
-    slot of `shifted_scaled`) share one tap, and the two parities are summed
-    apart, which moves a row by a few ulps of its absolute sum.  None when
-    the stencil has no such form, or its values differ from the taps in more
-    than 2w rows.
+    The stencil's middle row holds the taps, and its other rows are the
+    operator's first and last rows (`_widen`).  A row is regular when each
+    in-range slot holds its tap (the others hold 0, where the correlation
+    reads zero padding); every other row is an edge row.  Within a parity
+    the taps lie in slot order, and np.correlate sums a kernel of up to 11
+    taps in that order (numpy 2.4), so a regular row of a single-parity
+    power sum of degree up to 10 is summed as the stencil's gather sums it;
+    longer kernels, and the two parities summed apart, move a row by a few
+    ulps of its absolute sum.  An edge row skips its out-of-range slots,
+    each 0 * v[c] at a column c that an in-range slot of the row reads too,
+    so skipping it can change only the sign of a zero sum, and a non-finite
+    v[c] still shows.
     """
-    cols, vals = op.cols, op.vals
-    w, d = cols.shape
-    if 2 * w >= d:
-        return None
-    mid = d // 2
-    slots = []  # (reverse, off, tap) in slot order
-    for col, after, tap in zip(cols[:, mid].tolist(), cols[:, mid + 1].tolist(), vals[:, mid].tolist()):
-        if abs(after - col) != 1:
-            return None
-        reverse = after < col
-        slots.append((reverse, col - (d - 1 - mid if reverse else mid), tap))
-    # only rows whose values differ from the taps can be edge rows; they lie
-    # where the powers meet the boundary, so there are few of them
-    rows = np.flatnonzero((vals != vals[:, mid : mid + 1]).any(0))
-    if rows.size > 2 * w:
-        return None
-    # an edge row skips its padding slots: each adds 0 * v[c] for a column c
-    # that an in-range slot of the row reads too, so skipping it can change
-    # only the sign of a zero sum, and a non-finite v[c] still shows
+    n = vals.shape[1]
+    mid = n // 2
+    taps = vals[:, mid]
+    slots = [(reverse, off, tap) for (reverse, off), tap in zip(layout, taps.tolist())]
     edges = []
-    for row, row_cols, row_vals in zip(rows.tolist(), cols[:, rows].T.tolist(), vals[:, rows].T.tolist()):
+    # only rows whose values differ from the taps can be edge rows
+    for r in np.flatnonzero((vals != taps[:, None]).any(0)).tolist():
+        row = r if r < mid else r + dim - n
         regular, kept = True, []
-        for (reverse, off, tap), col, val in zip(slots, row_cols, row_vals):
-            target = (d - 1 - row if reverse else row) + off
-            if 0 <= target < d:
+        for (reverse, off, tap), val in zip(slots, vals[:, r].tolist()):
+            col = (dim - 1 - row if reverse else row) + off
+            if 0 <= col < dim:
                 regular &= val == tap
-                kept.append((col, val))
-            elif val != 0.0:  # not a padding slot: the value is the row's own
-                regular = False
                 kept.append((col, val))
         if not regular:
             edges.append((row, kept))
     parts = []
-    offs = [off for _, off, _ in slots]
+    offs = [off for _, off in layout]
     head, tail = max(0, -min(offs)), max(0, max(offs))
     for parity in (False, True):
         mine = [(off, tap) for reverse, off, tap in slots if reverse == parity]
         if mine:
-            first, last = min(off for off, _ in mine), max(off for off, _ in mine)
-            kernel = [0.0] * (last - first + 1)
-            for off, tap in mine:  # slots at one offset are summed in slot order
-                kernel[off - first] += tap
-            parts.append((parity, np.array(kernel), tail - last if parity else head + first))
+            first, last = mine[0][0], mine[-1][0]
+            kernel = np.array([tap for _, tap in mine])
+            parts.append((parity, kernel, tail - last if parity else head + first))
     return _TapKernel(parts, head, tail, slots, edges)
-
-
-def _window(start: np.ndarray, width: int) -> np.ndarray:
-    """Columns start[i] .. start[i] + width - 1 of each row, clipped into range."""
-    dim = start.shape[0]
-    # minimum/maximum: np.clip costs several times more on stencil-sized arrays
-    return np.minimum(np.maximum(start + np.arange(width)[:, None], 0), dim - 1)
-
-
-def shifted_scaled(base: StructuredOperator, scale: float, shift: float) -> StructuredOperator:
-    """scale * base + shift * I: the base stencil scaled, with a diagonal slot appended."""
-    cols = np.vstack([base.cols, np.arange(base.dim)])
-    vals = np.vstack([scale * base.vals, np.full(base.dim, float(shift))])
-    flavor, coeffs = base.poly
-    scaled = {p: scale * c for p, c in coeffs.items()}
-    scaled[0] = scaled.get(0, 0.0) + float(shift)
-    return StructuredOperator("shifted-scaled", cols, vals, (flavor, scaled))
 
 
 @functools.lru_cache(maxsize=64)
@@ -337,9 +299,11 @@ def _z_table(flavor: str, dim: int, power: int) -> np.ndarray:
 
     Entry [k, i] sits at column start + k of row i, where the window starts
     at i - power/2 for an even power, and for an odd power at
-    (d-1-i) - (power-1)/2 (scsc) or one column earlier (csc).  Built by the
-    row recurrence of Z^p = Z Z^(p-1): scsc row i of Z M is
-    M[d-1-i] - M[d-i], csc row i is M[d-2-i] - M[d-1-i].
+    (d-1-i) - (power-1)/2 (scsc) or one column earlier (csc); an entry at a
+    column out of range is 0.  Built by the row recurrence of
+    Z^p = Z Z^(p-1): scsc row i of Z M is M[d-1-i] - M[d-i], csc row i is
+    M[d-2-i] - M[d-1-i].  Called only at dimensions set by the degree
+    (`StructuredOperator._stencil`), so the cache stays small.
     """
     if power == 0:
         table = np.ones((1, dim))
@@ -359,75 +323,74 @@ def _z_table(flavor: str, dim: int, power: int) -> np.ndarray:
 
 
 def _z_stencil(
-    flavor: str, dim: int, weights: Mapping[int, float], shift: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stencil of shift * I + sum_p weights[p] * Z^p, one fixed window per parity.
+    flavor: str, dim: int, coeffs: Mapping[int, float]
+) -> tuple[list[tuple[bool, int]], np.ndarray]:
+    """Values of sum_p coeffs[p] Z^p (power 0 the shift) on one fixed window per parity.
 
-    The even powers and the shift share the window i-k..i+k (k the largest
-    even power over 2); the odd powers share the window of the largest odd
-    power.  Within a window the shift is placed first and the weighted powers
-    are added in ascending order, so each entry of a one-parity sum is
-    rounded exactly as in the accumulation shift*I + c_p Z^p + ... .
+    Returns each slot's (reverse, off) and the read-only values, shape
+    (w, dim): slot k of row i sits at column i + off, or d-1-i + off when
+    reversed, and holds 0 where that column is out of range.  The
+    even powers and the shift share the window i-k..i+k (k the largest even
+    power over 2); the odd powers share the window of the largest odd power,
+    (d-1-i)-k..(d-1-i)+k+1 (scsc; one column earlier for csc).  Within a
+    window the shift is placed first and the weighted powers are added in
+    ascending order, so each entry of a one-parity sum is rounded exactly as
+    in the accumulation shift*I + c_p Z^p + ... .
     """
-    if flavor not in ("scsc", "csc"):
-        raise ValueError(f"unknown flavor {flavor!r}")
-    _check_dim(dim)
-    rows = np.arange(dim)
-    blocks = []
+    shift = coeffs.get(0, 0.0)
+    layout, blocks = [], []
     for parity in (0, 1):
-        powers = [p for p in sorted(weights) if p % 2 == parity]
+        powers = [p for p in sorted(coeffs) if p and p % 2 == parity]
         if not powers and (parity or shift == 0.0):
             continue
         half = max(powers, default=0) // 2
         vals = np.zeros((2 * half + 1 + parity, dim))
         if parity == 0:
             vals[half] = shift
-            start = rows - half
-        else:
-            start = (dim - 1 - rows) - half - (flavor == "csc")
         for p in powers:
             off = half - p // 2
-            vals[off : off + p + 1] += weights[p] * _z_table(flavor, dim, p)
-        blocks.append((_window(start, vals.shape[0]), vals))
+            vals[off : off + p + 1] += coeffs[p] * _z_table(flavor, dim, p)
+        first = -half - (parity and flavor == "csc")
+        layout += [(bool(parity), first + k) for k in range(vals.shape[0])]
+        blocks.append(vals)
     if not blocks:  # the zero operator
-        return rows[None, :], np.zeros((1, dim))
-    cols, vals = zip(*blocks)
-    return np.vstack(cols), np.vstack(vals)
+        layout, blocks = [(False, 0)], [np.zeros((1, dim))]
+    vals = blocks[0] if len(blocks) == 1 else np.vstack(blocks)
+    vals.flags.writeable = False
+    return layout, vals
+
+
+def _widen(vals: np.ndarray, dim: int) -> np.ndarray:
+    """Stencil values of shape (w, n) as those of dimension dim >= n: the middle row repeated."""
+    n = vals.shape[1]
+    if n == dim:
+        return vals
+    mid = n // 2
+    middle = np.repeat(vals[:, mid : mid + 1], dim - n, axis=1)
+    return np.concatenate([vals[:, :mid], middle, vals[:, mid:]], axis=1)
 
 
 def anti_banded_z(flavor: str, dim: int) -> StructuredOperator:
-    """The +-1 anti-banded coupling operator, in either flavor.
+    """The +-1 anti-banded coupling operator, in either flavor: the power sum Z^1.
 
     scsc: entry 1 on the main anti-diagonal (i+j = dim-1, 0-based) and -1 just
     below it (i+j = dim).  csc: entry 1 on i+j = dim-2 and -1 on i+j = dim-1.
     Both are symmetric and invertible; their squares are tridiagonal.
     """
-    return StructuredOperator(
-        f"anti-banded-Z-{flavor}", *_z_stencil(flavor, dim, {1: 1.0}, 0.0), (flavor, {1: 1.0})
-    )
+    return z_power_sum(flavor, dim, {1: 1.0})
 
 
 def z_power_sum(
     flavor: str, dim: int, coeffs: Mapping[int, float], shift: float = 0.0
 ) -> StructuredOperator:
-    """sum_p coeffs[p] * Z^p + shift * I with Z the anti-banded operator.
-
-    The stencil is built from the cached integer windows of the powers of Z,
-    never from a dense form.
-    """
+    """sum_p coeffs[p] * Z^p + shift * I with Z the anti-banded operator."""
     powers = sorted(p for p, c in coeffs.items() if c != 0.0)
     if powers and powers[0] < 1:
         raise ValueError("powers must be >= 1; the identity term is the shift")
-    weights = {p: float(coeffs[p]) for p in powers}
-    label = "+".join(f"{weights[p]:g}*Z^{p}" for p in powers)
-    poly = dict(weights)
+    poly = {p: float(coeffs[p]) for p in powers}
     if shift != 0.0:
         poly[0] = float(shift)
-    return StructuredOperator(
-        f"z-power-sum({flavor}:{label};shift={shift:g})",
-        *_z_stencil(flavor, dim, weights, float(shift)),
-        (flavor, poly),
-    )
+    return StructuredOperator(flavor, dim, poly)
 
 
 def solve_dense(op: StructuredOperator, rhs: np.ndarray) -> np.ndarray:
@@ -457,21 +420,16 @@ def solve_dense(op: StructuredOperator, rhs: np.ndarray) -> np.ndarray:
 
 
 def band_form(op: StructuredOperator) -> np.ndarray | None:
-    """The lower bands of a banded operator, or None when its stencil is not banded.
+    """The lower bands of a power sum of even powers, or None when it has odd powers.
 
-    A stencil is banded when row i holds the window of columns i-w..i+w, the
-    form of a power sum of even powers only.  A power sum with odd powers,
-    and a `shifted_scaled` copy (its appended diagonal slot), have none.
-    Row m of the result holds the entries A[i, i-m] (zero for i < m), read
-    from the stencil without a copy.
+    Its row stencil is the window of columns i-w..i+w of each row i, so row
+    m of the stencil's first w+1 rows, reversed, holds the entries A[i, i-m]
+    (zero for i < m).  A view of the stencil widened to dim rows.
     """
-    rows = op.cols.shape[0]
-    if rows % 2 == 0:
+    if any(p % 2 for p in op.poly[1]):
         return None
-    w = rows // 2
-    if not np.array_equal(op.cols, _window(np.arange(op.dim) - w, rows)):
-        return None
-    return op.vals[w::-1]
+    vals = _widen(op._stencil()[1], op.dim)
+    return vals[vals.shape[0] // 2 :: -1]
 
 
 def _scan_levels(coef: np.ndarray) -> list[np.ndarray]:
@@ -747,7 +705,7 @@ class BandedLDL:
 
 
 def _lower_bands(op: StructuredOperator) -> np.ndarray:
-    """`band_form(op)`; CapabilityError when the stencil has no band form."""
+    """`band_form(op)`; CapabilityError when the operator has odd powers."""
     lower = band_form(op)
     if lower is None:
         raise CapabilityError(f"{op.kind} has no band form to factor")
@@ -755,10 +713,9 @@ def _lower_bands(op: StructuredOperator) -> np.ndarray:
 
 
 def banded_ldl(op: StructuredOperator) -> BandedLDL:
-    """Factor a symmetric positive definite power sum of even powers in place, O(d w^2).
+    """Factor a symmetric positive definite power sum of even powers, O(d w^2).
 
-    An operator without a band form (odd powers, a `shifted_scaled` copy)
-    raises CapabilityError.
+    An operator with odd powers has no band form and raises CapabilityError.
     """
     return BandedLDL(_lower_bands(op))
 

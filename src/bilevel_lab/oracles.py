@@ -257,10 +257,13 @@ class QuadraticBilevelOracle:
         if "cleared" not in self._cache:
             flavor, (h, j, a_xx, a_xy, a_yy) = _z_polynomials(self.h_op, self.j_op, self.outer)
             coeffs = _poly_sum((1.0, h, h, a_xx), (-2.0, h, a_xy, j), (1.0, a_yy, j, j))
+            odd = sorted(p for p in coeffs if p % 2)
+            if odd:
+                raise CapabilityError(
+                    f"the cleared stationarity system has odd powers {odd} of Z and is not banded"
+                )
             shift = coeffs.pop(0, 0.0)
             p_op = linalg.z_power_sum(flavor, self.p, coeffs, shift)
-            if linalg.band_form(p_op) is None:
-                raise CapabilityError(f"the cleared stationarity system {p_op.kind} is not banded")
             self._cache["cleared"] = (p_op, self._cleared_rhs())
         return self._cache["cleared"]
 

@@ -374,7 +374,8 @@ def regularize_convex(
     """Add an (eps / 2R) ||x||^2 ridge to the outer objective.
 
     The wrapped oracle is mu_x = eps/R strongly convex in x with L_x shifted
-    by the same amount; the inner problem and its exact surface are untouched.
+    by the same amount: the ridge is added to the shift of A_xx, a power
+    sum in Z again.  The inner problem and its exact surface are untouched.
     """
     if eps <= 0 or R <= 0:
         raise InvariantViolationError("eps and R must be positive")
@@ -382,7 +383,10 @@ def regularize_convex(
     new_constants = dataclasses.replace(
         oracle.constants, mu_x=ridge, L_x=oracle.constants.L_x + ridge
     )
-    a_xx = linalg.shifted_scaled(oracle.outer.a_xx, 1.0, ridge)
+    flavor, coeffs = oracle.outer.a_xx.poly
+    a_xx = linalg.StructuredOperator(
+        flavor, oracle.outer.a_xx.dim, {**coeffs, 0: coeffs.get(0, 0.0) + ridge}
+    )
     new_outer = dataclasses.replace(oracle.outer, a_xx=a_xx)
     return QuadraticBilevelOracle(
         oracle.h_op,

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib.util
 import json
 import os
@@ -46,6 +47,22 @@ class TestRunVerb:
         assert main(["run", cfg]) == 0
         lines = (tmp_path / "out" / "trace.csv").read_text().strip().splitlines()
         assert len(lines) == 12  # header + initial record + 10 iterations
+
+    def test_main_calls_parse_independently(self, tmp_path):
+        """The parser is built once, and each main call parses its own verb and flags.
+
+        A --seed and --tau-cost given to a sweep do not reach the run after it.
+        """
+        assert cli.make_parser() is cli.make_parser()
+        doc = minimal_run_config(tmp_path / "unused", K=4)
+        doc["sweep"] = {"axis": "d", "values": [4, 6]}
+        sweep = ["sweep", write_config(tmp_path / "s.json", doc), "--out", str(tmp_path / "s")]
+        assert main(sweep + ["--seed", "7", "--tau-cost", "3"]) == 0
+        run = ["run", write_config(tmp_path / "r.json", minimal_run_config(tmp_path / "unused"))]
+        assert main(run + ["--out", str(tmp_path / "r")]) == 0
+        for out, seed, tau_cost in (("s/point_00", 7, 3.0), ("r", 3, 2.0)):
+            resolved = json.loads((tmp_path / out / "resolved_config.json").read_text())
+            assert (resolved["seed"], resolved["solver_resolved"]["tau_cost"]) == (seed, tau_cost)
 
     def test_benchmark_run_reaches_target(self, tmp_path):
         doc = {
@@ -317,55 +334,40 @@ def perfbench_workloads():
 
 
 class TestTapKernelGuard:
-    """From TAP_DIM on, every polynomial in Z applies by its taps, never by the gather.
+    """Above SMALL_DIM every polynomial in Z applies by its taps, and none densifies.
 
-    Taps are derived on first apply, so an operator that is only factored
-    (the minimizer's, the cleared system's) never derives them.
+    At d <= SMALL_DIM an operator applies by the dense form it builds at
+    construction; above, by the taps it derives on first use, with no
+    dense form, and `to_dense` is never called.
     """
 
     @pytest.fixture()
     def watch(self, monkeypatch):
-        seen = {"derived": [], "applied": [], "factored": []}
-        tap_kernel, banded_ldl = linalg._tap_kernel, linalg.banded_ldl
-        apply, apply_block = linalg.StructuredOperator.apply, linalg.StructuredOperator.apply_block
+        applied = []
+        op = linalg.StructuredOperator
+        apply, apply_block, to_dense = op.apply, op.apply_block, op.to_dense
 
-        def guarded(gather):
-            def guard(op, x):
-                if op.dim >= linalg.TAP_DIM:
-                    raise AssertionError(f"{op.kind} of dim {op.dim} took the gather")
-                return gather(op, x)
+        def checked(kernel):
+            def spy(self, x):
+                out = kernel(self, x)
+                applied.append(self)  # kept alive, so ids stay distinct
+                if self.dim > linalg.SMALL_DIM:
+                    assert self._matrix is None and "_taps" in vars(self), self.kind
+                else:
+                    assert self._matrix is not None, self.kind
+                return out
 
-            return guard
+            return spy
 
-        def spy_tap_kernel(op):
-            seen["derived"].append(op)  # kept alive, so ids stay distinct
-            return tap_kernel(op)
+        def spy_to_dense(self):
+            if self.dim > linalg.SMALL_DIM:
+                raise AssertionError(f"{self.kind} of dim {self.dim} densified")
+            return to_dense(self)
 
-        def spy_banded_ldl(op):
-            seen["factored"].append(op)
-            return banded_ldl(op)
-
-        def spy_apply(self, v):
-            seen["applied"].append(self)
-            return apply(self, v)
-
-        def spy_apply_block(self, block):
-            seen["applied"].append(self)
-            return apply_block(self, block)
-
-        monkeypatch.setattr(linalg, "_gather", guarded(linalg._gather))
-        monkeypatch.setattr(linalg, "_gather_block", guarded(linalg._gather_block))
-        monkeypatch.setattr(linalg, "_tap_kernel", spy_tap_kernel)
-        monkeypatch.setattr(linalg, "banded_ldl", spy_banded_ldl)
-        monkeypatch.setattr(linalg.StructuredOperator, "apply", spy_apply)
-        monkeypatch.setattr(linalg.StructuredOperator, "apply_block", spy_apply_block)
-        return seen
-
-    @staticmethod
-    def _check(seen):
-        applied = {id(op) for op in seen["applied"]}
-        assert seen["derived"] and all(id(op) in applied for op in seen["derived"])
-        return [op for op in seen["factored"] if id(op) not in applied]
+        monkeypatch.setattr(op, "apply", checked(apply))
+        monkeypatch.setattr(op, "apply_block", checked(apply_block))
+        monkeypatch.setattr(op, "to_dense", spy_to_dense)
+        return applied
 
     @pytest.mark.parametrize(
         # in five steps no sweep point reaches eps, but every point runs, so that sweep exits 0
@@ -379,22 +381,57 @@ class TestTapKernelGuard:
             # d = 32 applies densely; a few outer steps show that as well as 600
             doc["solver"]["K"] = 5
         assert main([workload.verb, write_config(tmp_path / "c.json", doc)]) == code
-        if workload.verb == "sweep":
-            assert not watch["derived"]
-            return
-        factored_only = self._check(watch)
-        assert factored_only and all(op.dim >= linalg.TAP_DIM for op in factored_only)
+        above = [op for op in watch if op.dim > linalg.SMALL_DIM]
+        assert watch and bool(above) == (workload.verb != "sweep")
 
-    @pytest.mark.parametrize("instance,extra", Z_FAMILY_RUNS[2:], ids=Z_FAMILY_IDS[2:])
+    @pytest.mark.parametrize("instance,extra", Z_FAMILY_RUNS, ids=Z_FAMILY_IDS)
     def test_runs_above_the_switch(self, tmp_path, watch, instance, extra):
         doc = minimal_run_config(tmp_path / "out", K=3)
-        doc["instance"] = {**instance, "d": linalg.TAP_DIM + 1}
+        doc["instance"] = {**instance, "d": linalg.SMALL_DIM + 1}
         doc["solver"].update(extra)
         assert main(["run", write_config(tmp_path / "c.json", doc)]) == 0
-        self._check(watch)
+        assert watch and all(op.dim > linalg.SMALL_DIM for op in watch)
 
 
 SHIPPED_CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
+ARTIFACT_DIGESTS = Path(__file__).resolve().parent / "artifact_digests.json"
+
+
+def artifact_digests(root: Path, prefix: str) -> dict[str, str]:
+    """The SHA-256 of every file under root, keyed by prefix/<path relative to root>."""
+    return {
+        f"{prefix}/{path.relative_to(root).as_posix()}": hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def recorded_digests(prefix: str) -> dict[str, str]:
+    """The digests in tests/artifact_digests.json of the files under prefix/."""
+    recorded = json.loads(ARTIFACT_DIGESTS.read_text())
+    return {key: digest for key, digest in recorded.items() if key.startswith(prefix + "/")}
+
+
+class TestArtifactDigests:
+    """Every file the shipped configs write is byte-identical to its recorded SHA-256.
+
+    tests/artifact_digests.json holds the digests of the files that `run`
+    of benchmark_run.json, `sweep` of kappa_sweep.json and `verify-lb` of
+    lower_bound_battery.json at seeds 0, 5 and 11 write.  The sweep's and
+    the battery's are checked on the runs their tests make anyway
+    (TestSweepVerb.test_shipped_sweep_records_no_negative_gap,
+    TestVerifyLbVerb.test_shipped_battery_is_consistent_at_each_seed), so
+    the digests add about 0.1 s to the suite, the `run` here.  A refactor
+    must leave every digest as it is, which makes its byte-identical
+    trace.csv and counters a check; a change that means to move a bit
+    re-records them and says why.  The digests are for numpy 2.4 with
+    OpenBLAS on x86-64: another numpy or BLAS may round differently.
+    """
+
+    def test_shipped_run_artifacts(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["run", str(SHIPPED_CONFIGS / "benchmark_run.json"), "--out", str(out)]) == 0
+        assert artifact_digests(out, "run") == recorded_digests("run")
 
 
 class TestConfigKeys:
@@ -664,6 +701,7 @@ class TestSweepVerb:
                 gaps = [float(rec["phi_gap"]) for rec in csv.DictReader(fh)]
             assert len(gaps) == doc["solver"]["K"] + 1
             assert min(gaps) >= 0.0
+        assert artifact_digests(tmp_path / "out", "sweep") == recorded_digests("sweep")
 
     def test_point_at_zero_complexity_writes_strict_json(self, tmp_path):
         # decoupled starts at its minimizer, so each point reaches eps at complexity 0
@@ -1054,6 +1092,8 @@ class TestVerifyLbVerb:
         report = json.loads((tmp_path / "out" / "lower_bound_report.json").read_text())
         item = report["items"]["scsc_hypergradient_consistency"]
         assert item["passed"] and item["max_deviation"] <= 1e-6
+        prefix = f"verify-lb-seed{seed}"
+        assert artifact_digests(tmp_path / "out", prefix) == recorded_digests(prefix)
 
 
 class TestReportVerb:

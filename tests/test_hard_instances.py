@@ -15,6 +15,7 @@ from bilevel_lab import (
     csc_rstar,
     instance_from_json,
     instance_to_json,
+    linalg,
     scsc_feasible_dimension,
     scsc_gap_floor,
 )
@@ -270,13 +271,20 @@ class TestTightScale:
         for _ in range(m // 2):
             column = stencils.apply_power(z, column, 2)
         residual = span_projection_residual(scsc, column, m)
-        # every scsc operator's tap kernels, against the gather
+        # every scsc operator's tap kernels and band form, and the minimizer's
+        # LDL' pivots, against the row stencil of tests/gather_reference.py
         gen = np.random.default_rng(0)
         v, block = gen.standard_normal(d), gen.standard_normal((d, 4))
         outer = scsc.oracle.outer
-        for op in (scsc.oracle.h_op, scsc.oracle.j_op, outer.a_xx, outer.a_xy, outer.a_yy):
+        minimizer = linalg.z_power_sum("scsc", d, {4: 1.0, 2: scsc.lam_coef}, shift=scsc.tau_coef)
+        for op in (scsc.oracle.h_op, scsc.oracle.j_op, outer.a_xx, outer.a_xy, outer.a_yy, minimizer):
             assert np.array_equal(op.apply(v), gather_reference.apply(op, v))
             assert np.array_equal(op.apply_block(block), gather_reference.apply_block(op, block))
+            lower, want = linalg.band_form(op), gather_reference.band_form(op)
+            assert (lower is None) == (want is None)
+            assert lower is None or lower.tobytes() == want.tobytes()
+        pivots = linalg.banded_ldl(minimizer).pivots
+        assert pivots.tobytes() == linalg.BandedLDL(gather_reference.band_form(minimizer)).pivots.tobytes()
         assert time.perf_counter() - start <= 30.0
         assert scsc.r > 0.9998
         assert np.linalg.norm(x_star - scsc.x_star_dense) <= 1e-6 * np.linalg.norm(x_star)

@@ -1,5 +1,7 @@
+import gc
 import inspect
 import traceback
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +23,6 @@ import scan_reference
 import stencils
 
 SMALL = linalg.SMALL_DIM
-TAP = linalg.TAP_DIM
 
 
 def _z_power_dense(flavor, d, power):
@@ -62,8 +63,7 @@ ONE_PARITY_SUMS = [
     ({5: 0.5, 3: -0.125, 1: 3.0}, 0.0),
 ]
 OPERATOR_KINDS = [
-    "z-scsc", "z-csc", "z-sum-scsc", "z-sum-csc", "shift-only", "zero",
-    "even-to-6", "odd-sum", "shifted-scaled", "shifted-scaled-odd",
+    "z-scsc", "z-csc", "z-sum-scsc", "z-sum-csc", "shift-only", "zero", "even-to-6", "odd-sum",
 ]
 # the power sums of the kinds above that take their flavor from the dimension
 KIND_SUMS = {
@@ -95,15 +95,10 @@ def _operator_and_reference(kind, d, gen):
             flavor, d, coeffs, shift
         )
     flavor = "csc" if d % 2 else "scsc"
-    if kind in KIND_SUMS:
-        coeffs, shift = KIND_SUMS[kind]
-        return linalg.z_power_sum(flavor, d, coeffs, shift), _power_sum_reference(
-            flavor, d, coeffs, shift
-        )
-    base_coeffs = {1: 1.0} if kind == "shifted-scaled-odd" else {2: 0.25}
-    base = linalg.z_power_sum(flavor, d, base_coeffs)
-    ref = 1.7 * _power_sum_reference(flavor, d, base_coeffs, 0.0) + -0.4 * np.eye(d)
-    return linalg.shifted_scaled(base, 1.7, -0.4), ref
+    coeffs, shift = KIND_SUMS[kind]
+    return linalg.z_power_sum(flavor, d, coeffs, shift), _power_sum_reference(
+        flavor, d, coeffs, shift
+    )
 
 
 class TestStencil:
@@ -237,7 +232,7 @@ class TestApply:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        kind=st.sampled_from(["z-poly", "even-sum", "odd-sum", "mixed-sum", "shifted"]),
+        kind=st.sampled_from(["z-poly", "even-sum", "odd-sum", "mixed-sum"]),
         d=st.integers(min_value=2, max_value=24),
         seed=st.integers(min_value=0, max_value=2**31),
     )
@@ -246,8 +241,6 @@ class TestApply:
         flavor = "scsc" if seed % 2 else "csc"
         if kind == "z-poly":
             op = linalg.z_power_sum(flavor, d, {1 + seed % 4: 1.0}, shift=0.3)
-        elif kind == "shifted":
-            op = linalg.shifted_scaled(linalg.anti_banded_z(flavor, d), 1.7, -0.4)
         else:  # random coefficients on the powers of one parity, or both
             powers = {"even-sum": (2, 4, 6), "odd-sum": (1, 3, 5), "mixed-sum": (1, 2, 5)}[kind]
             coeffs = dict(zip(powers, gen.standard_normal(3)))
@@ -258,23 +251,21 @@ class TestApply:
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
 
 
-# (label, coeffs, shift, scaled): polynomials in Z with powers up to 6; a
-# scaled case is the shifted_scaled copy 0.7 * op + 0.2 * I, as
-# `regularize_convex` makes them
+# (label, coeffs, shift): polynomials in Z with powers up to 6
 TAP_CASES = [
-    ("z", {1: 1.0}, 0.0, False),
-    ("even", {2: 1.5}, 0.3, False),
-    ("even-to-6", {2: 0.5, 4: -1.25, 6: 0.125}, 2.0, False),
-    ("odd", {1: 2.0, 3: -0.7}, 0.0, False),
-    ("odd-to-5", {1: -0.5, 5: 0.25}, 0.0, False),
-    ("mixed", {1: 1.0, 2: 0.5, 5: 0.25}, 0.1, False),
-    ("mixed-to-6", {3: 1.0, 6: -0.3}, 0.0, False),
-    ("shift-only", {}, 3.0, False),
-    ("scaled-even", {2: 1.5}, 0.3, True),
-    ("scaled-odd", {1: 2.0, 3: -0.7}, 0.0, True),
-    ("scaled-shift-only", {}, 3.0, True),
+    ("z", {1: 1.0}, 0.0),
+    ("even", {2: 1.5}, 0.3),
+    ("even-to-6", {2: 0.5, 4: -1.25, 6: 0.125}, 2.0),
+    ("odd", {1: 2.0, 3: -0.7}, 0.0),
+    ("odd-to-5", {1: -0.5, 5: 0.25}, 0.0),
+    ("mixed", {1: 1.0, 2: 0.5, 5: 0.25}, 0.1),
+    ("mixed-to-6", {3: 1.0, 6: -0.3}, 0.0),
+    ("shift-only", {}, 3.0),
+    ("zero", {}, 0.0),
 ]
-TAP_DIMS = [SMALL + 1, 100, TAP - 1, TAP, TAP + 1, TAP + 2, 257, 1024]
+# just above SMALL_DIM, one size between, and the sizes around 224, where the
+# gather once handed over to the taps
+TAP_DIMS = [65, 100, 223, 224, 225, 226, 257, 1024]
 ULPS = 4
 
 
@@ -289,83 +280,159 @@ def _tap_inputs(d, gen):
     return block
 
 
-class TestTapKernels:
-    """The tap kernels against the gathers in tests/gather_reference.py.
+def _pivots_or_error(factor):
+    """The pivots of a factorization, or the message of the SingularOperatorError it raises."""
+    try:
+        return factor().pivots
+    except SingularOperatorError as exc:
+        return str(exc)
 
-    Single-parity sums must match the gather's values bit for bit (equal
-    up to the sign of a zero); mixed-parity sums and scaled copies within
-    ULPS ulps of each row's absolute sum.  Edge rows, and every row of a
-    block, match its values in any case, and both are non-finite exactly
-    where the gather is.
+
+def _check_kernels(op, block, exact):
+    """`apply` and `apply_block` on every column of block, against the stencil's gathers.
+
+    `apply` matches bit for bit when `exact` (up to the sign of a zero), else
+    within ULPS ulps of each row's absolute sum; its edge rows and every row
+    of `apply_block` match bit for bit, and both are non-finite exactly where
+    the gather is.
+    """
+    edges = [row for row, _ in op._taps.edges]
+    for v in block.T:
+        out, ref = op.apply(v), gather_reference.apply(op, v)
+        finite = np.isfinite(ref)
+        assert np.array_equal(np.isfinite(out), finite)
+        err = np.abs(out - ref)[finite]
+        if exact:
+            assert np.all(err == 0.0)
+        else:
+            bound = ULPS * np.finfo(float).eps * gather_reference.abs_sum(op, v)[finite]
+            assert np.all(err <= bound)
+        at_edges = finite[edges]
+        assert np.array_equal(out[edges][at_edges], ref[edges][at_edges])
+    out, ref = op.apply_block(block), gather_reference.apply_block(op, block)
+    finite = np.isfinite(ref)
+    assert np.array_equal(np.isfinite(out), finite)
+    assert np.array_equal(out[finite], ref[finite])
+
+
+class TestTapKernels:
+    """The taps and edge rows against the row stencil in tests/gather_reference.py.
+
+    Every operator keeps its polynomial alone and derives taps and edge rows
+    from the powers of Z at a dimension set by its degree; the reference
+    rebuilds the whole stencil at the operator's dimension, as operators
+    once stored it.  Single-parity sums must match the gather's values bit
+    for bit (equal up to the sign of a zero), mixed-parity sums within ULPS
+    ulps of each row's absolute sum; `to_dense`, `band_form` and the LDL'
+    pivots must be those of the stencil to the bit.
     """
 
     @pytest.mark.parametrize("d", TAP_DIMS)
-    @pytest.mark.parametrize("label,coeffs,shift,scaled", TAP_CASES, ids=[c[0] for c in TAP_CASES])
+    @pytest.mark.parametrize("label,coeffs,shift", TAP_CASES, ids=[c[0] for c in TAP_CASES])
     @pytest.mark.parametrize("flavor", ["scsc", "csc"])
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
-    def test_kernels_match_the_gather(self, flavor, label, coeffs, shift, scaled, d):
+    def test_kernels_match_the_gather(self, flavor, label, coeffs, shift, d):
         op = linalg.z_power_sum(flavor, d, coeffs, shift)
-        if scaled:
-            op = linalg.shifted_scaled(op, 0.7, 0.2)
         powers = set(op.poly[1])
-        exact = not scaled and (powers <= {0, 2, 4, 6} or powers <= {1, 3, 5})
-        block = _tap_inputs(d, np.random.default_rng(d))
-        taps = op._taps
-        assert (taps is not None) == (d >= TAP)
-        edges = [row for row, _ in taps.edges] if taps is not None else []
-        assert len(edges) <= 2 * op.cols.shape[0]
+        exact = powers <= {0, 2, 4, 6} or powers <= {1, 3, 5}
+        assert len(op._taps.edges) <= 2 * len(op._taps.slots)
+        _check_kernels(op, _tap_inputs(d, np.random.default_rng(d)), exact)
 
-        for v in block.T:
-            out, ref = op.apply(v), gather_reference.apply(op, v)
-            finite = np.isfinite(ref)
-            assert np.array_equal(np.isfinite(out), finite)
-            err = np.abs(out - ref)[finite]
-            if exact:
-                assert np.all(err == 0.0)
-            else:
-                bound = ULPS * np.finfo(float).eps * gather_reference.abs_sum(op, v)[finite]
-                assert np.all(err <= bound)
-            at_edges = finite[edges]
-            assert np.array_equal(out[edges][at_edges], ref[edges][at_edges])
+    @pytest.mark.parametrize("d", TAP_DIMS)
+    @pytest.mark.parametrize("label,coeffs,shift", TAP_CASES, ids=[c[0] for c in TAP_CASES])
+    @pytest.mark.parametrize("flavor", ["scsc", "csc"])
+    def test_dense_and_band_forms_are_the_stencils(self, flavor, label, coeffs, shift, d):
+        op = linalg.z_power_sum(flavor, d, coeffs, shift)
+        assert _bitwise_equal(op.to_dense(), gather_reference.to_dense(op))
+        lower, want = linalg.band_form(op), gather_reference.band_form(op)
+        assert (lower is None) == (want is None)
+        if lower is not None:
+            assert _bitwise_equal(lower, want)
+            got, ref = _pivots_or_error(lambda: linalg.banded_ldl(op)), _pivots_or_error(
+                lambda: linalg.BandedLDL(want)
+            )
+            assert got == ref if isinstance(ref, str) else _bitwise_equal(got, ref)
 
-        out, ref = op.apply_block(block), gather_reference.apply_block(op, block)
-        finite = np.isfinite(ref)
-        assert np.array_equal(np.isfinite(out), finite)
-        assert np.array_equal(out[finite], ref[finite])
+    @pytest.mark.parametrize("flavor", ["scsc", "csc"])
+    @pytest.mark.parametrize("degree", range(1, 11))
+    def test_the_widened_stencil_is_the_operators_own(self, flavor, degree):
+        """Built at 4 deg + 9 rows and widened, the stencil is the one built at the operator's dimension."""
+        coeffs = {degree: 0.75, 1 + degree % 2: -1.5}
+        n = 4 * degree + 9
+        for d in (n - 1, n, n + 1, n + 2, 2 * n, 5 * n + 3):
+            op = linalg.z_power_sum(flavor, d, coeffs, shift=0.25)
+            assert _bitwise_equal(linalg._widen(op._stencil()[1], d), gather_reference.stencil(op)[1])
+
+    @pytest.mark.parametrize("flavor", ["scsc", "csc"])
+    @pytest.mark.parametrize("d", [65, 100])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_a_degree_with_no_interior_applies_by_its_edge_rows(self, flavor, d):
+        """Degree 40 at d below 4 deg + 9: the stencil is the operator's own, over a third of it edge rows.
+
+        A kernel of 41 taps is not summed in tap order by np.correlate, so
+        even this single-parity sum matches within ULPS ulps of each row.
+        """
+        op = linalg.z_power_sum(flavor, d, {40: 1e-3, 2: 1.0}, shift=0.5)
+        assert len(op._taps.edges) > d // 3
+        _check_kernels(op, _tap_inputs(d, np.random.default_rng(d)), exact=False)
+        assert _bitwise_equal(op.to_dense(), gather_reference.to_dense(op))
+        assert _bitwise_equal(linalg.band_form(op), gather_reference.band_form(op))
 
     def test_taps_are_derived_once_on_first_apply(self, monkeypatch):
         derived = []
         tap_kernel = linalg._tap_kernel
 
-        def spy(op):
-            derived.append(op)
-            return tap_kernel(op)
+        def spy(layout, vals, dim):
+            derived.append(dim)
+            return tap_kernel(layout, vals, dim)
 
         monkeypatch.setattr(linalg, "_tap_kernel", spy)
-        op = linalg.z_power_sum("scsc", TAP, {2: 1.0}, 0.5)
+        d = SMALL + 1
+        op = linalg.z_power_sum("scsc", d, {2: 1.0}, 0.5)
         linalg.banded_ldl(op)
-        assert derived == []
-        op.apply(np.ones(TAP))
-        op.apply_block(np.ones((TAP, 2)))
-        assert derived == [op]
+        op.to_dense()
+        assert derived == []  # factored or densified, an operator needs no taps
+        op.apply(np.ones(d))
+        op.apply_block(np.ones((d, 2)))
+        assert derived == [d]
+        small = linalg.z_power_sum("scsc", SMALL, {2: 1.0}, 0.5)
+        small.apply(np.ones(SMALL))
+        small.apply_block(np.ones((SMALL, 2)))
+        assert derived == [d]  # its dense form applies it
 
-    @pytest.mark.parametrize(
-        "d,gathers", [(SMALL, False), (SMALL + 1, True), (TAP - 1, True), (TAP, False)]
-    )
-    def test_only_dimensions_between_small_and_tap_take_the_gather(self, d, gathers, monkeypatch):
-        gathered = []
-        gather, gather_block = linalg._gather, linalg._gather_block
-        monkeypatch.setattr(linalg, "_gather", lambda op, v: gathered.append(op) or gather(op, v))
-        monkeypatch.setattr(
-            linalg, "_gather_block", lambda op, b: gathered.append(op) or gather_block(op, b)
-        )
-        op = linalg.z_power_sum("scsc", d, {2: 1.0}, shift=0.5)
-        v = np.random.default_rng(0).standard_normal(d)
-        out, out_block = op.apply(v), op.apply_block(v[:, None])
-        assert gathered == ([op, op] if gathers else [])
-        if gathers:
-            assert np.array_equal(out, gather_reference.apply(op, v))
-            assert np.array_equal(out_block, gather_reference.apply_block(op, v[:, None]))
+    def test_the_table_dimension_is_set_by_the_degree(self, monkeypatch):
+        dims = []
+        z_table = linalg._z_table.__wrapped__
+
+        def spy(flavor, dim, power):
+            dims.append(dim)
+            return z_table(flavor, dim, power)
+
+        monkeypatch.setattr(linalg, "_z_table", spy)
+        for d in (SMALL + 1, 1024, 100_000):
+            dims.clear()
+            linalg.z_power_sum("csc", d, {4: 1.0, 2: 0.5}, shift=0.1).apply(np.ones(d))
+            assert set(dims) == {4 * 4 + 9}
+
+    def test_memory_held_by_an_applied_operator(self):
+        """Under 1 MB held after a d = 100 000 operator is built and applied, by it and linalg's caches.
+
+        A stored (w, d) row stencil of its five slots would hold 8 MB, and
+        the powers of Z at that dimension another 12 MB.
+        """
+        d = 100_000
+        v, block = np.ones(d), np.ones((d, 2))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            op = linalg.z_power_sum("scsc", d, {4: 1.0, 2: 0.5}, shift=0.1)
+            out, out_block = op.apply(v), op.apply_block(block)
+            del out, out_block
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert op.dim == d and held < 1_000_000
 
 
 def _shift_only(d, shift=1.0):
@@ -509,15 +576,28 @@ class TestBandedLDL:
         linalg.anti_banded_z("scsc", 8),
         linalg.z_power_sum("csc", 8, {3: 1.0, 1: 2.0}),
         linalg.z_power_sum("scsc", 8, {1: 0.5, 2: 1.0}, shift=3.0),
-        linalg.shifted_scaled(linalg.z_power_sum("scsc", 8, {2: 1.0}), 1.0, 2.5),
-    ], ids=["z", "odd-sum", "mixed", "shifted-scaled"])
+    ], ids=["z", "odd-sum", "mixed"])
     def test_operators_without_a_band_form_are_refused(self, op):
-        """Odd powers, or the appended diagonal slot of a shifted-scaled copy, leave no band form."""
+        """Odd powers leave no band form."""
         assert linalg.band_form(op) is None
         with pytest.raises(CapabilityError, match="no band form"):
             linalg.banded_ldl(op)
         with pytest.raises(CapabilityError, match="no band form"):
             linalg.spectrum_within(op, -10.0, 10.0)
+
+    @pytest.mark.parametrize("d", [8, 300])
+    def test_a_regularized_a_xx_factors(self, csc_constants, d):
+        """`regularize_convex` adds its ridge to the shift of A_xx, so the power sum stays banded."""
+        from bilevel_lab.hard_instances import build_csc
+        from bilevel_lab.solvers import regularize_convex
+
+        a_xx = regularize_convex(build_csc(d, csc_constants, B=1.0).oracle, 1e-2, 2.0).outer.a_xx
+        assert a_xx.poly[1][0] == 1e-2 / 2.0
+        assert linalg.banded_ldl(a_xx).pivots.min() > 0.0
+        lo, hi = np.linalg.eigvalsh(a_xx.to_dense())[[0, -1]]
+        assert linalg.spectrum_within(a_xx, lo - 1e-9, hi + 1e-9)
+        assert not linalg.spectrum_within(a_xx, lo + 1e-9, hi + 1e-9)
+        assert not linalg.spectrum_within(a_xx, lo - 1e-9, hi - 1e-9)
 
     @pytest.mark.parametrize("op,width", [
         (linalg.z_power_sum("scsc", 5, {}, shift=1.0), 0),
@@ -534,7 +614,7 @@ class TestBandedLDL:
             assert not lower[m, :m].any()
 
     @pytest.mark.parametrize("flavor", ["scsc", "csc"])
-    @pytest.mark.parametrize("d", [2, 5, SMALL, SMALL + 1, TAP, 1024])
+    @pytest.mark.parametrize("d", [2, 5, SMALL, SMALL + 1, 224, 1024])
     def test_apply_z_is_the_operator_apply(self, flavor, d):
         v = np.random.default_rng(d).standard_normal(d)
         v[::3] = 0.0

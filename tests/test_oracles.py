@@ -174,10 +174,10 @@ class TestFiniteDifferenceCheck:
             oracle = decoupled_oracle()
         elif which.startswith("full"):
             oracle = self._full_oracle(int(which.removeprefix("full")))
-        elif which == "scsc_mild65":  # above SMALL_DIM: gather kernels, scan solves
+        elif which == "scsc_mild65":  # above SMALL_DIM: tap kernels, scan solves
             oracle = build_scsc(65, mild_constants).oracle
-        elif which == "scsc_mild_tap":  # from TAP_DIM on: tap kernels, tiled scan solves
-            oracle = build_scsc(linalg.TAP_DIM, mild_constants).oracle
+        elif which == "scsc_mild_tap":  # tap kernels and tiled scan solves at a larger d
+            oracle = build_scsc(224, mild_constants).oracle
         else:
             oracle = request.getfixturevalue(which).oracle
         monkeypatch.setattr(oracles, "FD_BLOCK", block)  # 5 splits x into several blocks
@@ -191,7 +191,7 @@ class TestFiniteDifferenceCheck:
         g = exact_hypergradient(oracle, x)
         assert np.max(np.abs(fd - ref)) <= 1e-8 * (1.0 + np.max(np.abs(g)))
 
-    @pytest.mark.parametrize("d", [linalg.SMALL_DIM + 1, linalg.TAP_DIM])
+    @pytest.mark.parametrize("d", [linalg.SMALL_DIM + 1, 224])
     def test_block_size_moves_no_bit(self, d, mild_constants, monkeypatch):
         """Every column of a block is evaluated on its own, whatever the block width.
 
@@ -228,7 +228,7 @@ class TestOuterValues:
         )
 
     @pytest.mark.parametrize("k", [2, 33, 64])
-    @pytest.mark.parametrize("which", ["full6", "full65", f"full{linalg.TAP_DIM}", "p9q7"])
+    @pytest.mark.parametrize("which", ["full6", "full65", "full224", "p9q7"])
     def test_products_in_place_keep_every_bit(self, which, k):
         outer = self._outer(which)
         gen = np.random.default_rng(k)

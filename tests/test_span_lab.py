@@ -222,7 +222,7 @@ class TestSpanHead:
     @pytest.mark.parametrize("kind", ["scsc", "csc"])
     def test_chain_steps_touch_only_the_head(self, monkeypatch, mild_constants, csc_constants, kind):
         m = 30
-        d = 8 * m  # from TAP_DIM on, so the reference chain runs on the tap kernels
+        d = 8 * m  # above SMALL_DIM, so the reference chain runs on the tap kernels
         if kind == "scsc":
             instance = build_scsc(d, mild_constants)
         else:
