@@ -26,29 +26,30 @@ dense form (one scatter of the stencil widened to dim rows) and the band
 form.
 
 A power sum of even powers is banded (`band_form`); `BandedLDL` factors
-it once, O(d w^2), and an operator with odd powers, which has no band
-form, is refused with CapabilityError.  A tridiagonal factor above SMALL_DIM solves by recursive-doubling scans,
-O(d log d) in about 2 log2(d) vectorized steps.  A (d, k) block of
-right-hand sides scans all its columns at once, over the scan levels and
-pivots repeated across k columns (`BandedLDL._tiled`): built once per block
-width and kept on the factor, they make each step one element-wise pass over
-contiguous arrays instead of a column of coefficients broadcast across the
-block, and give every element the same product.  The scalar factor
-and solve loops run as straight-line kernels, one per band width, whose
-source is generated and compiled once per width (`_ldl_kernel`) the way
-`collections.namedtuple` builds its methods: each keeps the last w pivots
-and entries in locals instead of indexing the band rows, and performs the
-operations of the generic per-row loop in the same order, so pivots, L and
-solves are those of the generic loop to the bit.  The same factorization decides spectrum
-bounds by inertia (`spectrum_within`), `solve_z` inverts Z by a
-cumulative sum and `apply_z` applies it as one difference of slices of the
-reversed vector, so the anti-banded
-families never need a dense form above SMALL_DIM.  `solve_dense` and `symmetric_eig_extremes` remain as dense
+it, O(d w^2) at most, and an operator with odd powers, which has no band
+form, is refused with CapabilityError.  Above SMALL_DIM the factor stops
+where its rows repeat bit for bit, skips to the band's bottom edge and
+resumes there, and is stored as float64 head, limit and tail rows.  A
+tridiagonal factor above SMALL_DIM solves by recursive-doubling scans,
+O(d log d) in about 2 log2(d) vectorized steps; a (d, k) block of
+right-hand sides scans all its columns at once, over levels and pivots
+tiled across k columns (`BandedLDL._tiled`).  The scalar factor, the
+store-free inertia pass of `spectrum_within` and the scalar solve run as
+straight-line kernels, one per band width, whose source is generated and
+compiled once per width (`_ldl_kernel`) the way `collections.namedtuple`
+builds its methods: each keeps the last w pivots and entries in locals
+instead of indexing the band rows, and performs the operations of the
+generic per-row loop in the same order, so pivots, L and solves are those
+of the generic loop to the bit.  `solve_z` inverts Z by a cumulative sum
+and `apply_z` applies it as one difference of slices of the reversed
+vector, so the anti-banded families never need a dense form above
+SMALL_DIM.  `solve_dense` and `symmetric_eig_extremes` remain as dense
 references.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import linecache
 from typing import Callable, Mapping, NamedTuple
@@ -115,6 +116,7 @@ class StructuredOperator:
         self.dim = dim
         self.poly = (flavor, dict(coeffs))
         self._matrix = None
+        self._taps: _TapKernel | None = None
         if dim <= SMALL_DIM:
             matrix = self.to_dense()
             matrix.flags.writeable = False
@@ -144,10 +146,15 @@ class StructuredOperator:
         flavor, coeffs = self.poly
         return _z_stencil(flavor, min(self.dim, 4 * max(coeffs, default=0) + 9), coeffs)
 
-    @functools.cached_property
-    def _taps(self) -> _TapKernel:
-        """The taps and edge rows, derived on first apply above SMALL_DIM."""
-        return _tap_kernel(*self._stencil(), self.dim)
+    def _derive_taps(self) -> _TapKernel:
+        """The taps and edge rows, derived on first apply above SMALL_DIM and kept in `_taps`.
+
+        A plain attribute set in `__init__`, not a cached_property: one
+        filled later writes through the instance `__dict__`, and that made
+        each tap apply 5-9% slower.
+        """
+        self._taps = _tap_kernel(*self._stencil(), self.dim)
+        return self._taps
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         if v.shape != (self.dim,):
@@ -156,7 +163,7 @@ class StructuredOperator:
             )
         if self._matrix is not None:
             return self._matrix.dot(v)
-        taps = self._taps
+        taps = self._taps or self._derive_taps()
         d, head = self.dim, taps.head
         # zero-padded, so that every row of the correlation sums all its taps
         padded = np.zeros(d + head + taps.tail)
@@ -184,7 +191,7 @@ class StructuredOperator:
             )
         if self._matrix is not None:
             return self._matrix @ block
-        taps = self._taps
+        taps = self._taps or self._derive_taps()
         d = self.dim
         out = np.empty(block.shape)
         mirrored = block[::-1]
@@ -485,26 +492,99 @@ def _pivot_error(i: int, s: float) -> SingularOperatorError:
     )
 
 
-def _factor_source(w: int) -> list[str]:
-    """Rows w.. of the LDL' factor of band width w, each one straight-line body.
+def _head_rows(a, rows, n: int) -> None:
+    """Rows 0..n-1 of the LDL' factor of the band `a`, by the generic per-row loop.
+
+    `a[m][i]` is A[i, i-m].  Writes rows[0][i] = D[i] and rows[m][i] =
+    L[i, i-m] for m <= i, into w + 1 rows that start zeroed.  Row i reduces
+    its min(i, w) entries left of the diagonal: the entries L[i, i-m] for m
+    descending, each over k ascending, then the pivot over m ascending.
+    Raises at the first pivot that is not positive.
+    """
+    w = len(a) - 1
+    piv = rows[0]
+    for i in range(n):
+        top = i if i < w else w
+        s = a[0][i]
+        if w == 1 and i:  # the tridiagonal recurrence, unrolled
+            rows[1][i] = lij = a[1][i] / piv[i - 1]
+            s -= lij * a[1][i]
+        elif top:
+            for m in range(top, 0, -1):
+                j = i - m
+                t = a[m][i]
+                for k in range(i - top, j):
+                    t -= rows[i - k][i] * piv[k] * rows[j - k][j]
+                rows[m][i] = t / piv[j]
+            for m in range(1, top + 1):
+                s -= rows[m][i] * rows[m][i] * piv[i - m]
+        if not s > 0.0:
+            raise _pivot_error(i, s)
+        piv[i] = s
+
+
+def _repeats(rows, a, i: int) -> bool:
+    """Whether rows i-w..i of the factor are equal bit for bit, and band column i+1 is column i.
+
+    `rows` and `a` are memoryviews of the factor and band rows.  Then row
+    i+1 reads the same band entries and the same w rows before it as row i
+    did, so it repeats row i, and so does every row up to the next band
+    column that differs.  Bits, not `==`: a -0.0 and a +0.0 entry can round
+    a later entry apart.
+    """
+    n = len(rows)
+    for row in rows:
+        last = row[i + 1 - n : i + 1].tobytes()
+        if last != last[:8] * n:
+            return False
+    for band in a:
+        pair = band[i : i + 2].tobytes()
+        if pair[:8] != pair[8:]:
+            return False
+    return True
+
+
+def _interior(lower: np.ndarray) -> tuple[int, int]:
+    """The band's interior rows [top, bottom): the run of band columns equal, bit for bit, to its middle one."""
+    bits = lower.view(np.int64)
+    mid = bits.shape[1] // 2
+    other = np.flatnonzero((bits != bits[:, mid, None]).any(0)).tolist()
+    k = bisect.bisect(other, mid)
+    return other[k - 1] + 1 if k else 0, other[k] if k < len(other) else bits.shape[1]
+
+
+def _factor_source(w: int, store: bool = True) -> list[str]:
+    """Rows start.. of the LDL' factor of band width w, each one straight-line body.
 
     Row i reads A[i, i-m] as t{m} and A[i, i] as p0, and carries the previous
     rows in locals: p{m} = D[i-m] and l{m}_{n} = L[i-m, i-m-n], the latter
     kept for n <= w-m, the ones that row i reads; row i's own entries become
     l0_{m} = L[i, i-m] and p0 = D[i].  The operations and their order are
-    those of the generic loop in `BandedLDL.__init__`: the entries L[i, i-m]
-    for m descending, each reduced over k ascending, then the pivot reduced
-    over m ascending.
+    those of the generic loop (`_head_rows`): the entries L[i, i-m] for m
+    descending, each reduced over k ascending, then the pivot reduced over m
+    ascending.  Both kernels take the band rows `a` as memoryviews, read as
+    Python floats, and their first locals from rows start-w..start-1 of
+    `rows`, as `_head_rows` lays them out.
+
+    `factor(a, rows, start, top, stop)` (store) writes row i into `rows`,
+    memoryviews of w + 1 arrays of length d, raises at the first pivot that
+    is not positive, and returns d, or the first row top <= i < stop at
+    which rows i-w..i repeat on a band column that continues (`_repeats`);
+    its pivots compare first, one float compare per row.  `inertia(a, rows, start)`
+    stores nothing, so `rows` need hold only the first `start` rows, and
+    returns whether every pivot is positive.
     """
     ms = range(1, w + 1)
-    rows = ", ".join(["i", "p0"] + [f"t{m}" for m in ms])
-    columns = ", ".join([f"range({w}, len(piv))"] + [f"a{m}[{w}:]" for m in range(w + 1)])
+    # only the factor reads the row index, for its message and its stop
+    targets = ["i"] * store + ["p0"] + [f"t{m}" for m in ms]
+    rows = ", ".join(targets) + "," * (len(targets) == 1)
+    columns = ", ".join(["range(start, len(a[0]))"] * store + [f"a{m}" for m in range(w + 1)])
     lines = [
-        "def factor(a, low, piv):",
-        f"    [{', '.join(f'a{m}' for m in range(w + 1))}] = a",
-        f"    [{', '.join(f'low{m}' for m in ms)}] = low[1:]",
-        *(f"    p{m} = piv[{w - m}]" for m in ms),
-        *(f"    l{m}_{n} = low{n}[{w - m}]" for m in ms for n in range(1, w - m + 1)),
+        "def factor(a, rows, start, top, stop):" if store else "def inertia(a, rows, start):",
+        f"    [{', '.join(f'a{m}' for m in range(w + 1))}] = [band[start:] for band in a]",
+        f"    [{', '.join(['piv'] + [f'low{m}' for m in ms])}] = rows",
+        *(f"    p{m} = piv[start - {m}]" for m in ms),
+        *(f"    l{m}_{n} = low{n}[start - {m}]" for m in ms for n in range(1, w - m + 1)),
         f"    for {rows} in zip({columns}):",
     ]
     for m in range(w, 0, -1):
@@ -514,11 +594,19 @@ def _factor_source(w: int) -> list[str]:
         lines.append("        p0 -= l0_1 * t1")
     else:
         lines += [f"        p0 -= l0_{m} * l0_{m} * p{m}" for m in ms]
-    return lines + [
-        "        if not p0 > 0.0:",
-        "            raise _pivot_error(i, p0)",
-        "        piv[i] = p0",
-        *(f"        low{m}[i] = l0_{m}" for m in ms),
+    lines.append("        if not p0 > 0.0:")
+    if store:
+        pivots_repeat = "".join(f"p{m} == " for m in range(w)) + f"p{w} and " if w else ""
+        lines += [
+            "            raise _pivot_error(i, p0)",
+            "        piv[i] = p0",
+            *(f"        low{m}[i] = l0_{m}" for m in ms),
+            f"        if {pivots_repeat}top <= i < stop and _repeats(rows, a, i):",
+            "            return i",
+        ]
+    else:
+        lines.append("            return False")
+    lines += [
         *(f"        p{m} = p{m - 1}" for m in range(w, 0, -1)),
         *(
             f"        l{m}_{n} = l{m - 1}_{n}"
@@ -526,15 +614,21 @@ def _factor_source(w: int) -> list[str]:
             for n in range(1, w - m + 1)
         ),
     ]
+    return lines + ["    return len(piv)" if store else "    return True"]
 
 
 def _solve_source(w: int) -> list[str]:
     """Forward and back substitution in place on a factor of band width w >= 1.
 
-    Each pass carries the last w values in x1..x{w}, starting from 0.0, and
-    reads the bands that `BandedLDL._solve_kernel` pads with 0.0, so a row near
-    either end subtracts +0.0 products, which leave every value, signed zeros
-    included, as the shorter sums of a generic loop would.  Forward:
+    The rows come in three parts: the head rows 0..h-1 and the tail rows
+    b..d-1, each as lists (pivots, L[i, i-m] per m, L[i+m, i] per m), and
+    between them rows that repeat the limit row, read from the locals
+    c0 = D and c{m} = L[i, i-m] = L[i+m, i].  A factor that never stopped
+    is all head, and its passes are the head loops alone.  Each pass
+    carries the last w values in x1..x{w}, starting from 0.0, and reads the
+    bands that `BandedLDL._scalar_solver` pads with 0.0, so a row near
+    either end subtracts +0.0 products, which leave every value, signed
+    zeros included, as the shorter sums of a generic loop would.  Forward:
     z_i = r_i - sum_m L[i, i-m] z_(i-m), m ascending.  Back, with the pivot
     division folded in: x_i = z_i / D_i - sum_m L[i+m, i] x_(i+m), m ascending.
     """
@@ -543,32 +637,49 @@ def _solve_source(w: int) -> list[str]:
     older = "".join(f", x{m}" for m in range(1, w))
     zeros = ", ".join(["0.0"] * w)
 
-    def step(first: str, band: str) -> str:
-        terms = "".join(f" - {band}{m}[i] * x{m}" for m in ms)
-        return f"        {carry} = {first}{terms}{older}"
+    def names(prefix: str) -> str:
+        return ", ".join(f"{prefix}{m}" for m in ms)
+
+    def step(loop: str, first: str, band: str, at: str, indent: str = "") -> list[str]:
+        terms = "".join(f" - {band}{m}{at} * x{m}" for m in ms)
+        return [
+            f"    {indent}for {loop}:",
+            f"        {indent}{carry} = {first}{terms}{older}",
+            f"        {indent}z[i] = x1",
+        ]
 
     return [
-        "def solve(piv, lows, ups, z):",
-        f"    [{', '.join(f'l{m}' for m in ms)}] = lows",
-        f"    [{', '.join(f'u{m}' for m in ms)}] = ups",
+        "def solve(head, limit, tail, z):",
+        f"    piv, [{names('l')}], [{names('u')}] = head",
+        "    h, d = len(piv), len(z)",
         f"    {carry} = {zeros}",
-        "    for i in range(len(z)):",
-        step("z[i]", "l"),
-        "        z[i] = x1",
+        *step("i in range(h)", "z[i]", "l", "[i]"),
+        "    if h < d:",
+        f"        c0, {names('c')} = limit",
+        f"        tpiv, [{names('tl')}], [{names('tu')}] = tail",
+        "        b = d - len(tpiv)",
+        *step("i in range(h, b)", "z[i]", "c", "", "    "),
+        *step("j, i in enumerate(range(b, d))", "z[i]", "tl", "[j]", "    "),
         f"    {carry} = {zeros}",
-        "    for i in range(len(z) - 1, -1, -1):",
-        step("z[i] / piv[i]", "u"),
-        "        z[i] = x1",
+        "    if h < d:",
+        *step("j, i in zip(range(d - b - 1, -1, -1), range(d - 1, b - 1, -1))",
+              "z[i] / tpiv[j]", "tu", "[j]", "    "),
+        *step("i in range(b - 1, h - 1, -1)", "z[i] / c0", "c", "", "    "),
+        *step("i in range(h - 1, -1, -1)", "z[i] / piv[i]", "u", "[i]"),
         "    return z",
     ]
 
 
-_KERNEL_SOURCES = {"factor": _factor_source, "solve": _solve_source}
+_KERNEL_SOURCES = {
+    "factor": _factor_source,
+    "inertia": functools.partial(_factor_source, store=False),
+    "solve": _solve_source,
+}
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=48)
 def _ldl_kernel(kind: str, w: int) -> Callable:
-    """The `kind` kernel ("factor" or "solve") for band width w, compiled once.
+    """The `kind` kernel ("factor", "inertia" or "solve") for band width w, compiled once.
 
     Its source is generated for this width and compiled under a filename of
     its own, registered with `linecache`, so tracebacks, `inspect` and
@@ -577,87 +688,143 @@ def _ldl_kernel(kind: str, w: int) -> Callable:
     source = "\n".join(_KERNEL_SOURCES[kind](w)) + "\n"
     filename = f"<{__name__} ldl-{kind} w={w}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {"__name__": __name__, "_pivot_error": _pivot_error}
+    namespace = {"__name__": __name__, "_pivot_error": _pivot_error, "_repeats": _repeats}
     exec(compile(source, filename, "exec"), namespace)
     return namespace[kind]
+
+
+def _solve_lists(rows: list[list[float]], after: list[float]) -> tuple:
+    """The pivots, L[i, i-m] per m and L[i+m, i] per m of factor rows given as lists.
+
+    L[i+m, i] past the last of the rows reads after[m].
+    """
+    lows = rows[1:]
+    return rows[0], lows, [(low[m:] + [after[m]] * m)[: len(low)] for m, low in enumerate(lows, 1)]
 
 
 class BandedLDL:
     """LDL' factorization of a symmetric positive definite banded matrix, no pivoting.
 
-    `lower` holds the bands as `band_form` returns them.  The factorization is
-    made once, O(d w^2): the first w rows, which have fewer than w entries
-    left of the diagonal, by a generic scalar loop, and the rest by a
-    straight-line kernel generated for the width w (`_ldl_kernel`).  A full
-    band (w >= d-1) runs in the generic loop alone.  A tridiagonal factor
-    (w <= 1) above SMALL_DIM solves by recursive doubling: forward and back
-    substitution are first-order recurrences, each run as about log2(d)
-    vectorized scans over coefficients precomputed on first solve, and tiled
-    once per width for a block of right-hand sides.  Any other
-    factor solves by the generated scalar kernel of its width (w = 1 for a
-    diagonal one).  Raises SingularOperatorError at the first pivot that is
-    not positive, so a successful factorization certifies positive
-    definiteness (Sylvester's law of inertia).
+    `lower` holds the bands as `band_form` returns them.  The first w rows,
+    which have fewer than w entries left of the diagonal, are factored by
+    the generic loop (`_head_rows`), the rest by a straight-line kernel
+    generated for the width w (`_ldl_kernel`); a full band (w >= d-1) runs
+    in the generic loop alone.  Raises SingularOperatorError at the first
+    pivot that is not positive, so a successful factorization certifies
+    positive definiteness (Sylvester's law of inertia).
+
+    A power sum's band is constant away from its first and last few rows,
+    and its factor often converges to a fixed row, bit for bit: the
+    benchmark preset's H after 18 rows, its minimizer operator after 44, Z^4
+    + 0.9 Z^2 + 0.01 after 158 at d = 1024 and d = 109 731 alike.  So above
+    SMALL_DIM the kernel stops at the first row i where rows i-w..i repeat
+    (`_repeats`) on interior band rows, the run of band columns equal to the
+    middle one (`_interior`): every row up to the bottom edge, where the
+    band changes again, repeats row i.  It resumes there, with the repeated
+    row as its last w rows, so a failing bottom pivot raises at its own
+    index.  At d <= SMALL_DIM it runs whole: a repeat there would skip
+    fewer rows than the stop costs.  Some factors never repeat: the mild
+    preset's minimizer operator settles into two alternating rows, and the
+    shifted bands of a spectrum test near its bounds keep changing.  The
+    factor is stored as float64 arrays of shape (w+1, .), row 0 the pivots
+    D[i] and row m the entries L[i, i-m]: `head` holds rows 0..h-1, every
+    row h..t-1 is `limit`, and `tail` holds rows t..d-1.  A factor that
+    never stopped is all head.  `pivots` and `_rows` assemble full rows.
+
+    A tridiagonal factor (w <= 1) above SMALL_DIM solves by recursive
+    doubling: forward and back substitution are first-order recurrences,
+    each run as about log2(d) vectorized scans over coefficients built on
+    first solve from the assembled L column, and tiled once per width for a
+    block of right-hand sides.  Any other factor solves by the generated
+    scalar kernel of its width (w = 1 for a diagonal one), which reads the
+    head and tail as lists and the limit from locals.  Both solve states
+    are built on first solve.
     """
 
     def __init__(self, lower: np.ndarray):
         w, d = lower.shape[0] - 1, lower.shape[1]
-        a = lower.tolist()
-        low = [[0.0] * d for _ in range(w + 1)]  # low[m][i] = L[i, i-m]
-        piv = [0.0] * d
         # the first w rows hold fewer than w entries left of the diagonal and
         # run in the generic loop; a full band (w >= d-1) has at most one row
         # more, so it runs there whole rather than compile an O(w^2)-line
         # kernel for that row
-        head = w if w < d - 1 else d
-        for i in range(head):
-            top = i if i < w else w
-            s = a[0][i]
-            if w == 1 and i:  # the tridiagonal recurrence, unrolled
-                low[1][i] = lij = a[1][i] / piv[i - 1]
-                s -= lij * a[1][i]
-            elif top:
-                for m in range(top, 0, -1):
-                    j = i - m
-                    t = a[m][i]
-                    for k in range(i - top, j):
-                        t -= low[i - k][i] * piv[k] * low[j - k][j]
-                    low[m][i] = t / piv[j]
-                for m in range(1, top + 1):
-                    s -= low[m][i] * low[m][i] * piv[i - m]
-            if not s > 0.0:
-                raise _pivot_error(i, s)
-            piv[i] = s
-        if head < d:
-            _ldl_kernel("factor", w)(a, low, piv)
+        start = w if w < d - 1 else d
+        a = [memoryview(band) for band in lower]
+        rows = np.zeros((w + 1, d))
+        flat = memoryview(rows.reshape(-1))
+        views = [flat[m * d : (m + 1) * d] for m in range(w + 1)]
+        _head_rows(a, views, start)
+        head = tail = d
+        if start < d:
+            factor = _ldl_kernel("factor", w)
+            # at d <= SMALL_DIM a repeat would skip fewer rows than the stop costs
+            stop = factor(a, views, start, 0, d - 1 if d > SMALL_DIM else 0)
+            if stop < d:
+                top, bottom = _interior(lower)
+                if not top + w <= stop < bottom - 1:  # a repeat ahead of the interior
+                    stop = factor(a, views, stop + 1, top + w, bottom - 1)
+            if stop < d:  # rows stop-w.. repeat up to the bottom edge
+                head, tail = stop - w, bottom
+                if tail < d:  # resume with the repeated row as the last w rows
+                    rows[:, tail - w : tail] = rows[:, stop, None]
+                    factor(a, views, tail, 0, 0)
         self.dim = d
         self.width = w
-        self.pivots = np.array(piv)
-        self._low = low
-        self._piv = piv
+        if head == d:  # it never stopped
+            self.head, self.limit, self.tail = rows, np.zeros(w + 1), rows[:, d:]
+        else:  # copies, so that the rows it skipped are freed
+            self.head, self.limit, self.tail = rows[:, :head].copy(), rows[:, head].copy(), rows[:, tail:].copy()
+        self._solver: Callable[[list[float]], list[float]] | None = None
+        self._scan_state: tuple[list[np.ndarray], np.ndarray, list[np.ndarray]] | None = None
         self._tiles: dict[int, tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]] = {}
 
-    @functools.cached_property
+    def _rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi-1 of the factor, shape (w+1, hi-lo), assembled from head, limit and tail."""
+        h, t = self.head.shape[1], self.dim - self.tail.shape[1]
+        parts = [self.head[:, lo:hi]]
+        if max(lo, h) < min(hi, t):
+            parts.append(np.repeat(self.limit[:, None], min(hi, t) - max(lo, h), axis=1))
+        parts.append(self.tail[:, max(lo - t, 0) : max(hi - t, 0)])
+        return np.concatenate(parts, axis=1)
+
+    @property
+    def pivots(self) -> np.ndarray:
+        """The pivots D[i], a fresh (dim,) array."""
+        return self._rows(0, self.dim)[0].copy()
+
     def _scans(self) -> tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]:
         """Forward levels, pivots and backward levels of a tridiagonal factor's scans, built on first solve."""
-        sub = -np.array(self._low[1]) if self.width else np.zeros(self.dim)
-        # forward: z_i = r_i - L[i, i-1] z_(i-1).  backward: x_i = u_i - L[i+1, i] x_(i+1),
-        # the forward scan of the reversed vector with its levels turned back
-        back = _scan_levels(np.append(sub[1:], 0.0)[::-1])
-        return _scan_levels(sub), self.pivots, [coef[::-1].copy() for coef in back]
+        if self._scan_state is None:
+            rows = self._rows(0, self.dim)
+            sub = -rows[1] if self.width else np.zeros(self.dim)
+            # forward: z_i = r_i - L[i, i-1] z_(i-1).  backward: x_i = u_i - L[i+1, i] x_(i+1),
+            # the forward scan of the reversed vector with its levels turned back
+            back = _scan_levels(np.append(sub[1:], 0.0)[::-1])
+            self._scan_state = _scan_levels(sub), rows[0].copy(), [c[::-1].copy() for c in back]
+        return self._scan_state
 
-    @functools.cached_property
-    def _solve_kernel(self) -> Callable[[list[float]], list[float]]:
+    def _scalar_solver(self) -> Callable[[list[float]], list[float]]:
         """The scalar solve kernel of this width, bound to the factor on first solve.
 
-        It reads L[i, i-m] and L[i+m, i] per row i, the second padded with 0.0
-        past the last row.  A diagonal factor solves as a tridiagonal one with
-        L = 0, so every w <= 1 takes the one w = 1 kernel.
+        It takes the head rows, and the tail rows from b = t - w on (the
+        first w of them the limit's), as lists: the pivots, L[i, i-m] and
+        L[i+m, i] per m, the last padded with the limit's entries past the
+        head and with 0.0 past the last row.  Rows h..b-1, whose entries and
+        those of the w rows after them are the limit's, it reads from the
+        limit.  A diagonal factor solves as a tridiagonal one with L = 0, so
+        every w <= 1 takes the one w = 1 kernel; such a factor stops only
+        above SMALL_DIM, where it scans instead.
         """
-        d = self.dim
-        lows = self._low[1:] or [[0.0] * d]
-        ups = [(low[m:] + [0.0] * m)[:d] for m, low in enumerate(lows, 1)]
-        return functools.partial(_ldl_kernel("solve", len(lows)), self._piv, lows, ups)
+        if self._solver is None:
+            w, h = max(self.width, 1), self.head.shape[1]
+            zeros = [0.0] * (w + 1)  # L[i+m, i] past the last row
+            head = self.head.tolist() + [[0.0] * h] * (w - self.width)
+            limit = tail = None
+            if h < self.dim:  # stopped, so above SMALL_DIM, where only w >= 2 solves here
+                limit = self.limit.tolist()
+                tail = _solve_lists([[c] * w + row for c, row in zip(limit, self.tail.tolist())], zeros)
+            head = _solve_lists(head, limit or zeros)
+            self._solver = functools.partial(_ldl_kernel("solve", w), head, limit, tail)
+        return self._solver
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for a (dim,) rhs, or a (dim, k) block of them.
@@ -672,14 +839,14 @@ class BandedLDL:
                 f"factor dim {self.dim} incompatible with rhs shape {rhs.shape}"
             )
         if self.width > 1 or self.dim <= SMALL_DIM:
-            kernel = self._solve_kernel
+            kernel = self._solver or self._scalar_solver()
             if rhs.ndim == 1:
                 return np.array(kernel(rhs.tolist()))
             x = np.empty(rhs.shape)
             for j, column in enumerate(rhs.T.tolist()):
                 x[:, j] = kernel(column)
             return x
-        forward, pivots, backward = self._scans if rhs.ndim == 1 else self._tiled(rhs.shape[1])
+        forward, pivots, backward = self._scans() if rhs.ndim == 1 else self._tiled(rhs.shape[1])
         x = np.array(rhs, dtype=np.float64)
         _scan(x, forward)
         x /= pivots
@@ -698,7 +865,7 @@ class BandedLDL:
         """
         tiles = self._tiles.get(k)
         if tiles is None:
-            forward, pivots, backward = self._scans
+            forward, pivots, backward = self._scans()
             tiles = [_tile(c, k) for c in forward], _tile(pivots, k), [_tile(c, k) for c in backward]
             self._tiles[k] = tiles
         return tiles
@@ -720,23 +887,42 @@ def banded_ldl(op: StructuredOperator) -> BandedLDL:
     return BandedLDL(_lower_bands(op))
 
 
+def _positive_definite(lower: np.ndarray) -> bool:
+    """Whether every LDL' pivot of the band is positive, with no factor stored.
+
+    The first w rows by the generic loop, the rest by the inertia kernel,
+    which performs the factor kernel's operations, so its pivots are the
+    factor's, keeps only the last w rows in locals and returns at the first
+    pivot that is not positive.
+    """
+    w, d = lower.shape[0] - 1, lower.shape[1]
+    start = w if w < d - 1 else d
+    a = [memoryview(band) for band in lower]
+    rows = [[0.0] * start for _ in range(w + 1)]
+    try:
+        _head_rows(a, rows, start)
+    except SingularOperatorError:
+        return False
+    return start == d or _ldl_kernel("inertia", w)(a, rows, start)
+
+
 def spectrum_within(op: StructuredOperator, lo: float, hi: float) -> bool:
     """Whether every eigenvalue of the symmetric `op` lies strictly inside (lo, hi).
 
-    Decided by inertia: op - lo*I and hi*I - op must both factor with
-    positive LDL' pivots, with no eigendecomposition, O(d w^2).  An operator
-    without a band form raises CapabilityError, as in `banded_ldl`.
+    Decided by inertia: op - lo*I and hi*I - op must both have positive LDL'
+    pivots, with no eigendecomposition, O(d w^2).  Each band runs through the
+    store-free inertia kernel (`_positive_definite`), which builds no
+    `BandedLDL` and stops at the first non-positive pivot; the second band
+    runs only when the first passes.  Near the spectrum's ends the shifted
+    factors do not repeat (neither H - lo*I nor hi*I - H of the scsc builds
+    does within d = 1024), so the factor's stop rule would not shorten them.
+    An operator without a band form raises CapabilityError, as in `banded_ldl`.
     """
     lower = _lower_bands(op)
     above, below = lower.copy(), -lower
     above[0] -= lo
     below[0] += hi
-    try:
-        BandedLDL(above)
-        BandedLDL(below)
-    except SingularOperatorError:
-        return False
-    return True
+    return _positive_definite(above) and _positive_definite(below)
 
 
 def apply_z(flavor: str, v: np.ndarray) -> np.ndarray:

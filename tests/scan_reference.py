@@ -24,7 +24,7 @@ def scan(z: np.ndarray, levels: list[np.ndarray], backward: bool = False) -> Non
 
 def block_solve(factor, rhs: np.ndarray) -> np.ndarray:
     """A scan factor's solve of a (dim,) or (dim, k) rhs, its levels and pivots broadcast."""
-    forward, pivots, backward = factor._scans
+    forward, pivots, backward = factor._scans()
     x = np.array(rhs, dtype=np.float64)
     scan(x, forward)
     x /= pivots if x.ndim == 1 else pivots[:, None]

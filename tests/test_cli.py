@@ -352,7 +352,7 @@ class TestTapKernelGuard:
                 out = kernel(self, x)
                 applied.append(self)  # kept alive, so ids stay distinct
                 if self.dim > linalg.SMALL_DIM:
-                    assert self._matrix is None and "_taps" in vars(self), self.kind
+                    assert self._matrix is None and self._taps is not None, self.kind
                 else:
                     assert self._matrix is not None, self.kind
                 return out

@@ -18,6 +18,7 @@ from bilevel_lab.errors import (
 )
 
 import gather_reference
+import inertia_reference
 import ldl_reference
 import scan_reference
 import stencils
@@ -168,10 +169,11 @@ class TestStencil:
         d = SMALL + 1  # above the small-dimension kernels, which keep a dense form
         build_scsc_benchmark(d, benchmark_constants, initial_gap=1.0)
         # the exact surface is banded, so nothing is densified; the gap is
-        # measured in one pass: two inertia factors of the spectrum check, the
-        # tridiagonal H, and the (pentadiagonal) cleared system for x*
+        # measured in one pass: the tridiagonal H and the (pentadiagonal)
+        # cleared system for x*, while the spectrum check's inertia passes
+        # store no factor
         assert densified == []
-        assert sorted(factor_calls) == [(1, d)] * 3 + [(2, d)]
+        assert sorted(factor_calls) == [(1, d), (2, d)]
 
 
 class TestApply:
@@ -280,6 +282,11 @@ def _tap_inputs(d, gen):
     return block
 
 
+def _taps(op):
+    """The operator's taps and edge rows, derived as its first apply derives them."""
+    return op._taps or op._derive_taps()
+
+
 def _pivots_or_error(factor):
     """The pivots of a factorization, or the message of the SingularOperatorError it raises."""
     try:
@@ -296,7 +303,7 @@ def _check_kernels(op, block, exact):
     of `apply_block` match bit for bit, and both are non-finite exactly where
     the gather is.
     """
-    edges = [row for row, _ in op._taps.edges]
+    edges = [row for row, _ in _taps(op).edges]
     for v in block.T:
         out, ref = op.apply(v), gather_reference.apply(op, v)
         finite = np.isfinite(ref)
@@ -335,7 +342,7 @@ class TestTapKernels:
         op = linalg.z_power_sum(flavor, d, coeffs, shift)
         powers = set(op.poly[1])
         exact = powers <= {0, 2, 4, 6} or powers <= {1, 3, 5}
-        assert len(op._taps.edges) <= 2 * len(op._taps.slots)
+        assert len(_taps(op).edges) <= 2 * len(_taps(op).slots)
         _check_kernels(op, _tap_inputs(d, np.random.default_rng(d)), exact)
 
     @pytest.mark.parametrize("d", TAP_DIMS)
@@ -373,7 +380,7 @@ class TestTapKernels:
         even this single-parity sum matches within ULPS ulps of each row.
         """
         op = linalg.z_power_sum(flavor, d, {40: 1e-3, 2: 1.0}, shift=0.5)
-        assert len(op._taps.edges) > d // 3
+        assert len(_taps(op).edges) > d // 3
         _check_kernels(op, _tap_inputs(d, np.random.default_rng(d)), exact=False)
         assert _bitwise_equal(op.to_dense(), gather_reference.to_dense(op))
         assert _bitwise_equal(linalg.band_form(op), gather_reference.band_form(op))
@@ -718,9 +725,11 @@ class TestBandedLDLAgainstReference:
         low, piv = ldl_reference.factor(lower)
         factor = linalg.BandedLDL(lower)
         assert _bitwise_equal(factor.pivots, piv)
-        assert len(factor._low) == w + 1
-        for got, want in zip(factor._low, low):
-            assert _bitwise_equal(got, want)
+        rows = factor._rows(0, d)
+        assert rows.shape == (w + 1, d)
+        for m in range(1, w + 1):
+            assert _bitwise_equal(rows[m], low[m])
+        assert factor.head.shape[1] == d  # random bands never repeat, so the factor is all head
         if w <= 1 and d > SMALL:
             return  # the tridiagonal scans, which no kernel replaces
         rhs = _signed_zero_block(d, gen)
@@ -754,6 +763,275 @@ class TestBandedLDLAgainstReference:
         with pytest.raises(SingularOperatorError, match="pivot 6 ") as got:
             linalg.BandedLDL(lower)
         assert str(got.value) == str(want.value)
+
+
+def _reference_scans(low, piv):
+    """The scan levels and pivots built from the reference's L and pivots, as `BandedLDL._scans` builds them."""
+    sub = -np.array(low[1]) if len(low) > 1 else np.zeros(len(piv))
+    back = linalg._scan_levels(np.append(sub[1:], 0.0)[::-1])
+    return linalg._scan_levels(sub), np.array(piv), [coef[::-1].copy() for coef in back]
+
+
+def _assert_is_the_reference(factor, lower, gen):
+    """Pivots, L and solves of `factor` against tests/ldl_reference.py, bit for bit.
+
+    A scalar-kernel factor solves a (d, 2) block and its first column as a
+    vector; a scan factor builds its levels from the L column it assembles,
+    so those must be the reference's.
+    """
+    d = lower.shape[1]
+    low, piv = ldl_reference.factor(lower)
+    rows = factor._rows(0, d)
+    assert _bitwise_equal(rows[0], piv) and _bitwise_equal(factor.pivots, piv)
+    for m in range(1, factor.width + 1):
+        assert _bitwise_equal(rows[m], low[m])
+    rhs = _signed_zero_block(d, gen)[:, :2]
+    if factor.width > 1 or d <= SMALL:
+        want = ldl_reference.solve(low, piv, rhs)
+        assert _bitwise_equal(factor.solve(rhs), want)
+        assert _bitwise_equal(factor.solve(rhs[:, 0]), want[:, 0])
+    else:
+        forward, pivots, backward = factor._scans()
+        want_forward, want_pivots, want_backward = _reference_scans(low, piv)
+        assert _bitwise_equal(pivots, want_pivots)
+        for got, want in ((forward, want_forward), (backward, want_backward)):
+            assert len(got) == len(want) and all(map(_bitwise_equal, got, want))
+        assert _bitwise_equal(factor.solve(rhs), scan_reference.block_solve(factor, rhs))
+
+
+def _stored_run(factor):
+    """(head, run, tail) row counts of the stored form; the run rows repeat `limit`."""
+    head, tail = factor.head.shape[1], factor.tail.shape[1]
+    return head, factor.dim - head - tail, tail
+
+
+@pytest.fixture(scope="module")
+def build_polys():
+    """The even power sums the builds factor: the benchmark scsc instance's H (w = 1),
+    minimizer operator and cleared P (w = 2), and the mild csc instance's H (w = 1)
+    and cleared P (w = 3)."""
+    from bilevel_lab import build_csc, build_scsc
+    from bilevel_lab.presets import benchmark_scsc_constants, mild_csc_constants
+
+    scsc = build_scsc(16, benchmark_scsc_constants(4.0))
+    csc = build_csc(16, mild_csc_constants(), B=1.0)
+    minimizer = {4: 1.0, 2: scsc.lam_coef, 0: scsc.tau_coef}
+    return {
+        "H": scsc.oracle.h_op.poly[1],
+        "minimizer": minimizer,
+        "P": scsc.oracle._cleared_system()[0].poly[1],
+        "csc-H": csc.oracle.h_op.poly[1],
+        "csc-P": csc.oracle._cleared_system()[0].poly[1],
+    }
+
+
+BUILD_WIDTHS = {"H": 1, "minimizer": 2, "P": 2, "csc-H": 1, "csc-P": 3}
+STOP_DIMS = [4, 32, SMALL] + TAP_DIMS
+
+
+class TestStopRule:
+    """The factor kernel's stop rule against tests/ldl_reference.py, bit for bit.
+
+    A power sum's factor rows turn bit-constant after a head; the kernel
+    stops once w + 1 rows repeat on interior band rows, skips to the bottom
+    edge and resumes there.  Every pivot, L entry and solve must still be
+    the generic loop's, on bands that stop and on bands that never do.
+    """
+
+    @pytest.mark.parametrize("d", STOP_DIMS)
+    @pytest.mark.parametrize("name", list(BUILD_WIDTHS))
+    @pytest.mark.parametrize("flavor", ["scsc", "csc"])
+    def test_the_builds_operators(self, build_polys, flavor, name, d):
+        op = linalg.StructuredOperator(flavor, d, build_polys[name])
+        lower = linalg.band_form(op)
+        factor = linalg.BandedLDL(lower)
+        assert factor.width == BUILD_WIDTHS[name]
+        _assert_is_the_reference(factor, lower, np.random.default_rng(d))
+
+    @pytest.mark.parametrize("name", ["H", "minimizer", "csc-P"])
+    @pytest.mark.parametrize("flavor", ["scsc", "csc"])
+    def test_the_builds_operators_at_the_tight_dimension(self, build_polys, flavor, name):
+        """d = 109 731, the run dimension at mu_x = 1e-6, at w = 1, 2 and 3: the head and tail do not grow with d."""
+        d = 109_731
+        op = linalg.StructuredOperator(flavor, d, build_polys[name])
+        lower = linalg.band_form(op)
+        factor = linalg.BandedLDL(lower)
+        small = linalg.BandedLDL(linalg.band_form(linalg.StructuredOperator(flavor, 1024, build_polys[name])))
+        if _stored_run(small)[1]:
+            head, run, tail = _stored_run(factor)
+            assert (head, tail) == _stored_run(small)[::2] and run == d - head - tail
+        _assert_is_the_reference(factor, lower, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("flavor", ["scsc", "csc"])
+    @pytest.mark.parametrize("end", ["lo", "hi"])
+    def test_near_critical_shifted_h_never_repeats(self, benchmark_constants, flavor, end):
+        """The two bands `spectrum_within` tests for H at d = 1024: neither repeats, so both are all head."""
+        d = 1024
+        c = benchmark_constants
+        slack = oracles.SPECTRUM_SLACK * max(1.0, c.Ltil_y)
+        h = linalg.z_power_sum(flavor, d, {2: 0.375}, shift=0.5)
+        lower = linalg.band_form(h)
+        shifted = lower.copy() if end == "lo" else -lower
+        shifted[0] += -(c.mu_y - slack) if end == "lo" else c.Ltil_y + slack
+        factor = linalg.BandedLDL(shifted)
+        assert _stored_run(factor) == (d, 0, 0)
+        _assert_is_the_reference(factor, shifted, np.random.default_rng(1))
+
+    def test_a_repeat_ahead_of_the_interior_does_not_stop(self):
+        """Rows 0..3 repeat on band rows 0..3, which differ from the interior from row 4 on.
+
+        The candidate at row 2 is ahead of the interior, so the kernel goes
+        on and stops in the interior, at or after its first w rows.
+        """
+        d = SMALL + 36  # above SMALL_DIM, where a factor may stop
+        lower = np.zeros((3, d))
+        lower[0] = 3.0
+        lower[1, 4:], lower[2, 4:] = 0.5, 0.25
+        factor = linalg.BandedLDL(lower)
+        head, run, tail = _stored_run(factor)
+        assert head >= 4 and run > 0
+        _assert_is_the_reference(factor, lower, np.random.default_rng(2))
+
+    def test_a_run_of_negative_zeros_stops_with_them(self):
+        """A1 = A2 = -0.0 in the interior: L settles at -0.0 in both bands, and the limit keeps the signs."""
+        d = SMALL + 36  # above SMALL_DIM, where a factor may stop
+        lower = np.zeros((3, d))
+        lower[0] = 3.0
+        lower[0, -1] = 2.5  # a bottom edge row
+        lower[1, 1:], lower[2, 2:] = -0.0, -0.0
+        factor = linalg.BandedLDL(lower)
+        assert _stored_run(factor)[1] > 0
+        assert np.all(np.signbit(factor.limit[1:]))
+        _assert_is_the_reference(factor, lower, np.random.default_rng(3))
+
+    def test_zeros_of_alternating_sign_never_repeat(self):
+        """A1 = -0.0, A2 = +0.0: L[i, i-1] alternates between -0.0 and +0.0, so rows are `==` but never bitwise equal."""
+        d = SMALL + 36  # above SMALL_DIM, where a factor may stop
+        lower = np.zeros((3, d))
+        lower[0] = 3.0
+        lower[0, -1] = 2.5
+        lower[1, 1:] = -0.0
+        factor = linalg.BandedLDL(lower)
+        rows = factor._rows(0, d)
+        assert np.all(rows[:, 5:20] == rows[:, 4:5])  # equal as floats
+        assert _stored_run(factor) == (d, 0, 0)
+        _assert_is_the_reference(factor, lower, np.random.default_rng(4))
+
+    @pytest.mark.parametrize("d", [4, 32, SMALL])
+    def test_a_small_factor_runs_whole(self, d):
+        """At d <= SMALL_DIM a repeat would skip fewer rows than the stop costs, so the factor is all head."""
+        lower = linalg.band_form(linalg.z_power_sum("scsc", d, {2: 0.375}, shift=0.5))
+        factor = linalg.BandedLDL(lower)
+        assert _stored_run(factor) == (d, 0, 0)
+        _assert_is_the_reference(factor, lower, np.random.default_rng(d))
+
+    @pytest.mark.parametrize("d", [SMALL + 1, 300])
+    @pytest.mark.parametrize("last", [2.0, 3.0], ids=["constant", "bottom-edge"])
+    def test_a_diagonal_band(self, d, last):
+        lower = np.full((1, d), 2.0)
+        lower[0, -1] = last
+        factor = linalg.BandedLDL(lower)
+        assert _stored_run(factor) == (0, d - (last != 2.0), last != 2.0)
+        _assert_is_the_reference(factor, lower, np.random.default_rng(d))
+
+    @pytest.mark.parametrize(
+        "flavor,coeffs,shift,back",
+        [
+            ("scsc", {2: 0.375}, 0.5, 1),
+            ("csc", {2: 0.375}, 0.5, 1),
+            ("scsc", {4: 1.0, 2: 0.9}, 0.01, 1),
+            ("scsc", {4: 1.0, 2: 0.9}, 0.01, 2),
+            ("csc", {6: 0.2, 4: 1.0, 2: 2.0}, 1.0, 2),
+        ],
+    )
+    def test_an_indefinite_bottom_edge_fails_at_the_same_pivot(self, flavor, coeffs, shift, back):
+        """A bottom band row made indefinite after the stop: the kernel resumes there and raises as the reference does."""
+        d = 300
+        lower = linalg.band_form(linalg.z_power_sum(flavor, d, coeffs, shift)).copy()
+        stored = _stored_run(linalg.BandedLDL(lower))
+        bad = d - back
+        assert stored[1] > 0 and stored[0] < bad - lower.shape[0]  # it stops before the bad row
+        lower[0, bad] = -1.0
+        with pytest.raises(SingularOperatorError) as want:
+            ldl_reference.factor(lower)
+        with pytest.raises(SingularOperatorError) as got:
+            linalg.BandedLDL(lower)
+        assert str(got.value) == str(want.value)
+        assert f"pivot {bad} " in str(got.value)
+
+    @pytest.mark.parametrize("flavor", ["scsc", "csc"])
+    def test_head_lengths(self, flavor):
+        """The heads item 12 of ROADMAP.md measured: Z^4 + 0.9 Z^2 + 0.01 stops after the same head at
+        d = 1024 and d = 109 731 (156-158 rows in scsc), and H = 0.375 Z^2 + 0.5 after 17-18 rows."""
+        minimizer = [
+            linalg.banded_ldl(linalg.z_power_sum(flavor, d, {4: 1.0, 2: 0.9}, shift=0.01))
+            for d in (1024, 109_731)
+        ]
+        heads = [factor.head.shape[1] for factor in minimizer]
+        assert heads[0] == heads[1] and (flavor == "csc" or 156 <= heads[0] <= 158)
+        h = linalg.banded_ldl(linalg.z_power_sum(flavor, 1024, {2: 0.375}, shift=0.5))
+        assert 17 <= h.head.shape[1] <= 18
+
+    def test_memory_held_by_a_stopped_factor(self):
+        """The scsc minimizer operator at d = 109 731: under 1.5 MB live after the factor and one
+        solve, and a peak under 14.5 MB, against 14.9 MB and 29.0 MB with the factor held as lists."""
+        d = 109_731
+        op = linalg.z_power_sum("scsc", d, {4: 1.0, 2: 0.9}, shift=0.01)
+        rhs = np.ones(d)
+        linalg.banded_ldl(linalg.z_power_sum("scsc", 64, {4: 1.0}, shift=1.0)).solve(np.ones(64))  # kernels compiled
+        gc.collect()
+        tracemalloc.start()
+        try:
+            factor = linalg.banded_ldl(op)
+            factor.solve(rhs)
+            gc.collect()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert factor.dim == d
+        assert held < 1_500_000 and peak < 14_500_000
+
+
+class TestInertia:
+    """`spectrum_within`'s store-free inertia kernel against the two factors tests/inertia_reference.py makes."""
+
+    OPERATORS = {
+        "w1": ({2: 0.375}, 0.5),
+        "w2": ({4: 1.0, 2: 2.5555555555555554}, 0.4444444444444444),
+        "w3": ({6: 0.00390625, 4: 0.03125, 2: 0.3125}, 0.0),
+    }
+
+    @pytest.mark.parametrize("d", [4, 5, 16, SMALL + 1, 300])
+    @pytest.mark.parametrize("name", list(OPERATORS))
+    @pytest.mark.parametrize("flavor", ["scsc", "csc"])
+    def test_decisions_are_the_reference(self, flavor, name, d):
+        """A grid of (lo, hi) around eigvalsh's extremes, the full band (w >= d - 1) included."""
+        coeffs, shift = self.OPERATORS[name]
+        op = linalg.z_power_sum(flavor, d, coeffs, shift)
+        lo, hi = np.linalg.eigvalsh(op.to_dense())[[0, -1]]
+        scale = max(abs(lo), abs(hi))
+        steps = [-1e-3, -1e-9, -1e-14, 0.0, 1e-14, 1e-9, 1e-3]
+        decided = set()
+        for dl in steps:
+            for dh in steps:
+                a, b = lo + dl * scale, hi + dh * scale
+                got = linalg.spectrum_within(op, a, b)
+                assert got == inertia_reference.spectrum_within(op, a, b), (a, b)
+                decided.add(got)
+        assert decided == {True, False}
+
+    def test_a_diagonal_band(self):
+        op = linalg.z_power_sum("scsc", 100, {}, shift=2.0)
+        assert linalg.spectrum_within(op, 1.9, 2.1)
+        assert not linalg.spectrum_within(op, 2.0, 2.1) and not linalg.spectrum_within(op, 1.9, 2.0)
+
+    def test_no_factor_is_constructed(self, factor_calls):
+        for flavor in ("scsc", "csc"):
+            for coeffs, shift in self.OPERATORS.values():
+                op = linalg.z_power_sum(flavor, 300, coeffs, shift)
+                linalg.spectrum_within(op, -1.0, 100.0)
+                linalg.spectrum_within(op, 1.0, 2.0)
+        assert factor_calls == []
 
 
 class TestTiledBlockSolve:
@@ -808,7 +1086,7 @@ class TestTiledBlockSolve:
         factor.solve(np.ones((factor.dim, 4)))
         tiles = factor._tiles[4]
         assert factor._tiled(4) is tiles
-        forward, pivots, backward = factor._scans
+        forward, pivots, backward = factor._scans()
         for tile, coef in zip([*tiles[0], tiles[1], *tiles[2]], [*forward, pivots, *backward]):
             assert tile.shape == (coef.shape[0], 4) and tile.flags.c_contiguous
             assert not tile.flags.writeable
@@ -822,7 +1100,8 @@ class TestTiledBlockSolve:
 
 class TestLDLKernels:
     @pytest.mark.parametrize(
-        "kind,w", [("factor", 0), ("factor", 2), ("factor", 3), ("solve", 1), ("solve", 3)]
+        "kind,w",
+        [("factor", 0), ("factor", 2), ("factor", 3), ("inertia", 0), ("inertia", 2), ("solve", 1), ("solve", 3)],
     )
     def test_each_width_compiles_under_its_own_filename(self, kind, w):
         kernel = linalg._ldl_kernel(kind, w)
