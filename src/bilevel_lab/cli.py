@@ -323,33 +323,30 @@ def build_instance(inst_cfg: dict):
     """Return (oracle, hard_instance_or_None, info dict) for a raw instance block.
 
     A builder's ConstraintError (a dimension below 4, constants outside a
-    family's range) is invalid input, so it surfaces as a ConfigError caused
-    by it.
+    family's range or leaving the float range together) propagates, and
+    `main` reports it as invalid input.
     """
     inst = resolve(inst_cfg, "instance", "instance")
     kind, d, corruption = inst["kind"], inst["d"], inst["corruption"]
     if kind == "decoupled":
         return _decoupled_oracle(d), None, {"kind": kind, "d": d}
     constants = resolve_constants(inst)
-    try:
-        if kind == "scsc":
-            built = hard_instances.build_scsc(
-                d, constants, inst["Lbar_xy"], btilde_shift=_btilde_shift(corruption, d)
-            )
-            return built.oracle, built, {"kind": kind, "d": d, "corruption": corruption}
-        if kind == "csc":
-            built = hard_instances.build_csc(
-                d, constants, inst["B"], btilde_shift=_btilde_shift(corruption, d)
-            )
-            info = {"kind": kind, "d": d, "B": inst["B"], "corruption": corruption}
-            return built.oracle, built, info
-        oracle = hard_instances.build_scsc_benchmark(
-            d, constants, b_scale=inst["b_scale"], initial_gap=inst["initial_gap"]
+    if kind == "scsc":
+        built = hard_instances.build_scsc(
+            d, constants, inst["Lbar_xy"], btilde_shift=_btilde_shift(corruption, d)
         )
-        # initial_gap is echoed as given
-        return oracle, None, {"kind": kind, "d": d, "initial_gap": inst_cfg.get("initial_gap")}
-    except ConstraintError as exc:
-        raise ConfigError(f"invalid instance: {exc}") from exc
+        return built.oracle, built, {"kind": kind, "d": d, "corruption": corruption}
+    if kind == "csc":
+        built = hard_instances.build_csc(
+            d, constants, inst["B"], btilde_shift=_btilde_shift(corruption, d)
+        )
+        info = {"kind": kind, "d": d, "B": inst["B"], "corruption": corruption}
+        return built.oracle, built, info
+    oracle = hard_instances.build_scsc_benchmark(
+        d, constants, b_scale=inst["b_scale"], initial_gap=inst["initial_gap"]
+    )
+    # initial_gap is echoed as given
+    return oracle, None, {"kind": kind, "d": d, "initial_gap": inst_cfg.get("initial_gap")}
 
 
 def run_solver(oracle, solver_cfg: dict, tau_cost: float):
@@ -482,15 +479,15 @@ def _run_point(args):
     """One sweep point's result, failed when its run raises.
 
     A ConfigError propagates: a malformed field fails the whole sweep as
-    invalid input.  The one exception is a builder's ConstraintError, which
-    marks only this point's instance as infeasible (say, a swept d below 4).
+    invalid input.  A builder's ConstraintError marks only this point's
+    instance as infeasible (say, a swept d below 4).
     """
     point_cfg, out_dir, tau_override = args
     try:
         result = run_experiment(point_cfg, Path(out_dir), tau_override)
         return {"ok": True, **result}
     except BilevelLabError as exc:
-        if isinstance(exc, ConfigError) and not isinstance(exc.__cause__, ConstraintError):
+        if isinstance(exc, ConfigError):
             raise
         return {"ok": False, "error": str(exc)}
 
@@ -804,6 +801,10 @@ def main(argv=None) -> int:
         return run_verify_lb(cfg, out_dir, tau_cost)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (ConstraintError, MemoryError) as exc:  # constants the builders reject, or a d too large
+        problem = "invalid instance" if isinstance(exc, ConstraintError) else "out of memory"
+        print(f"config error: {problem}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

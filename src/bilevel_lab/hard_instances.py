@@ -26,7 +26,7 @@ from .errors import (
     SingularOperatorError,
 )
 from .linalg import StructuredOperator
-from .oracles import QuadraticBilevelOracle, QuadraticOuter, SmoothnessConstants
+from .oracles import QuadraticBilevelOracle, QuadraticOuter, SmoothnessConstants, in_float_range
 
 QUARTIC_BRACKET_TOL = 1e-14
 QUARTIC_RESIDUAL_CAP = 1e-10
@@ -66,11 +66,13 @@ class ScscInstance:
         return linalg.anti_banded_z("scsc", self.d)
 
 
+@in_float_range
 def min_feasible_lbar(constants: SmoothnessConstants) -> float:
     c = constants
     return (c.L_x - c.mu_x) * (c.Ltil_y - c.mu_y) / (2.0 * c.Ltil_xy)
 
 
+@in_float_range
 def scsc_coefficients(
     constants: SmoothnessConstants, Lbar_xy: float
 ) -> tuple[float, float, float, float, float]:
@@ -91,6 +93,8 @@ def scsc_coefficients(
     ) / denom
     tau = c.mu_x * c.mu_y**2 / denom
     gamma = c.L_y * c.Ltil_xy / (2.0 * denom)
+    if tau == 0.0 or gamma == 0.0:  # each divides later: the bracket for r, and b_tilde / gamma
+        raise ConstraintError(f"degenerate minimizer equation: tau = {tau}, gamma = {gamma}")
     return alpha, beta, lam, tau, gamma
 
 
@@ -129,6 +133,12 @@ def solve_decay_factor(lam_coef: float, tau_coef: float) -> float:
     return r
 
 
+@in_float_range
+def _scsc_coupling(c, Lbar_xy, alpha, beta) -> tuple[float, float, float]:
+    """The scsc outer objective's coefficients of x'Z^3 y, of b'y and of b'Z^2 y."""
+    return -alpha * beta / c.Ltil_xy, Lbar_xy / c.Ltil_xy, 2.0 * alpha * beta / c.Ltil_xy**2
+
+
 def _scsc_operators(d, constants, Lbar_xy, alpha, beta, b):
     """Assemble the quadratic outer spec and inner (H, J) for the scsc family.
 
@@ -137,13 +147,12 @@ def _scsc_operators(d, constants, Lbar_xy, alpha, beta, b):
     makes the minimizer equation close in even powers of Z.
     """
     c = constants
+    cubic, lin_b, lin_z2b = _scsc_coupling(c, Lbar_xy, alpha, beta)
     a_xx = linalg.z_power_sum("scsc", d, {2: alpha}, shift=c.mu_x)
-    a_xy = linalg.z_power_sum(
-        "scsc", d, {3: -alpha * beta / c.Ltil_xy, 1: Lbar_xy / 2.0}
-    )
+    a_xy = linalg.z_power_sum("scsc", d, {3: cubic, 1: Lbar_xy / 2.0})
     a_yy = linalg.z_power_sum("scsc", d, {}, shift=c.L_y)
     z2_b = linalg.apply_z("scsc", linalg.apply_z("scsc", b))
-    lin_y = (Lbar_xy / c.Ltil_xy) * b - (2.0 * alpha * beta / c.Ltil_xy**2) * z2_b
+    lin_y = lin_b * b - lin_z2b * z2_b
     outer = QuadraticOuter(a_xx=a_xx, a_yy=a_yy, a_xy=a_xy, lin_y=lin_y)
     h_op = linalg.z_power_sum("scsc", d, {2: beta}, shift=c.mu_y)
     j_op = linalg.z_power_sum("scsc", d, {1: -c.Ltil_xy / 2.0})
@@ -328,6 +337,7 @@ class CscInstance:
         return linalg.anti_banded_z("csc", self.d)
 
 
+@in_float_range
 def csc_grad_floor_value(constants: SmoothnessConstants, B: float, d: int) -> float:
     c = constants
     beta = (c.Ltil_y - c.mu_y) / 4.0
@@ -352,6 +362,18 @@ def _csc_oracle(d, constants, beta, b) -> QuadraticBilevelOracle:
     return QuadraticBilevelOracle(h_op, j_op, b, outer, c)
 
 
+@in_float_range
+def _csc_rhs(c, beta, scale) -> tuple[float, float, float, float]:
+    """b_tilde's three nonzero entries, and the scale 2 / (L_y Ltil_xy) that maps Z b to it."""
+    return (
+        scale * (1.25 * c.L_x * beta**2 + c.L_x * beta * c.mu_y + c.Ltil_xy**2 * c.L_y / 4.0
+                 + c.L_x * c.mu_y**2 / 4.0),
+        scale * (-c.L_x * beta**2 - c.L_x * beta * c.mu_y / 2.0),
+        scale * (c.L_x * beta**2 / 4.0),
+        2.0 / (c.L_y * c.Ltil_xy),
+    )
+
+
 def build_csc(
     d: int,
     constants: SmoothnessConstants,
@@ -367,19 +389,13 @@ def build_csc(
     beta = (c.Ltil_y - c.mu_y) / 4.0
     scale = B / math.sqrt(d)
 
+    *entries, b_scale = _csc_rhs(c, beta, scale)
     b_tilde = np.zeros(d)
-    b_tilde[0] = scale * (
-        1.25 * c.L_x * beta**2
-        + c.L_x * beta * c.mu_y
-        + c.Ltil_xy**2 * c.L_y / 4.0
-        + c.L_x * c.mu_y**2 / 4.0
-    )
-    b_tilde[1] = scale * (-c.L_x * beta**2 - c.L_x * beta * c.mu_y / 2.0)
-    b_tilde[2] = scale * (c.L_x * beta**2 / 4.0)
+    b_tilde[:3] = entries
     if btilde_shift is not None:
         b_tilde = b_tilde + linalg.vector(btilde_shift, d)
 
-    b = linalg.solve_z("csc", (2.0 / (c.L_y * c.Ltil_xy)) * b_tilde)
+    b = linalg.solve_z("csc", b_scale * b_tilde)
 
     return CscInstance(
         d=d,

@@ -38,13 +38,15 @@ store-free inertia pass of `spectrum_within` and the scalar solve run as
 straight-line kernels, one per band width, whose source is generated and
 compiled once per width (`_ldl_kernel`) the way `collections.namedtuple`
 builds its methods: each keeps the last w pivots and entries in locals
-instead of indexing the band rows, and performs the operations of the
-generic per-row loop in the same order, so pivots, L and solves are those
-of the generic loop to the bit.  `solve_z` inverts Z by a cumulative sum
-and `apply_z` applies it as one difference of slices of the reversed
-vector, so the anti-banded families never need a dense form above
-SMALL_DIM.  `solve_dense` and `symmetric_eig_extremes` remain as dense
-references.
+instead of indexing the band rows.  The factor and inertia kernels run
+from row 0, from w seeded rows of pivot 1.0 and L 0.0 and the band's
+corner left of column 0 read as +0.0, so each row performs the operations
+of the generic per-row loop (Golub and Van Loan, Matrix Computations, 4.3)
+in its order, and pivots, L and solves are that loop's to the bit.
+`solve_z` inverts Z by a cumulative sum and `apply_z` applies it as one
+difference of slices of the reversed vector, so the anti-banded families
+never need a dense form above SMALL_DIM.  `solve_dense` and
+`symmetric_eig_extremes` remain as dense references.
 """
 
 from __future__ import annotations
@@ -492,37 +494,6 @@ def _pivot_error(i: int, s: float) -> SingularOperatorError:
     )
 
 
-def _head_rows(a, rows, n: int) -> None:
-    """Rows 0..n-1 of the LDL' factor of the band `a`, by the generic per-row loop.
-
-    `a[m][i]` is A[i, i-m].  Writes rows[0][i] = D[i] and rows[m][i] =
-    L[i, i-m] for m <= i, into w + 1 rows that start zeroed.  Row i reduces
-    its min(i, w) entries left of the diagonal: the entries L[i, i-m] for m
-    descending, each over k ascending, then the pivot over m ascending.
-    Raises at the first pivot that is not positive.
-    """
-    w = len(a) - 1
-    piv = rows[0]
-    for i in range(n):
-        top = i if i < w else w
-        s = a[0][i]
-        if w == 1 and i:  # the tridiagonal recurrence, unrolled
-            rows[1][i] = lij = a[1][i] / piv[i - 1]
-            s -= lij * a[1][i]
-        elif top:
-            for m in range(top, 0, -1):
-                j = i - m
-                t = a[m][i]
-                for k in range(i - top, j):
-                    t -= rows[i - k][i] * piv[k] * rows[j - k][j]
-                rows[m][i] = t / piv[j]
-            for m in range(1, top + 1):
-                s -= rows[m][i] * rows[m][i] * piv[i - m]
-        if not s > 0.0:
-            raise _pivot_error(i, s)
-        piv[i] = s
-
-
 def _repeats(rows, a, i: int) -> bool:
     """Whether rows i-w..i of the factor are equal bit for bit, and band column i+1 is column i.
 
@@ -553,38 +524,59 @@ def _interior(lower: np.ndarray) -> tuple[int, int]:
     return other[k - 1] + 1 if k else 0, other[k] if k < len(other) else bits.shape[1]
 
 
+def _band_views(lower: np.ndarray) -> list[memoryview]:
+    """Memoryviews of the band rows, their corner A[i, i-m] (i < m) left of column 0 holding +0.0.
+
+    The kernels read the corner as any other entry (`_factor_source`).  A
+    band holding anything else there, such as `spectrum_within`'s negated
+    band with its -0.0, is copied with the corner cleared, never written.
+    """
+    a = [memoryview(band) for band in lower]
+    if any(band[:m].tobytes().strip(b"\0") for m, band in enumerate(a)):  # a corner byte set
+        lower = lower.copy()
+        for m, band in enumerate(lower):
+            band[:m] = 0.0
+        a = [memoryview(band) for band in lower]
+    return a
+
+
 def _factor_source(w: int, store: bool = True) -> list[str]:
-    """Rows start.. of the LDL' factor of band width w, each one straight-line body.
+    """Rows of the LDL' factor of band width w, each one straight-line body.
 
     Row i reads A[i, i-m] as t{m} and A[i, i] as p0, and carries the previous
     rows in locals: p{m} = D[i-m] and l{m}_{n} = L[i-m, i-m-n], the latter
     kept for n <= w-m, the ones that row i reads; row i's own entries become
-    l0_{m} = L[i, i-m] and p0 = D[i].  The operations and their order are
-    those of the generic loop (`_head_rows`): the entries L[i, i-m] for m
-    descending, each reduced over k ascending, then the pivot reduced over m
-    ascending.  Both kernels take the band rows `a` as memoryviews, read as
-    Python floats, and their first locals from rows start-w..start-1 of
-    `rows`, as `_head_rows` lays them out.
+    l0_{m} = L[i, i-m] and p0 = D[i].  Row i reduces L[i, i-m] for m
+    descending, each over k ascending, then the pivot over m ascending, in
+    the order of the generic per-row loop (`tests/ldl_reference.py`).  Both
+    kernels read the band rows `a` as memoryviews (`_band_views`), and from
+    row 0 their locals hold w copies of the row `last`, by default of pivot
+    1.0 and L 0.0.  Row i < m reads the corner's +0.0 as A[i, i-m], so it
+    reduces L[i, i-m] to +0.0 for each m > i, and every term that reads a
+    seeded row is a product with one of those, +0.0: subtracting it leaves
+    each value, signed zeros included, as the generic loop's shorter sums.
 
-    `factor(a, rows, start, top, stop)` (store) writes row i into `rows`,
-    memoryviews of w + 1 arrays of length d, raises at the first pivot that
-    is not positive, and returns d, or the first row top <= i < stop at
-    which rows i-w..i repeat on a band column that continues (`_repeats`);
-    its pivots compare first, one float compare per row.  `inertia(a, rows, start)`
-    stores nothing, so `rows` need hold only the first `start` rows, and
-    returns whether every pivot is positive.
+    `factor(a, rows, top, stop, start=0, last)` writes rows start.. into
+    `rows`, memoryviews of w + 1 arrays of length d, raises at the first
+    pivot that is not positive, and returns d, or the first row top <= i <
+    stop at which rows i-w..i repeat on a band column that continues
+    (`_repeats`); its pivots compare first, one float compare per row.  A
+    resume passes the row that repeats as `last`.  `inertia(a)` stores
+    nothing and returns whether every pivot is positive.
     """
     ms = range(1, w + 1)
+    seed = repr((1.0,) + (0.0,) * w)
     # only the factor reads the row index, for its message and its stop
     targets = ["i"] * store + ["p0"] + [f"t{m}" for m in ms]
     rows = ", ".join(targets) + "," * (len(targets) == 1)
     columns = ", ".join(["range(start, len(a[0]))"] * store + [f"a{m}" for m in range(w + 1)])
+    bands = ", ".join(f"a{m}" for m in range(w + 1))
     lines = [
-        "def factor(a, rows, start, top, stop):" if store else "def inertia(a, rows, start):",
-        f"    [{', '.join(f'a{m}' for m in range(w + 1))}] = [band[start:] for band in a]",
-        f"    [{', '.join(['piv'] + [f'low{m}' for m in ms])}] = rows",
-        *(f"    p{m} = piv[start - {m}]" for m in ms),
-        *(f"    l{m}_{n} = low{n}[start - {m}]" for m in ms for n in range(1, w - m + 1)),
+        f"def factor(a, rows, top, stop, start=0, last={seed}):" if store else f"def inertia(a, last={seed}):",
+        f"    [{bands}] = [band[start:] for band in a]" if store else f"    [{bands}] = a",
+        *[f"    [{', '.join(['piv'] + [f'low{m}' for m in ms])}] = rows"] * store,
+        *(f"    p{m} = last[0]" for m in ms),
+        *(f"    l{m}_{n} = last[{n}]" for m in ms for n in range(1, w - m + 1)),
         f"    for {rows} in zip({columns}):",
     ]
     for m in range(w, 0, -1):
@@ -705,13 +697,11 @@ def _solve_lists(rows: list[list[float]], after: list[float]) -> tuple:
 class BandedLDL:
     """LDL' factorization of a symmetric positive definite banded matrix, no pivoting.
 
-    `lower` holds the bands as `band_form` returns them.  The first w rows,
-    which have fewer than w entries left of the diagonal, are factored by
-    the generic loop (`_head_rows`), the rest by a straight-line kernel
-    generated for the width w (`_ldl_kernel`); a full band (w >= d-1) runs
-    in the generic loop alone.  Raises SingularOperatorError at the first
-    pivot that is not positive, so a successful factorization certifies
-    positive definiteness (Sylvester's law of inertia).
+    `lower` holds the bands as `band_form` returns them.  Every row runs in
+    the straight-line kernel generated for the width w (`_ldl_kernel`),
+    from row 0.  Raises SingularOperatorError at the first pivot that is not
+    positive, so a successful factorization certifies positive definiteness
+    (Sylvester's law of inertia).
 
     A power sum's band is constant away from its first and last few rows,
     and its factor often converges to a fixed row, bit for bit: the
@@ -719,17 +709,18 @@ class BandedLDL:
     + 0.9 Z^2 + 0.01 after 158 at d = 1024 and d = 109 731 alike.  So above
     SMALL_DIM the kernel stops at the first row i where rows i-w..i repeat
     (`_repeats`) on interior band rows, the run of band columns equal to the
-    middle one (`_interior`): every row up to the bottom edge, where the
-    band changes again, repeats row i.  It resumes there, with the repeated
-    row as its last w rows, so a failing bottom pivot raises at its own
-    index.  At d <= SMALL_DIM it runs whole: a repeat there would skip
-    fewer rows than the stop costs.  Some factors never repeat: the mild
-    preset's minimizer operator settles into two alternating rows, and the
-    shifted bands of a spectrum test near its bounds keep changing.  The
-    factor is stored as float64 arrays of shape (w+1, .), row 0 the pivots
-    D[i] and row m the entries L[i, i-m]: `head` holds rows 0..h-1, every
-    row h..t-1 is `limit`, and `tail` holds rows t..d-1.  A factor that
-    never stopped is all head.  `pivots` and `_rows` assemble full rows.
+    middle one (`_interior`), found before the factor: every row up to the
+    bottom edge, where the band changes again, repeats row i.  It resumes
+    there, with the repeated row as the w rows before it, so a failing
+    bottom pivot raises at its own index.  At d <= SMALL_DIM it runs whole:
+    a repeat there would skip fewer rows than the stop costs.  Some factors
+    never repeat: the mild preset's minimizer operator settles into two
+    alternating rows, and the shifted bands of a spectrum test near its
+    bounds keep changing.  The factor is stored as float64 arrays of shape
+    (w+1, .), row 0 the pivots D[i] and row m the entries L[i, i-m]: `head`
+    holds rows 0..h-1, every row h..t-1 is `limit`, and `tail` holds rows
+    t..d-1.  A factor that never stopped is all head.  `pivots` and `_rows`
+    assemble full rows.
 
     A tridiagonal factor (w <= 1) above SMALL_DIM solves by recursive
     doubling: forward and back substitution are first-order recurrences,
@@ -743,36 +734,21 @@ class BandedLDL:
 
     def __init__(self, lower: np.ndarray):
         w, d = lower.shape[0] - 1, lower.shape[1]
-        # the first w rows hold fewer than w entries left of the diagonal and
-        # run in the generic loop; a full band (w >= d-1) has at most one row
-        # more, so it runs there whole rather than compile an O(w^2)-line
-        # kernel for that row
-        start = w if w < d - 1 else d
-        a = [memoryview(band) for band in lower]
+        a = _band_views(lower)
         rows = np.zeros((w + 1, d))
         flat = memoryview(rows.reshape(-1))
         views = [flat[m * d : (m + 1) * d] for m in range(w + 1)]
-        _head_rows(a, views, start)
-        head = tail = d
-        if start < d:
-            factor = _ldl_kernel("factor", w)
-            # at d <= SMALL_DIM a repeat would skip fewer rows than the stop costs
-            stop = factor(a, views, start, 0, d - 1 if d > SMALL_DIM else 0)
-            if stop < d:
-                top, bottom = _interior(lower)
-                if not top + w <= stop < bottom - 1:  # a repeat ahead of the interior
-                    stop = factor(a, views, stop + 1, top + w, bottom - 1)
-            if stop < d:  # rows stop-w.. repeat up to the bottom edge
-                head, tail = stop - w, bottom
-                if tail < d:  # resume with the repeated row as the last w rows
-                    rows[:, tail - w : tail] = rows[:, stop, None]
-                    factor(a, views, tail, 0, 0)
-        self.dim = d
-        self.width = w
-        if head == d:  # it never stopped
+        factor = _ldl_kernel("factor", w)
+        # at d <= SMALL_DIM a repeat would skip fewer rows than the stop costs
+        top, bottom = _interior(lower) if d > SMALL_DIM else (d, d)
+        stop = factor(a, views, top + w, bottom - 1)
+        self.dim, self.width = d, w
+        if stop == d:  # it never stopped
             self.head, self.limit, self.tail = rows, np.zeros(w + 1), rows[:, d:]
-        else:  # copies, so that the rows it skipped are freed
-            self.head, self.limit, self.tail = rows[:, :head].copy(), rows[:, head].copy(), rows[:, tail:].copy()
+        else:  # rows stop-w..stop repeat up to the bottom edge; copies free the rows skipped
+            if bottom < d:  # resume there, with the repeated row as the w rows before it
+                factor(a, views, 0, 0, bottom, rows[:, stop].tolist())
+            self.head, self.limit, self.tail = rows[:, : stop - w].copy(), rows[:, stop].copy(), rows[:, bottom:].copy()
         self._solver: Callable[[list[float]], list[float]] | None = None
         self._scan_state: tuple[list[np.ndarray], np.ndarray, list[np.ndarray]] | None = None
         self._tiles: dict[int, tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]] = {}
@@ -887,42 +863,25 @@ def banded_ldl(op: StructuredOperator) -> BandedLDL:
     return BandedLDL(_lower_bands(op))
 
 
-def _positive_definite(lower: np.ndarray) -> bool:
-    """Whether every LDL' pivot of the band is positive, with no factor stored.
-
-    The first w rows by the generic loop, the rest by the inertia kernel,
-    which performs the factor kernel's operations, so its pivots are the
-    factor's, keeps only the last w rows in locals and returns at the first
-    pivot that is not positive.
-    """
-    w, d = lower.shape[0] - 1, lower.shape[1]
-    start = w if w < d - 1 else d
-    a = [memoryview(band) for band in lower]
-    rows = [[0.0] * start for _ in range(w + 1)]
-    try:
-        _head_rows(a, rows, start)
-    except SingularOperatorError:
-        return False
-    return start == d or _ldl_kernel("inertia", w)(a, rows, start)
-
-
 def spectrum_within(op: StructuredOperator, lo: float, hi: float) -> bool:
     """Whether every eigenvalue of the symmetric `op` lies strictly inside (lo, hi).
 
     Decided by inertia: op - lo*I and hi*I - op must both have positive LDL'
     pivots, with no eigendecomposition, O(d w^2).  Each band runs through the
-    store-free inertia kernel (`_positive_definite`), which builds no
-    `BandedLDL` and stops at the first non-positive pivot; the second band
-    runs only when the first passes.  Near the spectrum's ends the shifted
-    factors do not repeat (neither H - lo*I nor hi*I - H of the scsc builds
-    does within d = 1024), so the factor's stop rule would not shorten them.
-    An operator without a band form raises CapabilityError, as in `banded_ldl`.
+    store-free inertia kernel, whose pivots are the factor kernel's: it keeps
+    only the last w rows in locals, builds no `BandedLDL` and returns at the
+    first non-positive pivot; the second band runs only when the first
+    passes.  Near the spectrum's ends the shifted factors do not repeat
+    (neither H - lo*I nor hi*I - H of the scsc builds does within d = 1024),
+    so the factor's stop rule would not shorten them.  An operator without a
+    band form raises CapabilityError, as in `banded_ldl`.
     """
     lower = _lower_bands(op)
     above, below = lower.copy(), -lower
     above[0] -= lo
     below[0] += hi
-    return _positive_definite(above) and _positive_definite(below)
+    inertia = _ldl_kernel("inertia", lower.shape[0] - 1)
+    return inertia(_band_views(above)) and inertia(_band_views(below))
 
 
 def apply_z(flavor: str, v: np.ndarray) -> np.ndarray:

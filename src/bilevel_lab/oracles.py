@@ -30,13 +30,15 @@ verification observers read the exact surface of the base oracle, uncounted.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import linalg
-from .errors import CapabilityError, DimensionMismatchError, InvariantViolationError
+from .errors import CapabilityError, ConstraintError, DimensionMismatchError, InvariantViolationError
 from .linalg import StructuredOperator
 
 SPECTRUM_SLACK = 1e-8
@@ -69,6 +71,23 @@ class SmoothnessConstants:
     @property
     def kappa_y(self) -> float:
         return self.Ltil_y / self.mu_y
+
+
+def in_float_range(derive: Callable) -> Callable:
+    """`derive`, a function of constants returning floats, raising ConstraintError where
+    they leave the float range: an OverflowError of `**`, a ZeroDivisionError, or inf."""
+
+    @functools.wraps(derive)
+    def checked(*args):
+        try:
+            values = derive(*args)
+        except ArithmeticError as exc:
+            raise ConstraintError(f"{derive.__name__} leaves the float range: {exc}") from None
+        if not all(map(math.isfinite, values if isinstance(values, tuple) else (values,))):
+            raise ConstraintError(f"{derive.__name__} leaves the float range: {values}")
+        return values
+
+    return checked
 
 
 @dataclass(frozen=True)

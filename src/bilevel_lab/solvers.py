@@ -33,6 +33,7 @@ from .oracles import (
     QuadraticBilevelOracle,
     SmoothnessConstants,
     counted,
+    in_float_range,
 )
 
 GAP_BLOWUP_FACTOR = 1e6
@@ -347,6 +348,7 @@ def baseline_aid_gd(
     return _traced_run(oracle, "baseline_aid_gd", cfg, tau_cost)
 
 
+@in_float_range
 def l_phi_estimate(constants: SmoothnessConstants) -> float:
     """Explicit smoothness constant of the outer objective phi for a quadratic inner problem."""
     c = constants

@@ -251,6 +251,52 @@ class TestRunVerb:
         assert err.startswith("config error:") and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "kind,constants",
+        [
+            ("scsc", {"mu_y": 1e-300}),
+            ("csc", {"mu_y": 1e-300}),
+            ("scsc-benchmark", {"mu_y": 1e-300}),
+            ("scsc-benchmark", {"Ltil_xy": 1e-300}),
+            ("scsc", {"Ltil_xy": 1e300}),
+            ("csc", {"Ltil_xy": 1e300}),
+            ("scsc-benchmark", {"Ltil_xy": 1e300}),
+            ("csc", {"Ltil_y": 1e300}),
+            ("csc", {"Ltil_y": 1e150}),
+            ("scsc", {"Ltil_xy": 0.0}),
+            ("scsc-benchmark", {"Ltil_xy": 0.0}),
+        ],
+        ids=[
+            "scsc-mu_y-tiny", "csc-mu_y-tiny", "benchmark-mu_y-tiny", "benchmark-Ltil_xy-tiny",
+            "scsc-Ltil_xy-huge", "csc-Ltil_xy-huge", "benchmark-Ltil_xy-huge", "csc-Ltil_y-huge",
+            "csc-Ltil_y-1e150", "scsc-Ltil_xy-zero", "benchmark-Ltil_xy-zero",
+        ],
+    )
+    def test_constants_out_of_the_float_range_are_config_errors(self, tmp_path, capsys, kind, constants):
+        """Constants valid one by one whose derived scalars overflow, underflow to zero or divide by zero."""
+        doc = minimal_run_config(tmp_path / "out", K=2)
+        doc["instance"] = {"kind": kind, "preset": "mild", "d": 8, "constants": constants}
+        doc["solver"] = {"algorithm": "accbio", "K": 2, "regularize": {"eps": 0.1, "R": 1.0}}
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+    def test_out_of_memory_is_config_error(self, tmp_path, capsys, monkeypatch):
+        """A d too large to allocate: numpy's MemoryError, raised by a patched builder, since
+        whether a real allocation of that size fails at once depends on the overcommit policy."""
+
+        def build(d, *args, **kwargs):
+            raise MemoryError(f"Unable to allocate 7.28 TiB for an array with shape ({d},) and data type float64")
+
+        monkeypatch.setattr(hard_instances, "build_scsc_benchmark", build)
+        doc = minimal_run_config(tmp_path / "out", K=2)
+        doc["instance"] = {"kind": "scsc-benchmark", "preset": "benchmark", "d": 10**12}
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out of memory: Unable to allocate") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "kind,d",
         [("scsc", 5000), ("scsc", 16384), ("decoupled", 16384)],
         ids=["5000", "16384", "decoupled-16384"],
@@ -887,6 +933,20 @@ class TestVerifyLbVerb:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "constants",
+        [{"L_xy": 0.0}, {"mu_x": 0.0}, {"mu_y": 1e-300}, {"Ltil_xy": 1e300}, {"Ltil_xy": 0.0}],
+        ids=["L_xy-zero", "mu_x-zero", "mu_y-tiny", "Ltil_xy-huge", "Ltil_xy-zero"],
+    )
+    def test_invalid_instance_is_config_error(self, tmp_path, capsys, constants):
+        """Constants the builders reject exit 1, as `run` exits on them."""
+        doc = battery_config(tmp_path / "out")
+        doc["instance"]["constants"] = constants
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["verify-lb", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid instance:") and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "key,value",

@@ -34,7 +34,8 @@ VALID = {
     ("instance", "preset"): ["mild", "mild-csc", "benchmark"],
     ("instance", "kappa_y"): [1.0, 4.0],
     ("instance", "initial_gap"): [1.0, None],
-    ("instance", "constants"): [{"mu_y": 0.25}, {"L_x": 2.0}],
+    # the last two are valid constants whose derived scalars leave the float range
+    ("instance", "constants"): [{"mu_y": 0.25}, {"L_x": 2.0}, {"mu_y": 1e-300}, {"Ltil_xy": 1e300}],
     ("solver", "algorithm"): ["accbio", "accbio-bg", "accbio_bg", "baseline-gd", "baseline_aid_gd"],
     ("solver", "K"): [1, 5],
     ("solver", "N"): ["auto", 3],

@@ -658,7 +658,7 @@ class TestBandedLDL:
         assert linalg.spectrum_within(h, lo - 1e-9, hi + 1e-9)
         assert not linalg.spectrum_within(h, lo + 1e-9, hi + 1e-9)
         assert not linalg.spectrum_within(h, lo - 1e-9, hi - 1e-9)
-        # a Z^6 sum at d = 4 has w = 3 = d - 1: one full band, all in the head loop
+        # a Z^6 sum at d = 4 has w = 3 = d - 1: one full band, every row in the first w rows
         full = linalg.z_power_sum("scsc", 4, {6: 0.1, 2: 1.0}, shift=0.5)
         assert linalg.band_form(full).shape == (4, 4)
         lo, hi = np.linalg.eigvalsh(full.to_dense())[[0, -1]]
@@ -743,7 +743,7 @@ class TestBandedLDLAgainstReference:
         [(w, where) for w in range(5) for where in ("head", "body", "last") if w or where != "head"],
     )
     def test_indefinite_matrix_fails_at_the_same_pivot(self, w, where):
-        """The first non-positive pivot in the generic head rows, in the kernel's rows, and last."""
+        """The first non-positive pivot in the first w rows, in a row after them, and last."""
         d = 40
         bad = {"head": w - 1, "body": w + 3, "last": d - 1}[where]
         lower = _banded_lower(w, d, np.random.default_rng(w))
@@ -826,7 +826,30 @@ def build_polys():
 
 
 BUILD_WIDTHS = {"H": 1, "minimizer": 2, "P": 2, "csc-H": 1, "csc-P": 3}
-STOP_DIMS = [4, 32, SMALL] + TAP_DIMS
+STOP_DIMS = sorted({2, 3, 4, 5, 16, 32, SMALL, 300, *TAP_DIMS})
+# the first rows and the full band (w >= d - 1) at w = 1, 2, 3, and a band on each side of SMALL_DIM
+CORNER_DIMS = [2, 3, 4, 5, 16, SMALL + 1, 300]
+CORNERS = {"plus-zero": 0.0, "minus-zero": -0.0, "junk": None}
+
+
+def _with_corner(lower, corner, gen):
+    """A copy of `lower` whose corner, the entries A[i, i-m] (i < m) left of column 0, holds `corner`.
+
+    A corner of None is nonzero junk of both signs.
+    """
+    lower = lower.copy()
+    for m in range(1, lower.shape[0]):
+        n = min(m, lower.shape[1])
+        lower[m, :n] = gen.uniform(1.0, 2.0, n) * gen.choice([-1.0, 1.0], n) if corner is None else corner
+    return lower
+
+
+def _factor_leaving_the_band(lower):
+    """`BandedLDL(lower)`, checking that the caller's band is left as it was, bit for bit."""
+    before = lower.copy()
+    factor = linalg.BandedLDL(lower)
+    assert _bitwise_equal(lower, before)
+    return factor
 
 
 class TestStopRule:
@@ -876,6 +899,27 @@ class TestStopRule:
         factor = linalg.BandedLDL(shifted)
         assert _stored_run(factor) == (d, 0, 0)
         _assert_is_the_reference(factor, shifted, np.random.default_rng(1))
+
+    @pytest.mark.parametrize("corner", ["minus-zero", "junk"])
+    @pytest.mark.parametrize("d", CORNER_DIMS)
+    @pytest.mark.parametrize("name", list(BUILD_WIDTHS))
+    def test_the_builds_operators_with_any_corner(self, build_polys, name, d, corner):
+        """The kernel reads the corner left of column 0 as +0.0, whatever it holds, and never writes the band."""
+        gen = np.random.default_rng(d)
+        flavor = "csc" if name.startswith("csc") else "scsc"
+        op = linalg.StructuredOperator(flavor, d, build_polys[name])
+        lower = _with_corner(linalg.band_form(op), CORNERS[corner], gen)
+        _assert_is_the_reference(_factor_leaving_the_band(lower), lower, gen)
+
+    @pytest.mark.parametrize("zero_every", [0, 3], ids=["dense-bands", "signed-zeros"])
+    @pytest.mark.parametrize("corner", list(CORNERS))
+    @pytest.mark.parametrize("d", CORNER_DIMS)
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    def test_first_rows_with_any_corner(self, w, d, corner, zero_every):
+        """Random bands, their rows holding zeros of both signs or none, the full band included."""
+        gen = np.random.default_rng(100 * w + d)
+        lower = _with_corner(_banded_lower(w, d, gen, zero_every), CORNERS[corner], gen)
+        _assert_is_the_reference(_factor_leaving_the_band(lower), lower, gen)
 
     def test_a_repeat_ahead_of_the_interior_does_not_stop(self):
         """Rows 0..3 repeat on band rows 0..3, which differ from the interior from row 4 on.
@@ -1001,7 +1045,7 @@ class TestInertia:
         "w3": ({6: 0.00390625, 4: 0.03125, 2: 0.3125}, 0.0),
     }
 
-    @pytest.mark.parametrize("d", [4, 5, 16, SMALL + 1, 300])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 16, SMALL + 1, 300])
     @pytest.mark.parametrize("name", list(OPERATORS))
     @pytest.mark.parametrize("flavor", ["scsc", "csc"])
     def test_decisions_are_the_reference(self, flavor, name, d):
@@ -1019,6 +1063,27 @@ class TestInertia:
                 assert got == inertia_reference.spectrum_within(op, a, b), (a, b)
                 decided.add(got)
         assert decided == {True, False}
+
+    @pytest.mark.parametrize("corner", list(CORNERS))
+    @pytest.mark.parametrize("d", CORNER_DIMS)
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    def test_any_corner_decides_as_the_reference(self, w, d, corner):
+        """A band with zeros of both signs and any corner, definite or with a negative diagonal entry
+        in its first rows or its last: the reference factor's decision, and the band left as it was."""
+        gen = np.random.default_rng(10 * w + d)
+        for bad in [None, 0, min(w, d) - 1, d - 1]:
+            lower = _with_corner(_banded_lower(w, d, gen, zero_every=3), CORNERS[corner], gen)
+            if bad is not None:
+                lower[0, bad] = -0.5
+            before = lower.copy()
+            try:
+                ldl_reference.factor(lower)
+            except SingularOperatorError:
+                definite = False
+            else:
+                definite = True
+            assert linalg._ldl_kernel("inertia", w)(linalg._band_views(lower)) == definite, bad
+            assert _bitwise_equal(lower, before)
 
     def test_a_diagonal_band(self):
         op = linalg.z_power_sum("scsc", 100, {}, shift=2.0)
